@@ -1,9 +1,10 @@
-"""Hot numeric kernels: pairwise energy sums and the projected-ascent loop.
+"""Hot numeric kernels: pairwise energy sums, the triangle scan and the
+projected-ascent loop.
 
-The jitted versions (numba, nopython) are used by default; set
-``QHM_PURE_NUMPY=1`` to force the vectorized numpy fallbacks, e.g. when numba
-is unavailable or for benchmarking (see benchmarks/bench_kernels.py, which
-times both paths side by side). ``HAS_NUMBA`` reports which path is active.
+The jitted versions (numba, nopython) of the energy sums and the ascent loop
+are used by default; set ``QHM_PURE_NUMPY=1`` to force the vectorized numpy
+fallbacks, e.g. when numba is unavailable. ``HAS_NUMBA`` reports which path is
+active. The triangle scan has a single numpy implementation on both paths.
 
 Energy sums run in fixed row-major pair order with Kahan-compensated
 accumulation on the jitted path, so results are reproducible bit-for-bit on a
@@ -36,18 +37,52 @@ def potential_np(dist: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dist @ w
 
 
-def worst_triangle_deficit_np(dist: np.ndarray):
-    """Largest d(i,j) - (d(i,k) + d(k,j)) over all triples, with its argmax."""
+# Element budget of one triangle-scan slab (rows x pivots x columns). Apart
+# from this one buffer the scan allocates only row-block vectors of
+# TRIANGLE_TILE_ROWS x n elements, never an n x n temporary.
+TRIANGLE_TILE = 1 << 16
+TRIANGLE_TILE_ROWS = 8
+
+
+def worst_triangle_deficit(dist: np.ndarray):
+    """Largest d(i,j) - (d(i,k) + d(k,j)) over all triples, with a triple
+    that attains it: returns (deficit, i, j, k).
+
+    `dist` must be symmetric. The scan then covers only columns j >= i0 of
+    each block of rows i0:i1, since the deficit of (j, i, k) equals that of
+    (i, j, k) bit for bit. Each slab of at most TRIANGLE_TILE elements holds
+    the sums d(i,k) + d(k,j) for a block of rows, a block of pivots and the
+    columns j >= i0; their minimum over the pivots is folded into a running
+    row-block minimum s(i,j). Rounded subtraction is monotone, so
+    d(i,j) - s(i,j) is exactly the largest d(i,j) - (d(i,k) + d(k,j)) over k.
+    The pivot of the winning (i, j) is recovered by one pass over its row.
+    """
     n = dist.shape[0]
+    rows = min(n, TRIANGLE_TILE_ROWS)
+    buf = np.empty(min(max(TRIANGLE_TILE, rows * n), rows * n * n))
     worst = -np.inf
     at = (0, 0, 0)
-    for k in range(n):
-        deficit = dist - (dist[:, k, None] + dist[None, k, :])
+    for i0 in range(0, n, rows):
+        i1 = min(n, i0 + rows)
+        width = n - i0
+        pivots = max(1, buf.size // ((i1 - i0) * width))
+        least = None
+        for k0 in range(0, n, pivots):
+            k1 = min(n, k0 + pivots)
+            slab = buf[:(i1 - i0) * (k1 - k0) * width].reshape(
+                i1 - i0, k1 - k0, width)
+            np.add(dist[i0:i1, k0:k1, None], dist[None, k0:k1, i0:], out=slab)
+            if least is None:
+                least = slab.min(axis=1)
+            else:
+                np.minimum(least, slab.min(axis=1), out=least)
+        deficit = dist[i0:i1, i0:] - least
         m = float(deficit.max())
         if m > worst:
             worst = m
-            i, j = np.unravel_index(int(np.argmax(deficit)), deficit.shape)
-            at = (int(i), int(j), k)
+            r, c = np.unravel_index(int(np.argmax(deficit)), deficit.shape)
+            i, j = i0 + int(r), i0 + int(c)
+            at = (i, j, int(np.argmin(dist[i, :] + dist[:, j])))
     return worst, at[0], at[1], at[2]
 
 
@@ -203,31 +238,10 @@ if HAS_NUMBA:
         return (rec_it[:n_rec], rec_val[:n_rec], rec_w[:n_rec], best, best_w,
                 status, last_it)
 
-    @njit(cache=True)
-    def worst_triangle_deficit_nb(dist):
-        n = dist.shape[0]
-        worst = -np.inf
-        wi = 0
-        wj = 0
-        wk = 0
-        for k in range(n):
-            for i in range(n):
-                dik = dist[i, k]
-                for j in range(n):
-                    deficit = dist[i, j] - (dik + dist[k, j])
-                    if deficit > worst:
-                        worst = deficit
-                        wi = i
-                        wj = j
-                        wk = k
-        return worst, wi, wj, wk
-
     energy_bilinear_kernel = energy_bilinear_nb
     potential_kernel = potential_nb
     ascent_kernel = ascent_nb
-    worst_triangle_deficit = worst_triangle_deficit_nb
 else:
     energy_bilinear_kernel = energy_bilinear_np
     potential_kernel = potential_np
     ascent_kernel = ascent_np
-    worst_triangle_deficit = worst_triangle_deficit_np

@@ -1,11 +1,25 @@
 """Finite metric spaces: validation, deterministic builders, subspaces, gluing.
 
 A space is an immutable labeled point set with a validated symmetric distance
-matrix. Builders for 1-D grids and polygon arcs construct their matrices from
-exact float products (grid steps have their low mantissa bits cleared so every
-integer multiple is exactly representable), which makes the triangle check
-pass with zero tolerance; euclidean builders rely on the default relative
-tolerance to absorb rounding.
+matrix. Every matrix passes the O(n^2) checks (finite, zero diagonal,
+nonnegative, symmetric, positive between distinct points). The O(n^3)
+triangle scan runs only where a matrix comes in from outside the package:
+`validate_metric` and the space JSON readers built on it. Builder outputs are
+metrics by construction and skip it:
+
+- interval grids and polygon arcs are exact integer multiples of a step whose
+  low mantissa bits are cleared, so the triangle inequality holds exactly;
+- `random_metric` draws entries from [1, 2], where any two sum to at least
+  the largest;
+- `glue` copies validated blocks and sets every cross distance to c with
+  2c >= both diameters (checked exactly by `GlueSpec`);
+- `euclidean_cloud` (and the ball builders on top of it) computes distances
+  of points in R^k, which satisfy the triangle inequality up to a few ulps of
+  the diameter, far inside the default tolerance;
+- `subspace` restricts an already validated matrix.
+
+Scanning these outputs anyway still passes (tests check it at the builders'
+own tolerances).
 """
 
 import json
@@ -82,14 +96,16 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(n))
 
 
-def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
-                    name: str = "") -> FiniteMetricSpace:
-    """Validate a square distance matrix and wrap it as a space.
-
-    Small asymmetries (within `tol_triangle`) are repaired by averaging the
-    (i, j) and (j, i) entries. `tol_triangle` defaults to 1e-9 relative to the
-    diameter; it exists only to absorb floating construction error.
-    """
+def _checked_matrix(matrix, tol_triangle):
+    """The O(n^2) checks shared by every way in: a finite square matrix with
+    zero diagonal, nonnegative and (up to `tol_triangle`) symmetric entries,
+    positive between distinct points. Returns the symmetrized matrix and the
+    absolute triangle tolerance."""
+    if tol_triangle is not None:
+        tol_triangle = float(tol_triangle)
+        if not (math.isfinite(tol_triangle) and tol_triangle >= 0.0):
+            raise InvalidInputError(
+                f"tol_triangle must be a finite number >= 0, got {tol_triangle!r}")
     d = np.array(matrix, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
         raise NonSquareError(f"expected a nonempty square matrix, got shape {d.shape}")
@@ -104,7 +120,7 @@ def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
         raise NegativeEntryError(f"entry ({i},{j}) = {d[i, j]} is negative")
 
     scale = float(d.max()) if n > 1 else 0.0
-    tol = TRIANGLE_TOL_REL * scale if tol_triangle is None else float(tol_triangle)
+    tol = TRIANGLE_TOL_REL * scale if tol_triangle is None else tol_triangle
 
     asym = np.abs(d - d.T)
     worst_asym = float(asym.max()) if n > 1 else 0.0
@@ -121,20 +137,47 @@ def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
             i, j = np.unravel_index(int(np.argmin(off)), off.shape)
             raise ValidationError(
                 f"distance ({i},{j}) between distinct points must be positive")
-        deficit, i, j, k = worst_triangle_deficit(d)
-        if deficit > tol:
-            raise TriangleViolationError(
-                f"d({i},{j}) exceeds d({i},{k}) + d({k},{j}) by {deficit} > {tol}",
-                triple=(i, j, k), deficit=deficit)
+    return d, tol
 
+
+def _space(d, labels, name) -> FiniteMetricSpace:
+    n = d.shape[0]
     if labels is None:
         labels = _default_labels(n)
     else:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
             raise ValidationError(f"got {len(labels)} labels for {n} points")
-    d = np.ascontiguousarray(d)
-    return FiniteMetricSpace(labels=labels, dist=d, name=name)
+    return FiniteMetricSpace(labels=labels, dist=np.ascontiguousarray(d), name=name)
+
+
+def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
+                    name: str = "") -> FiniteMetricSpace:
+    """Validate a square distance matrix and wrap it as a space.
+
+    This is the entry point for matrices from outside the package (the public
+    API and space JSON files); it is the only place the O(n^3) triangle scan
+    runs. Small asymmetries (within `tol_triangle`) are repaired by averaging
+    the (i, j) and (j, i) entries before the scan. `tol_triangle` defaults to
+    1e-9 relative to the diameter; it exists only to absorb floating
+    construction error, and must be finite and nonnegative.
+    """
+    d, tol = _checked_matrix(matrix, tol_triangle)
+    if d.shape[0] > 1:
+        deficit, i, j, k = worst_triangle_deficit(d)
+        if deficit > tol:
+            raise TriangleViolationError(
+                f"d({i},{j}) exceeds d({i},{k}) + d({k},{j}) by {deficit} > {tol}",
+                triple=(i, j, k), deficit=deficit)
+    return _space(d, labels, name)
+
+
+def _metric_by_construction(d, labels=None, tol_triangle: float | None = None,
+                            name: str = "") -> FiniteMetricSpace:
+    """Builder exit: every O(n^2) check of validate_metric, but no triangle
+    scan, for matrices that are metrics by the way they were built."""
+    d, _ = _checked_matrix(d, tol_triangle)
+    return _space(d, labels, name)
 
 
 def diameter(space: FiniteMetricSpace) -> float:
@@ -164,7 +207,8 @@ def glue(spec: GlueSpec) -> FiniteMetricSpace:
     """Join two spaces, setting every cross-pair distance to spec.c.
 
     Component blocks are copied verbatim; labels become "x0..", "y0.." so a
-    measure on the glued space identifies component membership.
+    measure on the glued space identifies component membership. The result
+    is a metric because GlueSpec enforces 2c >= both component diameters.
     """
     nx, ny = spec.x.n, spec.y.n
     d = np.full((nx + ny, nx + ny), float(spec.c))
@@ -172,7 +216,7 @@ def glue(spec: GlueSpec) -> FiniteMetricSpace:
     d[nx:, nx:] = spec.y.dist
     labels = tuple(f"x{i}" for i in range(nx)) + tuple(f"y{j}" for j in range(ny))
     name = f"glue({spec.x.name or 'x'},{spec.y.name or 'y'},c={spec.c})"
-    return validate_metric(d, labels=labels, name=name)
+    return _metric_by_construction(d, labels=labels, name=name)
 
 
 def _clear_low_bits(x: float, t: int) -> float:
@@ -201,8 +245,9 @@ def interval_grid(a: float, b: float, n: int) -> FiniteMetricSpace:
         raise DegenerateIntervalError("interval too short to resolve n points")
     k = np.arange(n, dtype=np.float64)
     d = np.abs(k[:, None] - k[None, :]) * h
-    return validate_metric(d, labels=[f"t{i}" for i in range(n)],
-                           tol_triangle=0.0, name=f"interval({a},{b},{n})")
+    return _metric_by_construction(d, labels=[f"t{i}" for i in range(n)],
+                                   tol_triangle=0.0,
+                                   name=f"interval({a},{b},{n})")
 
 
 def regular_polygon_arc(n: int) -> FiniteMetricSpace:
@@ -219,12 +264,16 @@ def regular_polygon_arc(n: int) -> FiniteMetricSpace:
     steps = np.abs(k[:, None] - k[None, :])
     steps = np.minimum(steps, n - steps)
     d = steps * h
-    return validate_metric(d, labels=[f"a{i}" for i in range(n)],
-                           tol_triangle=0.0, name=f"circle({n})")
+    return _metric_by_construction(d, labels=[f"a{i}" for i in range(n)],
+                                   tol_triangle=0.0, name=f"circle({n})")
 
 
 def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
-    """Pairwise euclidean distances of a finite point cloud."""
+    """Pairwise euclidean distances of a finite point cloud.
+
+    Raises ValidationError when a distance overflows and DuplicatePointError
+    when two points coincide to 1e-12 of the diameter.
+    """
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -233,7 +282,10 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
     if not np.isfinite(pts).all():
         raise InvalidInputError("coordinates must be finite")
     diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
+    with np.errstate(over="ignore"):
+        d = np.sqrt((diff * diff).sum(axis=-1))
+    if not np.isfinite(d).all():
+        raise ValidationError("pairwise distances overflow to non-finite values")
     n = pts.shape[0]
     if n > 1:
         off = d + np.diag(np.full(n, np.inf))
@@ -242,7 +294,7 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
             i, j = np.unravel_index(int(np.argmin(off)), off.shape)
             raise DuplicatePointError(
                 f"points {i} and {j} coincide within tolerance {dup_tol}")
-    return validate_metric(d, labels=labels, name=name or f"cloud({n})")
+    return _metric_by_construction(d, labels=labels, name=name or f"cloud({n})")
 
 
 def _sphere_lattice(count: int, radius: float) -> np.ndarray:
@@ -280,7 +332,7 @@ def random_metric(n: int, seed: int) -> FiniteMetricSpace:
     """Reproducible random metric: off-diagonal entries uniform in [1, 2].
 
     The range forces the triangle inequality exactly (any two entries sum to
-    at least the maximum), so the output always validates.
+    at least the maximum), so the output is a metric by construction.
     """
     if n < 1:
         raise TooFewPointsError(f"need at least 1 point, got {n}")
@@ -290,7 +342,7 @@ def random_metric(n: int, seed: int) -> FiniteMetricSpace:
     vals = rng.uniform(1.0, 2.0, size=len(iu[0]))
     d[iu] = vals
     d.T[iu] = vals
-    return validate_metric(d, tol_triangle=0.0, name=f"random({n},{seed})")
+    return _metric_by_construction(d, tol_triangle=0.0, name=f"random({n},{seed})")
 
 
 # -- space JSON format --------------------------------------------------------

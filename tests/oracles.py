@@ -36,3 +36,18 @@ def brute_max_mass_zero_energy(dist, samples, seed):
     alphas = alphas[norms > 1e-12] / norms[norms > 1e-12, None]
     vals = np.einsum("si,ij,sj->s", alphas, dist, alphas)
     return float(vals.max())
+
+
+def brute_worst_triangle_deficit(dist):
+    """Largest d(i,j) - (d(i,k) + d(k,j)) over all triples and the first
+    triple (in i, j, k order) that attains it."""
+    d = np.asarray(dist, dtype=np.float64).tolist()
+    n = len(d)
+    worst, at = -np.inf, (0, 0, 0)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                deficit = d[i][j] - (d[i][k] + d[k][j])
+                if deficit > worst:
+                    worst, at = deficit, (i, j, k)
+    return worst, at[0], at[1], at[2]

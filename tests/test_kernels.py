@@ -1,14 +1,17 @@
-"""Both kernel paths (jitted and pure numpy) must agree to tight tolerance."""
+"""Kernel checks: the jitted and numpy paths agree to tight tolerance, and the
+tiled triangle scan matches a brute-force triple loop exactly."""
 
 import numpy as np
 import pytest
 
 from qhm import _kernels, random_metric
 from qhm._kernels import (
+    TRIANGLE_TILE,
+    TRIANGLE_TILE_ROWS,
     ascent_np,
     energy_bilinear_np,
     potential_np,
-    worst_triangle_deficit_np,
+    worst_triangle_deficit,
 )
 
 
@@ -38,16 +41,6 @@ def test_potential_paths_agree():
         a = _kernels.potential_nb(dist, w)
         b = potential_np(dist, w)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@requires_numba
-def test_triangle_deficit_paths_agree():
-    for dist, _, _ in _instances(3, count=10):
-        if dist.shape[0] < 2:
-            continue
-        a = _kernels.worst_triangle_deficit_nb(dist)
-        b = worst_triangle_deficit_np(dist)
-        assert a[0] == pytest.approx(b[0], abs=1e-15)
 
 
 @requires_numba
@@ -104,3 +97,80 @@ def test_numpy_fallback_env_flag(tmp_path):
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert "fallback-ok" in out.stdout
+
+
+# sizes at the edges of the row tiling: one point, one pair, one triple, one
+# tile's rows minus one / exactly / plus one, two tiles plus three
+TRIANGLE_SIZES = [1, 2, 3, TRIANGLE_TILE_ROWS - 1, TRIANGLE_TILE_ROWS,
+                  TRIANGLE_TILE_ROWS + 1, 2 * TRIANGLE_TILE_ROWS + 3]
+
+
+def _symmetric(n, kind, seed):
+    """Symmetric zero-diagonal matrix. "violating" draws integers in [1, 4]
+    (4 > 1 + 1, many ties), "tied" integers in [2, 3] (a metric whose every
+    triple ties at deficit <= 0), "uniform" reals in [0.5, 3]."""
+    rng = np.random.default_rng(seed)
+    if kind == "violating":
+        a = rng.integers(1, 5, (n, n)).astype(np.float64)
+    elif kind == "tied":
+        a = rng.integers(2, 4, (n, n)).astype(np.float64)
+    else:
+        a = rng.uniform(0.5, 3.0, (n, n))
+    d = np.triu(a, 1)
+    return d + d.T
+
+
+def _assert_matches_oracle(dist):
+    from oracles import brute_worst_triangle_deficit
+
+    deficit, i, j, k = worst_triangle_deficit(dist)
+    expected = brute_worst_triangle_deficit(dist)[0]
+    assert deficit == expected
+    assert dist[i, j] - (dist[i, k] + dist[k, j]) == deficit
+    return deficit
+
+
+@pytest.mark.parametrize("kind", ["violating", "tied", "uniform"])
+@pytest.mark.parametrize("n", TRIANGLE_SIZES)
+def test_triangle_deficit_matches_brute_force(n, kind):
+    for seed in range(4):
+        deficit = _assert_matches_oracle(_symmetric(n, kind, seed))
+        if kind == "tied" or n < 3:
+            assert deficit == 0.0
+
+
+def test_triangle_deficit_finds_planted_violation():
+    dist = _symmetric(2 * TRIANGLE_TILE_ROWS + 3, "tied", 0)
+    dist[3, 17] = dist[17, 3] = 7.0
+    assert _assert_matches_oracle(dist) == 3.0
+
+
+@pytest.mark.parametrize("kind", ["violating", "uniform"])
+def test_triangle_deficit_with_pivot_tiles(kind, monkeypatch):
+    # a budget below one row block's width splits the pivots into many slabs
+    monkeypatch.setattr(_kernels, "TRIANGLE_TILE", 64)
+    for n in TRIANGLE_SIZES + [40]:
+        _assert_matches_oracle(_symmetric(n, kind, n))
+
+
+def test_triangle_deficit_pivot_split_at_default_tile():
+    n = 97
+    assert TRIANGLE_TILE // (TRIANGLE_TILE_ROWS * n) < n  # pivots do split
+    for kind in ("violating", "uniform"):
+        _assert_matches_oracle(_symmetric(n, kind, 5))
+
+
+def test_triangle_deficit_stays_within_tile():
+    import tracemalloc
+
+    n = 600
+    dist = _symmetric(n, "uniform", 0)
+    tracemalloc.start()
+    try:
+        worst_triangle_deficit(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one slab, numpy's ufunc buffer and a few row-block vectors; a single
+    # n x n temporary would be 2.9 MB
+    assert peak < 8 * (TRIANGLE_TILE + np.getbufsize() + 6 * TRIANGLE_TILE_ROWS * n)

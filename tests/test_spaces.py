@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qhm import (
     GlueSpec,
+    ball_chain,
     ball_discretization,
     diameter,
     euclidean_cloud,
@@ -20,6 +22,7 @@ from qhm import (
     subspace,
     validate_metric,
 )
+import qhm.spaces
 from qhm.errors import (
     AsymmetryExceedsToleranceError,
     CrossDistanceTooSmallError,
@@ -28,6 +31,7 @@ from qhm.errors import (
     DuplicatePointError,
     EmptySelectionError,
     IndexOutOfRangeError,
+    InvalidInputError,
     NegativeEntryError,
     NonSquareError,
     NonzeroDiagonalError,
@@ -76,6 +80,20 @@ class TestValidateMetric:
         x = validate_metric([[0, 1.0 + 1e-12], [1.0, 0]], tol_triangle=1e-9)
         assert x.dist[0, 1] == x.dist[1, 0]
         assert x.dist[0, 1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_invalid_tolerance_rejected(self, tol):
+        # a NaN tolerance used to accept this violation; a negative one
+        # used to report a bogus asymmetry on a valid metric
+        for matrix in ([[0, 1, 3], [1, 0, 1], [3, 1, 0]],
+                       [[0, 1, 1], [1, 0, 1], [1, 1, 0]]):
+            with pytest.raises(InvalidInputError):
+                validate_metric(matrix, tol_triangle=tol)
+
+    def test_invalid_tolerance_rejected_from_json(self):
+        with pytest.raises(InvalidInputError):
+            space_from_json('{"matrix": [[0, 1], [1, 0]]}',
+                            tol_triangle=float("nan"))
 
     def test_zero_off_diagonal_rejected(self):
         with pytest.raises(ValidationError):
@@ -134,6 +152,14 @@ class TestBuilders:
     def test_euclidean_duplicate(self):
         with pytest.raises(DuplicatePointError):
             euclidean_cloud([[0, 0], [0, 0], [1, 1]])
+
+    def test_euclidean_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                euclidean_cloud([[0, 0], [1e200, 0], [0, 1e200]])
+        assert not isinstance(exc.value, DuplicatePointError)
+        assert "non-finite" in str(exc.value)
 
     def test_ball_counts(self):
         assert ball_discretization(1, 4).n == 5
@@ -252,6 +278,59 @@ class TestBuilderValidationInvariants:
     def test_euclidean_validates_at_relative_tolerance(self, builder):
         x = builder()
         validate_metric(x.dist, tol_triangle=1e-12 * diameter(x))
+
+
+class TestTrustBoundary:
+    """The O(n^3) triangle scan runs once per untrusted matrix and never on
+    builder outputs, which are metrics by construction."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        sizes = []
+        scan = qhm.spaces.worst_triangle_deficit
+
+        def counted(dist):
+            sizes.append(dist.shape[0])
+            return scan(dist)
+
+        monkeypatch.setattr(qhm.spaces, "worst_triangle_deficit", counted)
+        return sizes
+
+    def test_builders_do_not_scan(self, scans):
+        grid = interval_grid(0.0, 4.0, 9)
+        arc = regular_polygon_arc(12)
+        glue(GlueSpec(grid, arc, diameter(grid) / 2.0))  # 2c = diameter
+        glue(GlueSpec(grid, arc, 5.0))
+        euclidean_cloud(np.random.default_rng(1).uniform(0, 1, (20, 3)))
+        _, _, chain = ball_chain([51, 201])
+        random_metric(30, 4)
+        subspace(chain[-1], range(0, 201, 3))
+        assert scans == []
+
+    def test_untrusted_matrices_scan_once(self, scans, tmp_path):
+        x = random_metric(6, 2)
+        validate_metric(x.dist)
+        assert scans == [6]
+        space_from_json(space_to_json(x))
+        assert scans == [6, 6]
+        path = tmp_path / "x.json"
+        save_space(x, path)
+        load_space(path)
+        assert scans == [6, 6, 6]
+
+    def test_glue_at_boundary_validates(self):
+        grid = interval_grid(0.0, 4.0, 9)
+        arc = regular_polygon_arc(12)
+        z = glue(GlueSpec(grid, arc, diameter(grid) / 2.0))
+        validate_metric(z.dist, tol_triangle=0.0)
+        cloud = euclidean_cloud(np.random.default_rng(5).uniform(0, 3, (9, 3)))
+        z = glue(GlueSpec(cloud, arc, diameter(cloud) / 2.0))
+        validate_metric(z.dist, tol_triangle=1e-12 * diameter(z))
+
+    def test_ball_chain_validates(self):
+        master, _, chain = ball_chain([51, 201])
+        for x in chain:
+            validate_metric(x.dist, tol_triangle=1e-12 * diameter(x))
 
 
 class TestSpaceJson:
