@@ -1,18 +1,9 @@
-"""Hot numeric kernels: pairwise energy sums, the triangle scan and the
-projected-ascent loop.
+"""Numeric kernels: the triangle scan and the projected-ascent oracle.
 
-The jitted versions (numba, nopython) of the energy sums and the ascent loop
-are used by default; set ``QHM_PURE_NUMPY=1`` to force the vectorized numpy
-fallbacks, e.g. when numba is unavailable. ``HAS_NUMBA`` reports which path is
-active. The triangle scan has a single numpy implementation on both paths.
-
-Energy sums run in fixed row-major pair order with Kahan-compensated
-accumulation on the jitted path, so results are reproducible bit-for-bit on a
-given platform. The numpy fallbacks use BLAS dot products; the two paths agree
-to ~1e-14 relative, well inside every tolerance used by callers.
+Both are plain numpy. The triangle scan works in slabs of a fixed element
+budget; the ascent advances its linear recurrence a block of iterates at a
+time.
 """
-
-import os
 
 import numpy as np
 
@@ -20,21 +11,6 @@ import numpy as np
 ASCENT_MAXITER = 0
 ASCENT_CONVERGED = 1
 ASCENT_BLOWUP = 2
-
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("QHM_PURE_NUMPY", "").strip()
-    return flag in ("", "0", "false", "no")
-
-
-# -- pure numpy implementations (always defined) -----------------------------
-
-def energy_bilinear_np(dist: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
-    return float(w1 @ (dist @ w2))
-
-
-def potential_np(dist: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return dist @ w
 
 
 # Element budget of one triangle-scan slab (rows x pivots x columns). Apart
@@ -86,162 +62,111 @@ def worst_triangle_deficit(dist: np.ndarray):
     return worst, at[0], at[1], at[2]
 
 
-def ascent_np(dist, w0, iterations, step, blowup, grad_tol, stride):
+# Element budget of the ascent's stack of matrices dist @ A^k (4 MB); a block
+# holds as many iterates as the stack has matrices, at most 1024.
+ASCENT_TILE = 1 << 19
+
+
+def ascent_block(n: int, iterations: int) -> int:
+    """Iterates per block of the ascent on n points."""
+    return max(1, min(1024, ASCENT_TILE // (n * n), iterations + 1))
+
+
+def _ascent_stack(dist, step, b):
+    """The (b*n, n) stack of Q_k = dist @ A^k, k < b, for the ascent step
+    A = I + 2 step (I - 11'/n) dist, by doubling: Q_{m..2m-1} = Q_{0..m-1}
+    @ A^m is one matmul per doubling, plus the n x n square of A^m. With
+    b = 1 the stack is `dist` itself."""
+    n = dist.shape[0]
+    if b == 1:
+        return dist
+    stack = np.empty((b, n, n))
+    stack[0] = dist
+    power = 2.0 * step * (dist - dist.mean(axis=0))
+    power[np.diag_indices(n)] += 1.0
+    m = 1
+    while m < b:
+        k = min(m, b - m)
+        np.matmul(stack[:k].reshape(k * n, n), power,
+                  out=stack[m:m + k].reshape(k * n, n))
+        m += k
+        if m < b:
+            power = power @ power
+    return stack.reshape(b * n, n)
+
+
+def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
     """Projected gradient ascent on the energy over the mass-1 affine slice.
 
-    Records (iteration, best value, best measure) every `stride` iterations
-    and at exit. Returns (rec_it, rec_val, rec_w, best, best_w, status,
-    last_it) with status one of the ASCENT_* codes.
+    Iterate `it` has potential d = dist @ w, energy w @ d and projected
+    gradient g = 2 (d - mean d); the next iterate is w + step g. The run
+    exits at the first iteration whose best energy so far exceeds `blowup`
+    (ASCENT_BLOWUP), else whose max |g| is below `grad_tol`
+    (ASCENT_CONVERGED), else at `iterations` (ASCENT_MAXITER). It records
+    (iteration, best value, best measure) every `stride` iterations and at
+    the exit. Returns (rec_it, rec_val, rec_w, best, best_w, status,
+    last_it).
+
+    The step is linear, w <- A w, so the potentials of a block of b
+    iterates from w are Q_k @ w with Q_k = dist @ A^k: one matvec against
+    a stack built once per call. The iterates are w plus the running sum of
+    step g, added in the order of a one-step-at-a-time loop, and the next
+    block starts from one plain step off the block's last iterate, so
+    rounding does not compound across blocks. The best value moves only on
+    a strict improvement, so a NaN energy never becomes the best.
     """
     n = w0.shape[0]
+    b = ascent_block(n, iterations)
+    index = np.arange(b)
     w = w0.copy()
-    max_rec = iterations // stride + 3
+    best, best_w = -np.inf, w.copy()
+    max_rec = iterations // stride + 2
     rec_it = np.empty(max_rec, dtype=np.int64)
-    rec_val = np.empty(max_rec, dtype=np.float64)
-    rec_w = np.empty((max_rec, n), dtype=np.float64)
-    best = -np.inf
-    best_w = w.copy()
+    rec_val = np.empty(max_rec)
+    rec_w = np.empty((max_rec, n))
     n_rec = 0
-    status = ASCENT_MAXITER
-    last_it = 0
-    for it in range(iterations + 1):
-        last_it = it
-        d = dist @ w
-        val = float(w @ d)
-        if val > best:
-            best = val
-            best_w[:] = w
-        g = 2.0 * (d - d.mean())
-        done = False
-        if best > blowup:
-            status = ASCENT_BLOWUP
-            done = True
-        elif np.abs(g).max() < grad_tol:
-            status = ASCENT_CONVERGED
-            done = True
-        elif it == iterations:
-            status = ASCENT_MAXITER
-            done = True
-        if it % stride == 0 or done:
-            rec_it[n_rec] = it
-            rec_val[n_rec] = best
-            rec_w[n_rec] = best_w
-            n_rec += 1
-        if done:
-            break
-        w = w + step * g
-    return (rec_it[:n_rec], rec_val[:n_rec], rec_w[:n_rec], best, best_w,
-            status, last_it)
-
-
-# -- jitted implementations ---------------------------------------------------
-
-HAS_NUMBA = False
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def energy_bilinear_nb(dist, w1, w2):
-        n = dist.shape[0]
-        acc = 0.0
-        comp = 0.0
-        for i in range(n):
-            wi = w1[i]
-            for j in range(n):
-                term = dist[i, j] * wi * w2[j]
-                y = term - comp
-                t = acc + y
-                comp = (t - acc) - y
-                acc = t
-        return acc
-
-    @njit(cache=True)
-    def potential_nb(dist, w):
-        n = dist.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            acc = 0.0
-            comp = 0.0
-            for j in range(n):
-                term = dist[i, j] * w[j]
-                y = term - comp
-                t = acc + y
-                comp = (t - acc) - y
-                acc = t
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def ascent_nb(dist, w0, iterations, step, blowup, grad_tol, stride):
-        n = w0.shape[0]
-        w = w0.copy()
-        max_rec = iterations // stride + 3
-        rec_it = np.empty(max_rec, dtype=np.int64)
-        rec_val = np.empty(max_rec, dtype=np.float64)
-        rec_w = np.empty((max_rec, n), dtype=np.float64)
-        best = -np.inf
-        best_w = w.copy()
-        n_rec = 0
-        status = 0
-        last_it = 0
-        d = np.empty(n, dtype=np.float64)
-        for it in range(iterations + 1):
-            last_it = it
-            for i in range(n):
-                acc = 0.0
-                for j in range(n):
-                    acc += dist[i, j] * w[j]
-                d[i] = acc
-            val = 0.0
-            for i in range(n):
-                val += w[i] * d[i]
-            if val > best:
-                best = val
-                for i in range(n):
-                    best_w[i] = w[i]
-            mean = 0.0
-            for i in range(n):
-                mean += d[i]
-            mean /= n
-            gmax = 0.0
-            for i in range(n):
-                g = 2.0 * (d[i] - mean)
-                ag = abs(g)
-                if ag > gmax:
-                    gmax = ag
-            done = False
-            if best > blowup:
-                status = 2
-                done = True
-            elif gmax < grad_tol:
-                status = 1
-                done = True
-            elif it == iterations:
-                status = 0
-                done = True
-            if it % stride == 0 or done:
-                rec_it[n_rec] = it
-                rec_val[n_rec] = best
-                rec_w[n_rec] = best_w
-                n_rec += 1
+    it0 = 0
+    # in a divergent run the rows of a block past its exit may overflow;
+    # they are computed with the block but never used
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = _ascent_stack(dist, step, b)
+        while True:
+            m = min(b, iterations + 1 - it0)
+            d = (stack[:m * n] @ w).reshape(m, n)
+            g = d - d.sum(axis=1, keepdims=True) / n
+            g *= 2.0
+            ws = np.empty((m, n))
+            ws[0] = w
+            np.multiply(g[:-1], step, out=ws[1:])
+            np.add.accumulate(ws, axis=0, out=ws)
+            vals = np.einsum("ij,ij->i", ws, d)
+            bests = np.fmax.accumulate(np.concatenate(([best], vals)))
+            improved = vals > bests[:-1]
+            bests = bests[1:]
+            blown = bests > blowup
+            flat = np.abs(g).max(axis=1) < grad_tol
+            exits = np.flatnonzero(blown | flat)
+            last = int(exits[0]) if exits.size else m - 1
+            done = exits.size > 0 or it0 + last == iterations
+            # row of the best measure so far; -1 is the one carried in
+            source = np.maximum.accumulate(np.where(improved, index[:m], -1))
+            rows = np.arange((-it0) % stride, last + 1, stride)
+            if done and (it0 + last) % stride:
+                rows = np.append(rows, last)
+            if rows.size:
+                at = source[rows]
+                end = n_rec + rows.size
+                rec_it[n_rec:end] = it0 + rows
+                rec_val[n_rec:end] = bests[rows]
+                rec_w[n_rec:end] = np.where(at[:, None] >= 0, ws[at], best_w)
+                n_rec = end
+            best = float(bests[last])
+            if source[last] >= 0:
+                best_w = ws[source[last]].copy()
             if done:
-                break
-            for i in range(n):
-                w[i] = w[i] + step * 2.0 * (d[i] - mean)
-        return (rec_it[:n_rec], rec_val[:n_rec], rec_w[:n_rec], best, best_w,
-                status, last_it)
-
-    energy_bilinear_kernel = energy_bilinear_nb
-    potential_kernel = potential_nb
-    ascent_kernel = ascent_nb
-else:
-    energy_bilinear_kernel = energy_bilinear_np
-    potential_kernel = potential_np
-    ascent_kernel = ascent_np
+                status = (ASCENT_BLOWUP if blown[last] else
+                          ASCENT_CONVERGED if flat[last] else ASCENT_MAXITER)
+                return (rec_it[:n_rec], rec_val[:n_rec], rec_w[:n_rec], best,
+                        best_w, status, it0 + last)
+            w = ws[-1] + step * g[-1]
+            it0 += m

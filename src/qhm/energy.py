@@ -6,8 +6,8 @@ The central objects are the bilinear energy
 
 the potential function x -> sum_j dist[x][j] * mu[j], and the semi-inner
 product -I(mu, nu) carried by mass-zero measures on quasihypermetric spaces
-(where I(mu) <= 0 whenever the weights sum to zero). Sums run through the
-compensated kernels in fixed pair order, so values are deterministic.
+(where I(mu) <= 0 whenever the weights sum to zero). Sums are numpy (BLAS)
+matrix-vector products.
 """
 
 import json
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import energy_bilinear_kernel, potential_kernel
 from .errors import NonzeroMassError, ParseError, SpaceMismatchError
 from .spaces import FiniteMetricSpace
 
@@ -74,13 +73,13 @@ def energy_bilinear(space: FiniteMetricSpace, mu: SignedMeasure,
     """Bilinear energy sum_ij d(i,j) mu_i nu_j; symmetric in (mu, nu)."""
     _check_on(space, mu)
     _check_on(space, nu)
-    return float(energy_bilinear_kernel(space.dist, mu.weights, nu.weights))
+    return float(mu.weights @ (space.dist @ nu.weights))
 
 
 def energy(space: FiniteMetricSpace, mu: SignedMeasure) -> float:
     """Quadratic energy I(mu) = I(mu, mu)."""
     _check_on(space, mu)
-    return float(energy_bilinear_kernel(space.dist, mu.weights, mu.weights))
+    return float(mu.weights @ (space.dist @ mu.weights))
 
 
 def potential(space: FiniteMetricSpace, mu: SignedMeasure) -> np.ndarray:
@@ -89,7 +88,7 @@ def potential(space: FiniteMetricSpace, mu: SignedMeasure) -> np.ndarray:
     Satisfies energy_bilinear(space, mu, nu) == potential(space, mu) @ nu.
     """
     _check_on(space, mu)
-    return potential_kernel(space.dist, mu.weights)
+    return space.dist @ mu.weights
 
 
 def _require_mass_zero(mu: SignedMeasure, mass_tol: float, what: str) -> None:

@@ -13,7 +13,8 @@ and both come out of one bordered linear system
 solved by a rank-revealing (SVD) factorization: the constant potential value
 c equals M and w is a maximizing measure. An independent projected-ascent
 oracle cross-checks finite values and detects divergence without touching the
-linear-algebra route.
+linear-algebra route: its iterates are the steps of a linear recurrence,
+advanced a block at a time by `qhm._kernels.ascent`.
 """
 
 import math
@@ -21,11 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import (
-    ASCENT_BLOWUP,
-    ASCENT_CONVERGED,
-    ascent_kernel,
-)
+from ._kernels import ASCENT_BLOWUP, ASCENT_CONVERGED, ascent
 from .classify import (
     DEFAULT_TOL,
     Verdict,
@@ -276,12 +273,20 @@ def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
         blowup = max(1.0, 1e6 * diameter(space))
     if record_stride is None:
         record_stride = max(1, iterations // 256)
+    if record_stride < 1:
+        raise InvalidInputError(f"record_stride must be >= 1, got {record_stride}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise InvalidInputError(f"step must be finite and > 0, got {step!r}")
+    if not grad_tol >= 0.0:
+        raise InvalidInputError(f"grad_tol must be >= 0, got {grad_tol!r}")
+    if not (math.isfinite(blowup) and blowup > 0.0):
+        raise InvalidInputError(f"blowup must be finite and > 0, got {blowup!r}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     z -= z.mean()
     w0 = np.full(n, 1.0 / n) + 1e-3 * z
 
-    rec_it, rec_val, rec_w, best, best_w, status_code, last_it = ascent_kernel(
+    rec_it, rec_val, rec_w, best, best_w, status_code, last_it = ascent(
         np.ascontiguousarray(space.dist), w0, int(iterations), float(step),
         float(blowup), float(grad_tol), int(record_stride))
     status = {ASCENT_CONVERGED: "converged", ASCENT_BLOWUP: "blowup"}.get(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import worst_triangle_deficit
+from ._kernels import TRIANGLE_TILE, worst_triangle_deficit
 from .errors import (
     CrossDistanceTooSmallError,
     DegenerateIntervalError,
@@ -122,7 +122,8 @@ def _checked_matrix(matrix, tol_triangle):
     scale = float(d.max()) if n > 1 else 0.0
     tol = TRIANGLE_TOL_REL * scale if tol_triangle is None else tol_triangle
 
-    asym = np.abs(d - d.T)
+    asym = d - d.T
+    np.abs(asym, out=asym)
     worst_asym = float(asym.max()) if n > 1 else 0.0
     if worst_asym > tol:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
@@ -131,13 +132,19 @@ def _checked_matrix(matrix, tol_triangle):
     if worst_asym > 0.0:
         d = (d + d.T) / 2.0
 
-    if n > 1:
-        off = d + np.diag(np.full(n, np.inf))
-        if (off <= 0.0).any():
-            i, j = np.unravel_index(int(np.argmin(off)), off.shape)
-            raise ValidationError(
-                f"distance ({i},{j}) between distinct points must be positive")
+    if np.count_nonzero(d <= 0.0) > n:  # more zeros than the diagonal
+        i, j = _closest_pair(d)
+        raise ValidationError(
+            f"distance ({i},{j}) between distinct points must be positive")
     return d, tol
+
+
+def _closest_pair(d):
+    """(i, j), i != j, of the smallest off-diagonal entry of a zero-diagonal
+    matrix with at least two rows."""
+    off = d + np.diag(np.full(d.shape[0], np.inf))
+    i, j = np.unravel_index(int(np.argmin(off)), off.shape)
+    return int(i), int(j)
 
 
 def _space(d, labels, name) -> FiniteMetricSpace:
@@ -281,19 +288,22 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
         raise InvalidInputError(f"expected a (n, k) coordinate array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise InvalidInputError("coordinates must be finite")
-    diff = pts[:, None, :] - pts[None, :, :]
+    n, k = pts.shape
+    # rows in blocks of at most TRIANGLE_TILE coordinate differences, each
+    # reduced over the coordinates exactly as one (n, n, k) array would be
+    rows = max(1, TRIANGLE_TILE // (n * k))
+    d = np.empty((n, n))
     with np.errstate(over="ignore"):
-        d = np.sqrt((diff * diff).sum(axis=-1))
+        for i0 in range(0, n, rows):
+            diff = pts[i0:i0 + rows, None, :] - pts[None, :, :]
+            np.sqrt((diff * diff).sum(axis=-1), out=d[i0:i0 + rows])
     if not np.isfinite(d).all():
         raise ValidationError("pairwise distances overflow to non-finite values")
-    n = pts.shape[0]
-    if n > 1:
-        off = d + np.diag(np.full(n, np.inf))
-        dup_tol = 1e-12 * max(1.0, float(d.max()))
-        if (off <= dup_tol).any():
-            i, j = np.unravel_index(int(np.argmin(off)), off.shape)
-            raise DuplicatePointError(
-                f"points {i} and {j} coincide within tolerance {dup_tol}")
+    dup_tol = 1e-12 * max(1.0, float(d.max()))
+    if np.count_nonzero(d <= dup_tol) > n:  # more than the diagonal
+        i, j = _closest_pair(d)
+        raise DuplicatePointError(
+            f"points {i} and {j} coincide within tolerance {dup_tol}")
     return _metric_by_construction(d, labels=labels, name=name or f"cloud({n})")
 
 

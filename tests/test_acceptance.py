@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criteria carry wall-clock
-budgets; the jit warmup (first-call compilation of the hot kernels) happens in
-a session fixture so the budgets measure the numeric work itself.
+budgets; a module fixture makes the first calls into the numeric layers (lazy
+imports, BLAS and LAPACK set-up) outside them, so the budgets measure the
+numeric work itself.
 """
 
 import math
@@ -45,7 +46,7 @@ BALL_CHAIN_SIZES = [51, 101, 201, 401, 801]
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels():
-    # trigger jit compilation outside the timed budgets
+    # pay one-time set-up costs of the first calls outside the timed budgets
     x = interval_grid(0.0, 1.0, 3)
     m_constant(x)
     ascent_oracle(x, iterations=5)

@@ -1,102 +1,37 @@
-"""Kernel checks: the jitted and numpy paths agree to tight tolerance, and the
-tiled triangle scan matches a brute-force triple loop exactly."""
+"""Kernel checks: the tiled triangle scan matches a brute-force triple loop
+exactly, and the blocked ascent matches a one-step-at-a-time loop."""
 
 import numpy as np
 import pytest
 
-from qhm import _kernels, random_metric
+from qhm import (_kernels, energy_bilinear, euclidean_cloud, fixture, measure,
+                 random_metric)
 from qhm._kernels import (
+    ASCENT_BLOWUP,
+    ASCENT_CONVERGED,
+    ASCENT_MAXITER,
+    ASCENT_TILE,
     TRIANGLE_TILE,
     TRIANGLE_TILE_ROWS,
-    ascent_np,
-    energy_bilinear_np,
-    potential_np,
+    ascent,
+    ascent_block,
     worst_triangle_deficit,
 )
-
-
-requires_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA,
-                                    reason="numba path disabled")
-
-
-def _instances(seed=0, count=25):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(1, 30))
-        dist = random_metric(n, int(rng.integers(10_000))).dist
-        yield dist, rng.standard_normal(n), rng.standard_normal(n)
-
-
-@requires_numba
-def test_energy_bilinear_paths_agree():
-    for dist, w1, w2 in _instances(1):
-        a = _kernels.energy_bilinear_nb(dist, w1, w2)
-        b = energy_bilinear_np(dist, w1, w2)
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-
-
-@requires_numba
-def test_potential_paths_agree():
-    for dist, w, _ in _instances(2):
-        a = _kernels.potential_nb(dist, w)
-        b = potential_np(dist, w)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@requires_numba
-def test_ascent_paths_agree():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        n = int(rng.integers(2, 9))
-        dist = random_metric(n, int(rng.integers(10_000))).dist
-        w0 = np.full(n, 1.0 / n) + 1e-3 * rng.standard_normal(n)
-        w0 -= (w0.sum() - 1.0) / n
-        args = (dist, w0, 20_000, 0.05, 1e6, 1e-10, 1000)
-        it_a, val_a, _, best_a, bw_a, st_a, last_a = _kernels.ascent_nb(*args)
-        it_b, val_b, _, best_b, bw_b, st_b, last_b = ascent_np(*args)
-        assert st_a == st_b
-        assert best_a == pytest.approx(best_b, rel=1e-9, abs=1e-12)
-        assert np.allclose(bw_a, bw_b, atol=1e-9)
-        assert np.array_equal(it_a, it_b)
+from qhm.msolver import ascent_step_default
 
 
 def test_kahan_compensation_beats_noise():
     # adversarial cancellation: tiny weights against one huge weight
     n = 64
-    dist = random_metric(n, 0).dist
+    space = random_metric(n, 0)
     w = np.full(n, 1e-9)
     w[0] = 1e9
     w2 = np.full(n, 1.0)
     from oracles import brute_energy_bilinear
 
-    expected = brute_energy_bilinear(dist, w, w2)
-    got = _kernels.energy_bilinear_kernel(dist, w, w2)
+    expected = brute_energy_bilinear(space.dist, w, w2)
+    got = energy_bilinear(space, measure(space, w), measure(space, w2))
     assert got == pytest.approx(expected, rel=1e-9)
-
-
-def test_numpy_fallback_env_flag(tmp_path):
-    import subprocess
-    import sys
-
-    code = (
-        "import qhm._kernels as k; "
-        "assert not k.HAS_NUMBA; "
-        "assert k.energy_bilinear_kernel is k.energy_bilinear_np; "
-        "import qhm; "
-        "d = qhm.m_constant(qhm.interval_grid(0, 1, 5)); "
-        "assert abs(d.value - 0.5) < 1e-9; "
-        "print('fallback-ok')"
-    )
-    env = {"QHM_PURE_NUMPY": "1", "PATH": "/usr/bin:/bin"}
-    import os
-
-    env.update({k: v for k, v in os.environ.items()
-                if k not in ("QHM_PURE_NUMPY",)})
-    env["QHM_PURE_NUMPY"] = "1"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert "fallback-ok" in out.stdout
 
 
 # sizes at the edges of the row tiling: one point, one pair, one triple, one
@@ -174,3 +109,182 @@ def test_triangle_deficit_stays_within_tile():
     # one slab, numpy's ufunc buffer and a few row-block vectors; a single
     # n x n temporary would be 2.9 MB
     assert peak < 8 * (TRIANGLE_TILE + np.getbufsize() + 6 * TRIANGLE_TILE_ROWS * n)
+
+
+# -- blocked ascent against the one-step loop ---------------------------------
+
+def _start(space, seed=0):
+    """Kernel arguments as ascent_oracle builds them, with no blowup or
+    convergence exit unless a test sets one."""
+    n = space.n
+    z = np.random.default_rng(seed).standard_normal(n)
+    z -= z.mean()
+    return {"dist": np.ascontiguousarray(space.dist),
+            "w0": np.full(n, 1.0 / n) + 1e-3 * z,
+            "step": ascent_step_default(space), "blowup": 1e300,
+            "grad_tol": 0.0}
+
+
+def _divergent():
+    return _start(fixture("nw-thm2.9").space)  # 5 points, slow blowup
+
+
+def _convergent():
+    # 9 points; max |g| falls monotonically through iteration 1025
+    return _start(fixture("interval-9").space)
+
+
+def _matches_brute(iterations, stride, args):
+    """Run both loops; status, exit iteration and record iterations are
+    equal, values agree to rel 1e-9. Returns (status, exit iteration).
+
+    The best measures agree more loosely: once the energy is flat to
+    rounding, which iterate was the last strict improvement is a matter of
+    the last bits of the energy."""
+    from oracles import brute_ascent
+
+    call = (args["dist"], args["w0"], iterations, args["step"],
+            args["blowup"], args["grad_tol"], stride)
+    it_a, val_a, w_a, best_a, bw_a, st_a, last_a = ascent(*call)
+    it_b, val_b, w_b, best_b, bw_b, st_b, last_b = brute_ascent(*call)
+    assert (st_a, last_a) == (st_b, last_b)
+    assert np.array_equal(it_a, it_b)
+    assert val_a == pytest.approx(val_b, rel=1e-9)
+    assert best_a == pytest.approx(best_b, rel=1e-9)
+    assert np.allclose(w_a, w_b, rtol=1e-7, atol=1e-7)
+    assert np.allclose(bw_a, bw_b, rtol=1e-7, atol=1e-7)
+    return st_a, last_a
+
+
+def _blowup_at(t, args):
+    """A threshold that the best value first exceeds at iteration t."""
+    from oracles import brute_ascent
+
+    vals = brute_ascent(args["dist"], args["w0"], max(t, 1), args["step"],
+                        1e300, 0.0, 1)[1]
+    if t == 0:
+        return dict(args, blowup=vals[0] / 2)
+    assert vals[t] > vals[t - 1]
+    return dict(args, blowup=(vals[t - 1] + vals[t]) / 2)
+
+
+def _grad_tol_at(t, args):
+    """A gradient tolerance first met at iteration t."""
+    dist, w, step = args["dist"], args["w0"], args["step"]
+    gmax = []
+    for _ in range(t + 1):
+        d = dist @ w
+        g = 2.0 * (d - d.mean())
+        gmax.append(np.abs(g).max())
+        w = w + step * g
+    if t == 0:
+        return dict(args, grad_tol=2.0 * gmax[0])
+    above = min(gmax[:t])
+    assert gmax[t] < above
+    return dict(args, grad_tol=float(np.sqrt(gmax[t] * above)))
+
+
+def test_ascent_single_point():
+    args = {"dist": np.zeros((1, 1)), "w0": np.ones(1), "step": 1.0,
+            "blowup": 1e6, "grad_tol": 1e-10}
+    assert _matches_brute(10, 3, args) == (ASCENT_CONVERGED, 0)
+    assert _matches_brute(10, 3, dict(args, grad_tol=0.0)) == (ASCENT_MAXITER, 10)
+    # both exits at once: blowup takes precedence
+    assert _matches_brute(10, 3, dict(args, blowup=-1.0)) == (ASCENT_BLOWUP, 0)
+
+
+def test_ascent_fewer_iterations_than_a_block():
+    assert ascent_block(5, 100) == 101 < ascent_block(5, 10**6)
+    assert _matches_brute(100, 7, _divergent()) == (ASCENT_MAXITER, 100)
+
+
+B = ascent_block(5, 10**6)  # the full block on five and on nine points
+EXITS = [0, B - 1, B, B + 1]
+
+
+@pytest.mark.parametrize("t", EXITS)
+def test_ascent_maxiter_at_block_edges(t):
+    # iterations = B - 1 and above all run blocks of B iterates
+    assert _matches_brute(t, 100, _divergent()) == (ASCENT_MAXITER, t)
+
+
+@pytest.mark.parametrize("t", EXITS + [B + B // 2])
+def test_ascent_blowup_at_block_edges(t):
+    args = _blowup_at(t, _divergent())
+    assert _matches_brute(3 * B, 100, args) == (ASCENT_BLOWUP, t)
+
+
+@pytest.mark.parametrize("t", EXITS + [B // 2 + 1])
+def test_ascent_converges_at_block_edges(t):
+    assert ascent_block(9, 10**6) == B
+    args = _grad_tol_at(t, _convergent())
+    assert _matches_brute(3 * B, 100, args) == (ASCENT_CONVERGED, t)
+
+
+def test_ascent_default_tolerance_converges_inside_a_block():
+    args = dict(_start(euclidean_cloud(
+        np.random.default_rng(3).uniform(0.0, 1.0, (5, 3)))), grad_tol=1e-10)
+    status, last = _matches_brute(100_000, 390, args)
+    assert status == ASCENT_CONVERGED and 0 < last < B
+
+
+def test_ascent_best_carried_across_blocks():
+    # an overshooting step makes the iterates oscillate and grow, below the
+    # best value reached early, so later blocks record the best measure
+    # carried in from the first
+    args = _convergent()
+    args["step"] *= 3.5
+    assert _matches_brute(B + 300, 100, args) == (ASCENT_MAXITER, B + 300)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 1000, B, B + 1, 3000])
+def test_ascent_record_strides(stride):
+    # strides that divide the block, that do not, and longer than it
+    _matches_brute(4 * B + 5, stride, _divergent())
+    _matches_brute(4 * B + 5, stride, _blowup_at(2 * B + 3, _divergent()))
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_ascent_with_tiny_blocks(blocks, monkeypatch):
+    monkeypatch.setattr(_kernels, "ASCENT_TILE", blocks * 25)
+    assert ascent_block(5, 100) == blocks
+    for stride in (1, 3):
+        assert _matches_brute(60, stride, _divergent()) == (ASCENT_MAXITER, 60)
+        for t in (0, 1, 2, 7):
+            args = _blowup_at(t, _divergent())
+            assert _matches_brute(60, stride, args) == (ASCENT_BLOWUP, t)
+    monkeypatch.setattr(_kernels, "ASCENT_TILE", blocks * 81)
+    for t in (0, 1, 2, 7):
+        args = _grad_tol_at(t, _convergent())
+        assert _matches_brute(60, 2, args) == (ASCENT_CONVERGED, t)
+
+
+def test_ascent_nan_energy_never_becomes_best():
+    args = _divergent()
+    w0 = args["w0"].copy()
+    w0[0] = np.nan
+    it, vals, _, best, _, status, last = ascent(
+        args["dist"], w0, 2 * B, args["step"], 1e6, 1e-10, 500)
+    assert (status, last) == (ASCENT_MAXITER, 2 * B)
+    assert best == -np.inf and (vals == -np.inf).all()
+
+
+@pytest.mark.parametrize("n", [201, 801])
+def test_ascent_stack_is_the_only_large_allocation(n):
+    import tracemalloc
+
+    space = euclidean_cloud(np.random.default_rng(n).uniform(0.0, 1.0, (n, 3)))
+    args = _start(space)
+    b = ascent_block(n, 10**6)
+    if b > 1:
+        assert b * n * n <= ASCENT_TILE  # at most 4 MB
+    stack = b * n * n if b > 1 else 0  # with b = 1 the stack is dist itself
+    tracemalloc.start()
+    try:
+        ascent(args["dist"], args["w0"], 3 * b, args["step"], 1e6, 0.0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # besides the stack: A and its square while it is built, and a few
+    # vectors of the block (potentials, gradients, iterates, records)
+    assert peak < 8 * (stack + 3 * n * n * (b > 1) + 16 * b * n + 8 * n)

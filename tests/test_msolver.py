@@ -252,6 +252,18 @@ class TestAscentOracle:
         assert a.best_value == b.best_value
         assert np.array_equal(a.best_measure.weights, b.best_measure.weights)
 
+    @pytest.mark.parametrize("bad", [
+        {"record_stride": 0}, {"record_stride": -3},
+        {"step": math.nan}, {"step": 0.0}, {"step": -0.1}, {"step": math.inf},
+        {"grad_tol": math.nan}, {"grad_tol": -1e-10},
+        {"blowup": -1.0}, {"blowup": 0.0}, {"blowup": math.nan},
+        {"blowup": math.inf},
+    ])
+    def test_rejects_bad_parameters(self, bad):
+        # blowup=-1 used to report a divergence on a space whose M is 0.5
+        with pytest.raises(InvalidInputError):
+            ascent_oracle(interval_grid(0, 1, 5), iterations=100, **bad)
+
 
 class TestVerifyMaximal:
     def test_interval_endpoint_measure(self):

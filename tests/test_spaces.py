@@ -161,6 +161,27 @@ class TestBuilders:
         assert not isinstance(exc.value, DuplicatePointError)
         assert "non-finite" in str(exc.value)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 12, 40])
+    def test_euclidean_row_blocks_match_one_array(self, k):
+        # 300 points span several row blocks at every k
+        pts = np.random.default_rng(k).standard_normal((300, k)) * 7.0
+        diff = pts[:, None, :] - pts[None, :, :]
+        assert np.array_equal(euclidean_cloud(pts).dist,
+                              np.sqrt((diff * diff).sum(axis=-1)))
+
+    def test_euclidean_memory_stays_near_the_result(self):
+        import tracemalloc
+
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (801, 3))
+        tracemalloc.start()
+        try:
+            euclidean_cloud(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the result is 5.1 MB; one (n, n, 3) difference array is 15.4 MB
+        assert peak < 20e6
+
     def test_ball_counts(self):
         assert ball_discretization(1, 4).n == 5
         assert ball_discretization(2, 64).n == 129
