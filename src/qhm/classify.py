@@ -13,9 +13,11 @@ restricted to that subspace:
                                  span the degenerate (seminorm-zero) directions
 
 with tau = tol * max(1, spectral radius). Single-point spaces are Strict by
-convention.
+convention. The mass-zero basis is never formed; it is applied as one
+Householder reflection.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,11 +27,18 @@ from .energy import SignedMeasure, potential
 from .errors import (
     EigendecompositionFailure,
     FlatnessViolationError,
+    InvalidInputError,
     NotApplicableError,
 )
 from .spaces import FiniteMetricSpace, diameter
 
 DEFAULT_TOL = 1e-9  # relative spectral tolerance
+
+
+def check_tol(tol: float) -> None:
+    """Reject a NaN, infinite or negative decision tolerance."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def default_flatness_tol(space: FiniteMetricSpace) -> float:
@@ -53,13 +62,16 @@ class Classification:
     Strict/NonStrict boundary (None for single-point spaces). witness: present
     iff NotQuasihypermetric, a unit mass-zero measure with positive energy.
     kernel_basis: present iff NonStrict, euclidean-orthonormal mass-zero
-    measures spanning the degenerate directions.
+    measures spanning the degenerate directions. restricted_values/_vectors:
+    the eigenpairs of the form in the mass-zero basis, for the invariant solve.
     """
 
     verdict: Verdict
     eigenvalues: np.ndarray
     margin: float | None
     tol_used: float
+    restricted_values: np.ndarray
+    restricted_vectors: np.ndarray
     witness: SignedMeasure | None = None
     kernel_basis: tuple[SignedMeasure, ...] = ()
 
@@ -72,18 +84,31 @@ def centered_form(space: FiniteMetricSpace) -> np.ndarray:
     return -(p @ space.dist @ p)
 
 
-def _mass_zero_basis(n: int) -> np.ndarray:
-    """Orthonormal basis (n x (n-1)) of the mass-zero subspace.
+def _reflect(x: np.ndarray) -> np.ndarray:
+    """H x (column by column for a matrix) for H = I - beta v v' with
+    v = e1 - ones/sqrt(n). H maps e1 to ones/sqrt(n), so its other columns are
+    an orthonormal mass-zero basis Q: Q'x = (H x)[1:] and Q y = H (0, y)."""
+    n = x.shape[0]
+    v = np.full(n, -1.0 / math.sqrt(n))
+    v[0] += 1.0
+    return x - np.multiply.outer(v, (2.0 / (v @ v)) * (v @ x))
 
-    Columns 2..n of the Householder reflection mapping e1 to ones/sqrt(n);
-    deterministic and cheap.
-    """
-    u = np.full(n, 1.0 / np.sqrt(n))
-    v = -u.copy()
-    v[0] += 1.0  # v = e1 - u
-    q = np.eye(n)[:, 1:]
-    q -= np.outer(v, (2.0 / (v @ v)) * v[1:])
-    return q
+
+def _from_mass_zero(y: np.ndarray) -> np.ndarray:
+    return _reflect(np.concatenate(([0.0], y)))
+
+
+def _pinv_mass_zero(cls: Classification, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Q B+ Q' x from the eigenpairs of B in `cls`, and whether B+ = B^-1.
+    B+ inverts the eigenvalues above tol_used in magnitude, zeroing the
+    degenerate ones."""
+    vals, vecs = cls.restricted_values, cls.restricted_vectors
+    if vals.size == 0:
+        return np.zeros_like(x), True
+    keep = np.abs(vals) > cls.tol_used
+    coef = np.divide(vecs.T @ _reflect(x)[1:], vals, out=np.zeros_like(vals),
+                     where=keep)
+    return _from_mass_zero(vecs @ coef), bool(keep.all())
 
 
 def _as_mass_zero_unit(space: FiniteMetricSpace, vec: np.ndarray) -> SignedMeasure:
@@ -94,14 +119,14 @@ def _as_mass_zero_unit(space: FiniteMetricSpace, vec: np.ndarray) -> SignedMeasu
 
 def classify(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Classification:
     """Decide NotQuasihypermetric / Strict / NonStrict for a space."""
+    check_tol(tol)
     n = space.n
     if n == 1:
         return Classification(verdict=Verdict.STRICT,
                               eigenvalues=np.zeros(1), margin=None,
-                              tol_used=tol)
-    q = _mass_zero_basis(n)
-    b = -(q.T @ space.dist @ q)
-    b = (b + b.T) / 2.0
+                              tol_used=tol, restricted_values=np.zeros(0),
+                              restricted_vectors=np.zeros((0, 0)))
+    b = -_reflect(_reflect(space.dist).T)[1:, 1:]
     try:
         vals, vecs = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:
@@ -111,25 +136,23 @@ def classify(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Classificati
             f"(entry scale {scale:.3e}): {exc}") from exc
 
     tau = tol * max(1.0, float(np.abs(vals).max()))
-    spectrum = np.sort(np.append(vals, 0.0))
-    margin = float(np.abs(vals).min())
+    evidence = dict(eigenvalues=np.sort(np.append(vals, 0.0)),
+                    margin=float(np.abs(vals).min()), tol_used=tau,
+                    restricted_values=vals, restricted_vectors=vecs)
 
     if vals[0] < -tau:
-        witness = _as_mass_zero_unit(space, q @ vecs[:, 0])
+        witness = _as_mass_zero_unit(space, _from_mass_zero(vecs[:, 0]))
         return Classification(verdict=Verdict.NOT_QUASIHYPERMETRIC,
-                              eigenvalues=spectrum, margin=margin,
-                              tol_used=tau, witness=witness)
+                              witness=witness, **evidence)
 
     kernel_idx = np.flatnonzero(np.abs(vals) <= tau)
     if kernel_idx.size:
-        basis = tuple(_as_mass_zero_unit(space, q @ vecs[:, i])
+        basis = tuple(_as_mass_zero_unit(space, _from_mass_zero(vecs[:, i]))
                       for i in kernel_idx)
         return Classification(verdict=Verdict.NON_STRICT,
-                              eigenvalues=spectrum, margin=margin,
-                              tol_used=tau, kernel_basis=basis)
+                              kernel_basis=basis, **evidence)
 
-    return Classification(verdict=Verdict.STRICT, eigenvalues=spectrum,
-                          margin=margin, tol_used=tau)
+    return Classification(verdict=Verdict.STRICT, **evidence)
 
 
 @dataclass(frozen=True)

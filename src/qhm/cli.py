@@ -9,12 +9,10 @@ converge, glue-diverge, equal-glue-demo. Global flags --tol / --seed / --out /
 
 Spaces are read from the JSON space format (keys name/labels/matrix) or taken
 from the fixture catalogue. Exit codes: 0 success, 1 usage error, 2 validation
-error, 3 solver inconsistency. QHM_DEFAULT_TOL overrides the tolerance
-default.
+error, 3 solver inconsistency.
 """
 
 import json
-import os
 import sys
 
 import click
@@ -35,19 +33,9 @@ CSV_HELP = {
 }
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("QHM_DEFAULT_TOL", "").strip()
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            raise click.UsageError(f"QHM_DEFAULT_TOL={raw!r} is not a number")
-    return DEFAULT_TOL
-
-
 @click.group()
-@click.option("--tol", type=float, default=None,
-              help="Relative tolerance (default 1e-9, or QHM_DEFAULT_TOL).")
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
+              help="Relative tolerance.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for every randomized step.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -57,8 +45,7 @@ def _default_tol() -> float:
 @click.pass_context
 def cli(ctx, tol, seed, out, fmt):
     """Energy-maximization analysis of finite metric spaces."""
-    ctx.obj = {"tol": tol if tol is not None else _default_tol(),
-               "seed": seed, "out": out, "fmt": fmt}
+    ctx.obj = {"tol": tol, "seed": seed, "out": out, "fmt": fmt}
 
 
 def _load(space_path, fixture_key, tol_triangle=None):

@@ -118,10 +118,6 @@ class EigendecompositionFailure(SolverError):
     pass
 
 
-class SolverBreakdown(SolverError):
-    pass
-
-
 class InconsistencyError(SolverError):
     """A result the theory rules out; usually a tolerance misconfiguration."""
 

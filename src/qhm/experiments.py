@@ -219,8 +219,8 @@ def run_glue_diverge(sizes, seed: int = 0, out=None,
         try:
             m_x = m_constant(x, tol).value
             z = glue(GlueSpec(x, block, GLUE_DIVERGE_C))
-            row["verdict"] = classify(z, tol).verdict.value
             dec = m_constant(z, tol)
+            row["verdict"] = dec.diagnostics["verdict"]
             pred = glued_m_predict(m_x, 1.0, GLUE_DIVERGE_C)
             row["m_component"] = m_x
             row["m_glued"] = dec.value
@@ -266,7 +266,8 @@ def run_equal_glue_demo(n_polygon: int, out=None,
         raise QhmError(f"need a polygon with >= 3 vertices, got {n_polygon}")
     n = n_polygon
     poly = _polygon_cloud(n)
-    m = m_constant(poly, tol).value
+    poly_dec = m_constant(poly, tol)
+    m = poly_dec.value
     result = ExperimentResult(
         name="equal-glue-demo",
         metadata={"experiment": "equal-glue-demo", "n_polygon": n, "tol": tol,
@@ -289,13 +290,13 @@ def run_equal_glue_demo(n_polygon: int, out=None,
             sub = subspace(poly, [j for j in range(n) if j != i])
             dec = m_constant(sub, tol)
             row.update(n=sub.n, status=dec.status, m_value=dec.value,
-                       verdict=classify(sub, tol).verdict.value,
+                       verdict=dec.diagnostics["verdict"],
                        ok=dec.finite and dec.value < m)
         return run
 
     def component(row):
         row.update(n=n, status="finite", m_value=m,
-                   verdict=classify(poly, tol).verdict.value, ok=True)
+                   verdict=poly_dec.diagnostics["verdict"], ok=True)
 
     def glued_del(i):
         def run(row):
@@ -307,8 +308,8 @@ def run_equal_glue_demo(n_polygon: int, out=None,
 
     def glued(row):
         z = glue(GlueSpec(poly, poly, m))
-        v = classify(z, tol).verdict
         dec = m_constant(z, tol)
+        v = Verdict(dec.diagnostics["verdict"])
         row.update(n=z.n, verdict=v.value, status=dec.status,
                    m_value=dec.value,
                    ok=(v is Verdict.NON_STRICT and dec.finite

@@ -4,17 +4,13 @@ The supremum M of the energy I(mu) over signed measures of total mass 1 is
 decided in three steps: a non-quasihypermetric space has M infinite (the
 spectral witness has positive energy); a quasihypermetric space carrying a
 mass-zero measure whose potential is a nonzero constant also has M infinite;
-otherwise M is finite, attained by a mass-1 measure with constant potential,
-and both come out of one bordered linear system
-
-    [ dist  -1 ] [w]   [0]
-    [ 1'     0 ] [c] = [1]
-
-solved by a rank-revealing (SVD) factorization: the constant potential value
-c equals M and w is a maximizing measure. An independent projected-ascent
-oracle cross-checks finite values and detects divergence without touching the
-linear-algebra route: its iterates are the steps of a linear recurrence,
-advanced a block at a time by `qhm._kernels.ascent`.
+otherwise M is finite, attained by a mass-1 measure w with constant
+potential c = M. With u = ones/n and the classification's eigenpairs of
+B = -Q'DQ (Q an orthonormal mass-zero basis), w = u + Q B+ Q' D u and
+c = mean(D w), where B+ skips the degenerate directions. An independent
+projected-ascent oracle cross-checks finite values and detects divergence
+without touching the linear-algebra route: its iterates are the steps of a
+linear recurrence, advanced a block at a time by `qhm._kernels.ascent`.
 """
 
 import math
@@ -25,7 +21,10 @@ import numpy as np
 from ._kernels import ASCENT_BLOWUP, ASCENT_CONVERGED, ascent
 from .classify import (
     DEFAULT_TOL,
+    Classification,
     Verdict,
+    _pinv_mass_zero,
+    check_tol,
     classify,
     default_flatness_tol,
     kernel_flat_values,
@@ -44,7 +43,6 @@ from .errors import (
     InconsistencyError,
     InvalidInputError,
     NotInvariantInputError,
-    SolverBreakdown,
 )
 from .spaces import FiniteMetricSpace, GlueSpec, diameter, glue
 
@@ -54,8 +52,8 @@ class InvariantSolve:
     """A mass-1 measure with constant potential, and how good the solve is.
 
     residual is the sup-norm deviation of the potential from the constant;
-    unique is False when the bordered system is singular (the solution is
-    then the minimum-euclidean-norm representative).
+    unique is False when the classification found degenerate directions (the
+    measure is then the minimum-euclidean-norm representative).
     """
 
     measure: SignedMeasure
@@ -80,34 +78,28 @@ class MDecision:
         return self.status == "finite"
 
 
+def _invariant_solve(space: FiniteMetricSpace, cls: Classification,
+                     tol: float) -> InvariantSolve | None:
+    """w = u + Q B+ Q' D u and c = mean(D w) from the eigenpairs of `cls`;
+    None when D w - c or the mass error exceeds tol * max(1, diameter)."""
+    n = space.n
+    u = np.full(n, 1.0 / n)
+    y, unique = _pinv_mass_zero(cls, space.dist @ u)
+    w = u + y
+    pot = space.dist @ w
+    c = float(pot.sum()) / n
+    residual = float(np.abs(pot - c).max())
+    if max(residual, abs(float(w.sum()) - 1.0)) > tol * max(1.0, diameter(space)):
+        return None
+    return InvariantSolve(measure=measure(space, w), value=c,
+                          residual=residual, unique=unique)
+
+
 def invariant_measure(space: FiniteMetricSpace,
                       tol: float = DEFAULT_TOL) -> InvariantSolve | None:
-    """Solve the bordered system for a constant-potential mass-1 measure.
-
-    Returns None when the system is inconsistent beyond tol (no such measure
-    exists). Singular-but-consistent systems yield the minimum-norm solution
-    with unique=False.
-    """
-    n = space.n
-    k = np.zeros((n + 1, n + 1))
-    k[:n, :n] = space.dist
-    k[:n, n] = -1.0
-    k[n, :n] = 1.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    try:
-        z, _, rank, _ = np.linalg.lstsq(k, b, rcond=tol)
-    except np.linalg.LinAlgError as exc:
-        raise SolverBreakdown(f"least-squares solve failed: {exc}") from exc
-    w, c = z[:n], float(z[n])
-    scale = max(1.0, diameter(space))
-    sys_residual = float(np.abs(k @ z - b).max())
-    if sys_residual > tol * scale:
-        return None
-    mu = measure(space, w)
-    residual = float(np.abs(potential(space, mu) - c).max())
-    return InvariantSolve(measure=mu, value=c, residual=residual,
-                          unique=bool(rank == n + 1))
+    """Classify, then solve for a constant-potential mass-1 measure; None
+    when no such measure exists."""
+    return _invariant_solve(space, classify(space, tol), tol)
 
 
 def m_constant(space: FiniteMetricSpace, tol: float = DEFAULT_TOL,
@@ -117,7 +109,7 @@ def m_constant(space: FiniteMetricSpace, tol: float = DEFAULT_TOL,
     Procedure: (a) classify; a NotQuasihypermetric verdict is Infinite with
     the spectral witness. (b) On NonStrict, any degenerate direction whose
     constant potential value is nonzero forces Infinite with that direction
-    as witness. (c) Otherwise the bordered solve must succeed (theory
+    as witness. (c) Otherwise the invariant solve must succeed (theory
     guarantees existence for finite quasihypermetric spaces); failure raises
     InconsistencyError since it can only mean misconfigured tolerances.
     """
@@ -141,7 +133,7 @@ def m_constant(space: FiniteMetricSpace, tol: float = DEFAULT_TOL,
                 return MDecision(status="infinite", reason="NonzeroFlatKernel",
                                  witness=f.vector, diagnostics=diagnostics)
 
-    solve = invariant_measure(space, tol)
+    solve = _invariant_solve(space, cls, tol)
     if solve is None:
         raise InconsistencyError(
             "no constant-potential mass-1 measure found on a space that the "
@@ -152,7 +144,7 @@ def m_constant(space: FiniteMetricSpace, tol: float = DEFAULT_TOL,
     diagnostics["mass_error"] = abs(solve.measure.mass - 1.0)
     if solve.residual > flatness_tol or diagnostics["mass_error"] > MASS_TOL:
         raise InconsistencyError(
-            f"bordered solve violates its own contract (flatness "
+            f"invariant solve violates its own contract (flatness "
             f"{solve.residual}, mass error {diagnostics['mass_error']})",
             diagnostics=diagnostics)
     return MDecision(status="finite", value=solve.value,
@@ -178,6 +170,7 @@ def glued_m_predict(m_x: float, m_y: float, c: float,
     measure with nonzero constant potential exists and the constant is
     infinite. Boundary detection uses `tol` relative to the magnitudes.
     """
+    check_tol(tol)
     for v, what in ((m_x, "m_x"), (m_y, "m_y"), (c, "c")):
         if not math.isfinite(v):
             raise InvalidInputError(f"{what} must be finite, got {v!r}")
@@ -261,7 +254,7 @@ def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
     with a finite constant the best value climbs to it (the restricted
     problem is concave); when the constant is infinite the trace grows
     without bound, reported via the blowup threshold (default 1e6 times the
-    diameter). Purely iterative: shares nothing with the bordered solve, so
+    diameter). Purely iterative: shares nothing with the eigenpair solve, so
     it serves as an independent check.
     """
     if iterations < 1:
@@ -321,6 +314,7 @@ def verify_maximal(space: FiniteMetricSpace, mu: SignedMeasure, m_value: float,
                    tol: float = DEFAULT_TOL) -> MaximalityReport:
     """Check flatness, random dominance, and the norm identity for a
     candidate maximal measure."""
+    check_tol(tol)
     if abs(mu.mass - 1.0) > MASS_TOL:
         raise InvalidInputError(f"candidate must have mass 1, got {mu.mass}")
     flatness = float(np.abs(potential(space, mu) - m_value).max())

@@ -7,6 +7,7 @@ routes.
 
 import numpy as np
 
+from qhm import InvariantSolve, diameter, measure, potential
 from qhm._kernels import ASCENT_BLOWUP, ASCENT_CONVERGED, ASCENT_MAXITER
 
 
@@ -102,3 +103,33 @@ def brute_ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
         w = w + step * g
     return (rec_it[:n_rec], rec_val[:n_rec], rec_w[:n_rec], best, best_w,
             status, last_it)
+
+
+def bordered_invariant_measure(space, tol=1e-9):
+    """Solve the bordered system
+
+        [ dist  -1 ] [w]   [0]
+        [ 1'     0 ] [c] = [1]
+
+    with an SVD least-squares solve: the reference for the solve from the
+    eigenpairs of the classification. Returns None when the system is
+    inconsistent beyond tol; singular-but-consistent systems yield the
+    minimum-norm solution with unique=False.
+    """
+    n = space.n
+    k = np.zeros((n + 1, n + 1))
+    k[:n, :n] = space.dist
+    k[:n, n] = -1.0
+    k[n, :n] = 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    z, _, rank, _ = np.linalg.lstsq(k, b, rcond=tol)
+    w, c = z[:n], float(z[n])
+    scale = max(1.0, diameter(space))
+    sys_residual = float(np.abs(k @ z - b).max())
+    if sys_residual > tol * scale:
+        return None
+    mu = measure(space, w)
+    residual = float(np.abs(potential(space, mu) - c).max())
+    return InvariantSolve(measure=mu, value=c, residual=residual,
+                          unique=bool(rank == n + 1))

@@ -204,16 +204,17 @@ class TestExitCodes:
         bad.write_text("{nope")
         assert run_cli(capsys, "classify", str(bad))[0] == 2
 
-    def test_env_tol_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("QHM_DEFAULT_TOL", "1e-6")
-        code, out, _ = run_cli(capsys, "classify", "--fixture", "interval-3")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["tol_used"] == pytest.approx(1e-6, rel=1e-6)
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exit_2(self, capsys, tol):
+        code, _, err = run_cli(capsys, "--tol", tol, "classify", "--fixture",
+                               "nw-thm2.9a")
+        assert code == 2
+        assert "tol" in err
 
-    def test_env_tol_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("QHM_DEFAULT_TOL", "banana")
-        assert run_cli(capsys, "classify", "--fixture", "interval-3")[0] == 1
+    def test_default_tol_in_help(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert "1e-09" in out
 
     def test_solver_error_exit_3(self, capsys, monkeypatch):
         import qhm.cli as cli_mod

@@ -7,9 +7,11 @@ from qhm import (
     GlueSpec,
     Verdict,
     ascent_oracle,
+    centered_form,
     classify,
     diameter,
     energy,
+    fixture,
     glue,
     glued_invariant,
     glued_m_predict,
@@ -20,6 +22,7 @@ from qhm import (
     potential,
     random_metric,
     regular_polygon_arc,
+    run_glue_diverge,
     sequence_diagnostics,
     sequence_rows_csv,
     subspace,
@@ -35,6 +38,7 @@ from qhm.errors import (
 )
 
 from conftest import random_cloud
+from oracles import bordered_invariant_measure
 
 
 class TestInvariantMeasure:
@@ -72,6 +76,135 @@ class TestInvariantMeasure:
         solve = invariant_measure(validate_metric([[0.0]]))
         assert solve.value == 0.0
         assert solve.measure.weights[0] == pytest.approx(1.0)
+
+
+def _assert_same_solve(space, weight_atol=1e-11):
+    new = invariant_measure(space)
+    ref = bordered_invariant_measure(space)
+    if ref is None:
+        assert new is None
+        return
+    assert new.unique == ref.unique
+    assert new.value == pytest.approx(ref.value, rel=1e-13, abs=1e-15)
+    assert np.abs(new.measure.weights - ref.measure.weights).max() <= weight_atol
+    assert new.residual <= 1e-12 * max(1.0, diameter(space))
+
+
+class TestEigenpairSolve:
+    """The solve from classify's eigenpairs against the bordered SVD
+    least-squares solve it replaced."""
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            _assert_same_solve(random_cloud(rng))
+
+    @pytest.mark.parametrize("key", ["circle-8", "circle-16",
+                                     "fourpoint-antipodal"])
+    def test_nonstrict_minimum_norm_representative(self, key):
+        space = fixture(key).space
+        assert not invariant_measure(space).unique
+        _assert_same_solve(space)
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_scaled_hexagon(self, scale):
+        space = validate_metric(regular_polygon_arc(6).dist * scale)
+        _assert_same_solve(space, weight_atol=1e-8)
+
+    @pytest.mark.parametrize("key", ["nw-thm2.9a", "nw-thm2.9", "interval-5"])
+    def test_fixtures(self, key):
+        _assert_same_solve(fixture(key).space)
+
+    def test_boundary_fixture_none_from_both(self, five_point_boundary):
+        assert invariant_measure(five_point_boundary) is None
+        assert bordered_invariant_measure(five_point_boundary) is None
+
+    @pytest.mark.parametrize("matrix", [[[0.0]], [[0.0, 2.0], [2.0, 0.0]]])
+    def test_one_and_two_points(self, matrix):
+        _assert_same_solve(validate_metric(matrix))
+
+    def test_pseudo_inverse_drops_exactly_the_degenerate_eigenvalues(self):
+        from qhm.classify import _pinv_mass_zero
+
+        x = random_cloud(np.random.default_rng(8), n_min=8, n_max=8)
+        vals = classify(x).restricted_values
+        # a tolerance that puts tau between the two smallest eigenvalues
+        tau = math.sqrt(vals[0] * vals[1])
+        cls = classify(x, tau / max(1.0, float(np.abs(vals).max())))
+        assert cls.verdict is Verdict.NON_STRICT
+        # the same pseudo-inverse from the eigenpairs of the full centered
+        # form, whose trivial zero (the all-ones direction) falls below tau
+        lam, vec = np.linalg.eigh(centered_form(x))
+        keep = np.abs(lam) > cls.tol_used
+        assert keep.sum() == x.n - 2
+        rhs = np.random.default_rng(9).standard_normal(x.n)
+        expected = vec[:, keep] @ ((vec[:, keep].T @ rhs) / lam[keep])
+        got, unique = _pinv_mass_zero(cls, rhs)
+        assert not unique
+        assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+class _Counter:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+class TestOneFactorization:
+    @pytest.fixture
+    def linalg_calls(self, monkeypatch):
+        counters = {}
+        for name in ("eigh", "lstsq", "svd"):
+            counters[name] = _Counter(getattr(np.linalg, name))
+            monkeypatch.setattr(np.linalg, name, counters[name])
+        return counters
+
+    @pytest.mark.parametrize("key", ["interval-5", "circle-8", "nw-thm2.9",
+                                     "nw-thm2.9a"])
+    def test_m_constant_one_eigh(self, linalg_calls, key):
+        m_constant(fixture(key).space)
+        assert {k: c.calls for k, c in linalg_calls.items()} == {
+            "eigh": 1, "lstsq": 0, "svd": 0}
+
+    def test_glue_diverge_one_eigh_per_decision(self, linalg_calls,
+                                                monkeypatch):
+        import qhm.experiments as experiments
+
+        decisions = _Counter(experiments.m_constant)
+        monkeypatch.setattr(experiments, "m_constant", decisions)
+        run_glue_diverge([11, 21])
+        assert decisions.calls == 4
+        assert linalg_calls["eigh"].calls == decisions.calls
+        assert linalg_calls["lstsq"].calls == linalg_calls["svd"].calls == 0
+
+
+BAD_TOLS = [math.nan, math.inf, -math.inf, -1.0, -1e-12]
+
+
+class TestToleranceChecked:
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    @pytest.mark.parametrize("call", [
+        lambda tol: classify(fixture("nw-thm2.9a").space, tol),
+        lambda tol: m_constant(interval_grid(0, 1, 5), tol),
+        lambda tol: invariant_measure(interval_grid(0, 1, 5), tol),
+        lambda tol: classify(validate_metric([[0.0]]), tol),
+        lambda tol: glued_m_predict(1.0, 1.0, 2.0, tol),
+        lambda tol: verify_maximal(interval_grid(0, 1, 3),
+                                   measure(interval_grid(0, 1, 3),
+                                           [0.5, 0.0, 0.5]), 0.5, tol=tol),
+    ], ids=["classify", "m_constant", "invariant_measure", "classify-1pt",
+            "glued_m_predict", "verify_maximal"])
+    def test_rejects_bad_tol(self, call, tol):
+        # a NaN tol used to call nw-thm2.9a Strict and a negative one made
+        # the constant of [0, 1] infinite
+        with pytest.raises(InvalidInputError):
+            call(tol)
+
+    def test_zero_tol_accepted(self):
+        assert classify(interval_grid(0, 1, 5), 0.0).verdict is Verdict.STRICT
 
 
 class TestMConstant:
@@ -349,8 +482,8 @@ class TestInconsistencyGuard:
     def test_missing_solution_on_finite_path_raises(self, monkeypatch):
         import qhm.msolver as msolver
 
-        monkeypatch.setattr(msolver, "invariant_measure",
-                            lambda space, tol=1e-9: None)
+        monkeypatch.setattr(msolver, "_invariant_solve",
+                            lambda space, cls, tol: None)
         with pytest.raises(InconsistencyError) as exc:
             msolver.m_constant(interval_grid(0, 1, 3))
         assert "margin" in exc.value.diagnostics
@@ -411,7 +544,7 @@ class TestSolverProperties:
             trace = ascent_oracle(x, iterations=100_000, seed=11)
             assert dec.value - 1e-4 <= trace.best_value <= dec.value + 1e-9
 
-    @pytest.mark.parametrize("lam", [0.01, 3.7])
+    @pytest.mark.parametrize("lam", [0.01, 3.7, 1e6, 1e9, 1e12])
     def test_scaling_covariance(self, lam):
         rng = np.random.default_rng(13)
         for _ in range(10):
