@@ -1,8 +1,9 @@
-"""Numeric kernels: the triangle scan and the projected-ascent oracle.
+"""Numeric kernels: the triangle scan, the projected-ascent oracle, the
+triangular solves of a Cholesky factor and the Perron root bound.
 
-Both are plain numpy. The triangle scan works in slabs of a fixed element
+All are plain numpy. The triangle scan works in slabs of a fixed element
 budget; the ascent advances its linear recurrence a block of iterates at a
-time.
+time; the triangular solves go a block of rows at a time.
 """
 
 import numpy as np
@@ -170,3 +171,64 @@ def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
                         best_w, status, it0 + last)
             w = ws[-1] + step * g[-1]
             it0 += m
+
+
+# Rows of one diagonal block of the blocked triangular substitution.
+TRI_BLOCK = 128
+
+
+def cholesky_solver(lower: np.ndarray):
+    """The map x -> (L L')^-1 x for a lower-triangular L with nonzero
+    diagonal, O(m^2) per call.
+
+    Forward and back substitution go a block of TRI_BLOCK rows at a time,
+    with the inverses of the diagonal blocks computed once here: each block
+    step is then two matrix-vector products, which keeps the Python loop to
+    m / TRI_BLOCK steps without a triangular solver from outside numpy.
+    """
+    m = lower.shape[0]
+    starts = range(0, m, TRI_BLOCK)
+    blocks = [(a, min(m, a + TRI_BLOCK),
+               np.linalg.inv(lower[a:a + TRI_BLOCK, a:a + TRI_BLOCK]))
+              for a in starts]
+
+    def solve(x):
+        z = np.empty_like(x)
+        for a, e, inv in blocks:
+            z[a:e] = inv @ (x[a:e] - lower[a:e, :a] @ z[:a])
+        y = np.empty_like(x)
+        for a, e, inv in reversed(blocks):
+            y[a:e] = inv.T @ (z[a:e] - lower[e:, a:e].T @ y[e:])
+        return y
+
+    return solve
+
+
+# Relative width of the Collatz-Wielandt bracket at which the Perron root
+# iteration stops, and the most iterations it runs.
+PERRON_RTOL = 1e-13
+PERRON_MAX_ITER = 500
+
+
+def perron_upper_bound(dist: np.ndarray) -> float:
+    """An upper bound on the spectral radius of a nonnegative irreducible
+    symmetric matrix, within about PERRON_RTOL of it.
+
+    For every positive x, min_i (Dx)_i / x_i <= rho <= max_i (Dx)_i / x_i
+    (Collatz-Wielandt). Power iteration on D + sigma I, with sigma the
+    current upper bound, drives x to the Perron vector and closes the
+    bracket; shifting damps the negative eigenvalues of a distance matrix,
+    which can be as large as rho in magnitude. The returned upper end is
+    raised by n eps, the rounding of (Dx)_i, so that it stays above rho.
+    """
+    n = dist.shape[0]
+    x = np.ones(n)
+    for _ in range(PERRON_MAX_ITER):
+        y = dist @ x
+        ratio = y / x
+        low, high = float(ratio.min()), float(ratio.max())
+        if high - low <= PERRON_RTOL * high:
+            break
+        x = y + high * x
+        x /= x.max()
+    return high * (1.0 + n * np.finfo(np.float64).eps)

@@ -4,7 +4,7 @@ A space is quasihypermetric iff the centered form A = -P D P (P the
 projection removing the all-ones component) is positive semidefinite on the
 mass-zero subspace, since a mass-zero coefficient vector has
 alpha' A alpha = -energy(alpha). The verdict is read off the spectrum of A
-restricted to that subspace:
+restricted to that subspace, B = -Q'DQ for an orthonormal mass-zero basis Q:
 
     some eigenvalue < -tau   ->  NotQuasihypermetric (the eigenvector is a
                                  mass-zero witness with positive energy)
@@ -13,8 +13,18 @@ restricted to that subspace:
                                  span the degenerate (seminorm-zero) directions
 
 with tau = tol * max(1, spectral radius). Single-point spaces are Strict by
-convention. The mass-zero basis is never formed; it is applied as one
-Householder reflection.
+convention. Q is the last n - 1 columns of one Householder reflection H,
+never formed: B comes from D by a rank-two update in O(n^2), and Q and Q'
+are applied to vectors in closed form, O(n) each.
+
+`classify` always takes the full `eigh` of B, since its verdict carries the
+spectrum. A Strict verdict alone needs less: `certify_strict` factors
+B - (tau_hi + r) I by Cholesky, with tau_hi = tol * max(1, ||B||_F) >= tau
+and r a bound on the factorization's backward error. Success proves every
+eigenvalue of B exceeds tau_hi, so `eigh` would also answer Strict; the
+factor then solves with B by iterative refinement (a plain LU solve when B
+is small). `m_constant` and `invariant_measure` try that certificate first
+and fall back to `eigh`, on the same B, when it fails.
 """
 
 import math
@@ -23,6 +33,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._kernels import cholesky_solver
 from .energy import SignedMeasure, potential
 from .errors import (
     EigendecompositionFailure,
@@ -33,6 +44,10 @@ from .errors import (
 from .spaces import FiniteMetricSpace, diameter
 
 DEFAULT_TOL = 1e-9  # relative spectral tolerance
+EPS = float(np.finfo(np.float64).eps)
+# Up to this order of B a dense LU solve with B costs less than setting up
+# the blocked triangular solves of its certificate and refining.
+DIRECT_SOLVE_MAX = 64
 
 
 def check_tol(tol: float) -> None:
@@ -84,18 +99,43 @@ def centered_form(space: FiniteMetricSpace) -> np.ndarray:
     return -(p @ space.dist @ p)
 
 
-def _reflect(x: np.ndarray) -> np.ndarray:
-    """H x (column by column for a matrix) for H = I - beta v v' with
-    v = e1 - ones/sqrt(n). H maps e1 to ones/sqrt(n), so its other columns are
-    an orthonormal mass-zero basis Q: Q'x = (H x)[1:] and Q y = H (0, y)."""
-    n = x.shape[0]
-    v = np.full(n, -1.0 / math.sqrt(n))
-    v[0] += 1.0
-    return x - np.multiply.outer(v, (2.0 / (v @ v)) * (v @ x))
+# The mass-zero basis Q is the last n - 1 columns of the Householder
+# reflection H = I - beta v v' with v = e1 - ones/sqrt(n), which maps e1 to
+# ones/sqrt(n). With a = 1/sqrt(n), v is 1 - a then -a repeated, and
+# beta = 2 / v'v = 1 / (1 - a), so Q'x = (Hx)[1:] and Qy = H (0, y) are:
+
+def _to_mass_zero(x: np.ndarray) -> np.ndarray:
+    """Q'x = x[1:] + beta a v'x, with v'x = x_0 - a sum(x)."""
+    a = 1.0 / math.sqrt(x.shape[0])
+    return x[1:] + (a / (1.0 - a)) * (x[0] - a * x.sum())
 
 
 def _from_mass_zero(y: np.ndarray) -> np.ndarray:
-    return _reflect(np.concatenate(([0.0], y)))
+    """Qy = (a s, y - beta a^2 s) with s = sum(y), for n - 1 >= 1 entries."""
+    a = 1.0 / math.sqrt(y.shape[0] + 1)
+    s = y.sum()
+    return np.concatenate(([a * s], y - (a * a / (1.0 - a)) * s))
+
+
+def _restricted_form(dist: np.ndarray) -> np.ndarray:
+    """B = -Q'DQ, exactly symmetric, in O(n^2) from D.
+
+    With p = Dv and beta = 2 / v'v = 1 / (1 - a), a = 1/sqrt(n),
+    HDH = D - v q' - q v' for q = beta p - (beta^2 v'p / 2) v. Every entry of
+    v past the first is -a, so B_ij = -(t_i + t_j) - d_ij for i, j >= 1 with
+    t = a q[1:]; summing t_i + t_j first keeps B symmetric bit for bit.
+    """
+    n = dist.shape[0]
+    if n == 1:
+        return np.zeros((0, 0))
+    a = 1.0 / math.sqrt(n)
+    beta = 1.0 / (1.0 - a)
+    p = dist[:, 0] - a * dist.sum(axis=1)
+    vp = p[0] - a * p.sum()
+    t = a * (beta * p[1:] + (0.5 * beta * beta * a) * vp)
+    b = np.subtract.outer(-t, t)
+    b -= dist[1:, 1:]
+    return b
 
 
 def _pinv_mass_zero(cls: Classification, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -106,9 +146,88 @@ def _pinv_mass_zero(cls: Classification, x: np.ndarray) -> tuple[np.ndarray, boo
     if vals.size == 0:
         return np.zeros_like(x), True
     keep = np.abs(vals) > cls.tol_used
-    coef = np.divide(vecs.T @ _reflect(x)[1:], vals, out=np.zeros_like(vals),
+    coef = np.divide(vecs.T @ _to_mass_zero(x), vals, out=np.zeros_like(vals),
                      where=keep)
     return _from_mass_zero(vecs @ coef), bool(keep.all())
+
+
+@dataclass(frozen=True, eq=False)
+class StrictCertificate:
+    """Proof of a Strict verdict without the spectrum.
+
+    margin: tau_hi, a certified lower bound on every eigenvalue of B, at
+    least classify's tau. form: B. lower: the Cholesky factor of
+    B - (tau_hi + rounding) I that proved it. rounding: (m + 1) eps trace(B),
+    a bound on the 2-norm backward error of that factorization and of a
+    backward-stable solve with B.
+    """
+
+    margin: float
+    form: np.ndarray
+    lower: np.ndarray
+    rounding: float
+
+
+def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
+    """Certify that every eigenvalue of the restricted form `b` exceeds
+    tau_hi = tol * max(1, ||b||_F), or return None.
+
+    ||b||_F >= spectral radius, so tau_hi >= classify's tau. Cholesky's
+    computed factor of C is exact for C + E with ||E||_2 <= gamma_{m+1}
+    trace(C) <= r = (m + 1) eps trace(b); factoring C = b - (tau_hi + r) I
+    therefore proves lambda_min(b) > tau_hi. When tau_hi <= r (tol = 0
+    among them) the certificate cannot resolve the margin and is not tried.
+    `b` is shifted in place and restored before returning.
+    """
+    m = b.shape[0]
+    if m == 0:
+        return None
+    margin = tol * max(1.0, float(np.linalg.norm(b)))
+    rounding = (m + 1) * EPS * float(b.trace())
+    if not margin > rounding:
+        return None
+    diagonal = b.reshape(-1)[::m + 1]
+    saved = diagonal.copy()
+    diagonal -= margin + rounding
+    try:
+        lower = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        diagonal[:] = saved
+    return StrictCertificate(margin=margin, form=b, lower=lower,
+                             rounding=rounding)
+
+
+def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray | None:
+    """Q B^-1 Q' x for a certified B, or None when the solve does not reach
+    backward stability.
+
+    Up to DIRECT_SOLVE_MAX rows this is one LU solve with B. Above, it is
+    iterative refinement on the certificate's factor: y <- y + C^-1 (r - B y)
+    with C = B - shift I multiplies the error by -shift C^-1, so it
+    contracts when lambda_min > 2 shift, and it stops when a correction no
+    longer halves. The result is kept only if its residual is within
+    `rounding` times its norm, as a backward-stable solve leaves it.
+    """
+    b = cert.form
+    r = _to_mass_zero(x)
+    if r.shape[0] <= DIRECT_SOLVE_MAX:
+        return _from_mass_zero(np.linalg.solve(b, r))
+    solve = cholesky_solver(cert.lower)
+    y = solve(r)
+    last = math.inf
+    while True:
+        res = r - b @ y
+        dy = solve(res)
+        size = float(np.abs(dy).max())
+        if not size < 0.5 * last:
+            break
+        y += dy
+        last = size
+    if not np.linalg.norm(res) <= cert.rounding * np.linalg.norm(y):
+        return None
+    return _from_mass_zero(y)
 
 
 def _as_mass_zero_unit(space: FiniteMetricSpace, vec: np.ndarray) -> SignedMeasure:
@@ -118,15 +237,21 @@ def _as_mass_zero_unit(space: FiniteMetricSpace, vec: np.ndarray) -> SignedMeasu
 
 
 def classify(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Classification:
-    """Decide NotQuasihypermetric / Strict / NonStrict for a space."""
+    """Decide NotQuasihypermetric / Strict / NonStrict for a space from the
+    full spectrum of its restricted form."""
     check_tol(tol)
+    return _classify_form(space, _restricted_form(space.dist), tol)
+
+
+def _classify_form(space: FiniteMetricSpace, b: np.ndarray,
+                   tol: float) -> Classification:
+    """`classify` on the restricted form `b` of `space`, already built."""
     n = space.n
     if n == 1:
         return Classification(verdict=Verdict.STRICT,
                               eigenvalues=np.zeros(1), margin=None,
                               tol_used=tol, restricted_values=np.zeros(0),
                               restricted_vectors=np.zeros((0, 0)))
-    b = -_reflect(_reflect(space.dist).T)[1:, 1:]
     try:
         vals, vecs = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:

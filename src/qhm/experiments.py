@@ -198,9 +198,12 @@ def run_glue_diverge(sizes, seed: int = 0, out=None,
     cross-distance 3/2 and compare each solved constant with the closed form
     (2.25 - m)/(2 - m).
 
-    As the component constant climbs toward the continuum value 2, the glued
-    constant grows without bound while every glued space stays strictly
-    quasihypermetric. Raises PredictionMismatchError (after recording and
+    The glued constant climbs with the component constant while every glued
+    space stays strictly quasihypermetric. It stays bounded: the chain keeps
+    BALL_SHELLS fixed shells and refines only the points on each, so its
+    limit is the origin and five spheres, not the ball; the component
+    constant tends to about 1.885, not the ball's 2, and the glued constant
+    to about 3.2. Raises PredictionMismatchError (after recording and
     writing all rows) if any solved value misses the prediction by more than
     1e-6 relative.
     """

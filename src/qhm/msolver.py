@@ -5,12 +5,27 @@ decided in three steps: a non-quasihypermetric space has M infinite (the
 spectral witness has positive energy); a quasihypermetric space carrying a
 mass-zero measure whose potential is a nonzero constant also has M infinite;
 otherwise M is finite, attained by a mass-1 measure w with constant
-potential c = M. With u = ones/n and the classification's eigenpairs of
-B = -Q'DQ (Q an orthonormal mass-zero basis), w = u + Q B+ Q' D u and
-c = mean(D w), where B+ skips the degenerate directions. An independent
-projected-ascent oracle cross-checks finite values and detects divergence
-without touching the linear-algebra route: its iterates are the steps of a
-linear recurrence, advanced a block at a time by `qhm._kernels.ascent`.
+potential c = M. With u = ones/n and B = -Q'DQ (Q an orthonormal mass-zero
+basis), w = u + Q B+ Q' D u and c = mean(D w), where B+ skips the degenerate
+directions.
+
+Most finite spaces are Strict, and a Strict decision needs only a proof that
+B is positive definite beyond the tolerance and B^-1 applied to one vector.
+So `m_constant` and `invariant_measure` first try the Cholesky certificate
+of `qhm.classify.certify_strict` and solve with its factor by iterative
+refinement, or with a plain LU solve when B is small (diagnostics
+"certificate": "cholesky", "margin": the certified lower bound tau_hi on
+the eigenvalues of B). When the factorization fails,
+the refinement does not contract or the solve misses its checks, they fall
+back to the full `eigh` classification of the same B ("certificate":
+"eigh", "margin": the smallest |eigenvalue|), which serves the NonStrict
+and NotQuasihypermetric verdicts and their witnesses. Both paths end in the
+same residual, flatness and mass checks.
+
+An independent projected-ascent oracle cross-checks finite values and
+detects divergence without touching the linear-algebra route: its iterates
+are the steps of a linear recurrence, advanced a block at a time by
+`qhm._kernels.ascent`.
 """
 
 import math
@@ -18,14 +33,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import ASCENT_BLOWUP, ASCENT_CONVERGED, ascent
+from ._kernels import (
+    ASCENT_BLOWUP,
+    ASCENT_CONVERGED,
+    ascent,
+    perron_upper_bound,
+)
 from .classify import (
     DEFAULT_TOL,
-    Classification,
+    StrictCertificate,
     Verdict,
+    _certified_mass_zero,
+    _classify_form,
     _pinv_mass_zero,
+    _restricted_form,
+    certify_strict,
     check_tol,
-    classify,
     default_flatness_tol,
     kernel_flat_values,
 )
@@ -78,46 +101,90 @@ class MDecision:
         return self.status == "finite"
 
 
-def _invariant_solve(space: FiniteMetricSpace, cls: Classification,
+# Relative floor of the invariant solve's residual check, which is
+# tol * max(1, diameter) but never below this: the accuracy the solve can
+# promise whatever the spectral tolerance (tol = 0 included).
+RESIDUAL_FLOOR = 1e-9
+
+
+def _invariant_solve(space: FiniteMetricSpace, evidence,
                      tol: float) -> InvariantSolve | None:
-    """w = u + Q B+ Q' D u and c = mean(D w) from the eigenpairs of `cls`;
-    None when D w - c or the mass error exceeds tol * max(1, diameter)."""
+    """w = u + Q B+ Q' D u and c = mean(D w), with B+ from the eigenpairs of
+    a Classification or B^-1 from a StrictCertificate; None when that solve
+    fails, or D w - c or the mass error exceeds
+    max(tol, RESIDUAL_FLOOR) * max(1, diameter)."""
     n = space.n
     u = np.full(n, 1.0 / n)
-    y, unique = _pinv_mass_zero(cls, space.dist @ u)
+    if isinstance(evidence, StrictCertificate):
+        y, unique = _certified_mass_zero(evidence, space.dist @ u), True
+        if y is None:
+            return None
+    else:
+        y, unique = _pinv_mass_zero(evidence, space.dist @ u)
     w = u + y
     pot = space.dist @ w
     c = float(pot.sum()) / n
     residual = float(np.abs(pot - c).max())
-    if max(residual, abs(float(w.sum()) - 1.0)) > tol * max(1.0, diameter(space)):
+    floor = max(tol, RESIDUAL_FLOOR) * max(1.0, diameter(space))
+    if max(residual, abs(float(w.sum()) - 1.0)) > floor:
         return None
     return InvariantSolve(measure=measure(space, w), value=c,
                           residual=residual, unique=unique)
 
 
+def _certified_solve(space: FiniteMetricSpace, tol: float):
+    """(B, certificate, solve): the restricted form, its Strict certificate
+    (None when Cholesky cannot give one) and the invariant solve from it
+    (None when there is no certificate or the solve fails)."""
+    check_tol(tol)
+    b = _restricted_form(space.dist)
+    cert = certify_strict(b, tol)
+    solve = None if cert is None else _invariant_solve(space, cert, tol)
+    return b, cert, solve
+
+
 def invariant_measure(space: FiniteMetricSpace,
                       tol: float = DEFAULT_TOL) -> InvariantSolve | None:
-    """Classify, then solve for a constant-potential mass-1 measure; None
-    when no such measure exists."""
-    return _invariant_solve(space, classify(space, tol), tol)
+    """Solve for a constant-potential mass-1 measure, on the certified
+    Strict path when it succeeds and from the eigenpairs of the
+    classification otherwise; None when no such measure exists."""
+    b, _, solve = _certified_solve(space, tol)
+    if solve is not None:
+        return solve
+    return _invariant_solve(space, _classify_form(space, b, tol), tol)
 
 
 def m_constant(space: FiniteMetricSpace, tol: float = DEFAULT_TOL,
                flatness_tol: float | None = None) -> MDecision:
     """Decide whether the energy supremum constant is finite; compute it if so.
 
-    Procedure: (a) classify; a NotQuasihypermetric verdict is Infinite with
-    the spectral witness. (b) On NonStrict, any degenerate direction whose
+    Procedure: (a) a Cholesky certificate of a Strict verdict with a
+    successful invariant solve decides finite at once. Otherwise classify
+    from the spectrum: (b) a NotQuasihypermetric verdict is Infinite with
+    the spectral witness. (c) On NonStrict, any degenerate direction whose
     constant potential value is nonzero forces Infinite with that direction
-    as witness. (c) Otherwise the invariant solve must succeed (theory
+    as witness. (d) Otherwise the invariant solve must succeed (theory
     guarantees existence for finite quasihypermetric spaces); failure raises
     InconsistencyError since it can only mean misconfigured tolerances.
+
+    diagnostics: "certificate" ("cholesky" or "eigh"), "verdict", "margin"
+    (the certified lower bound tau_hi on the eigenvalues of B, or the
+    smallest |eigenvalue|), "classify_tol" (the tolerance the verdict was
+    tested against), and on finite decisions "flatness", "unique" and
+    "mass_error".
     """
     if flatness_tol is None:
         flatness_tol = default_flatness_tol(space)
-    cls = classify(space, tol)
-    diagnostics = {"margin": cls.margin, "classify_tol": cls.tol_used,
-                   "verdict": cls.verdict.value}
+    b, cert, solve = _certified_solve(space, tol)
+    if solve is not None:
+        diagnostics = {"certificate": "cholesky", "margin": cert.margin,
+                       "classify_tol": cert.margin,
+                       "verdict": Verdict.STRICT.value}
+        return _finite(solve, diagnostics, flatness_tol)
+
+    cls = _classify_form(space, b, tol)
+    diagnostics = {"certificate": "eigh", "margin": cls.margin,
+                   "classify_tol": cls.tol_used, "verdict": cls.verdict.value}
 
     if cls.verdict is Verdict.NOT_QUASIHYPERMETRIC:
         diagnostics["witness_energy"] = energy(space, cls.witness)
@@ -139,6 +206,13 @@ def m_constant(space: FiniteMetricSpace, tol: float = DEFAULT_TOL,
             "no constant-potential mass-1 measure found on a space that the "
             "classification declares finite; tolerances are misconfigured",
             diagnostics=diagnostics)
+    return _finite(solve, diagnostics, flatness_tol)
+
+
+def _finite(solve: InvariantSolve, diagnostics: dict,
+            flatness_tol: float) -> MDecision:
+    """The finite decision from an invariant solve, after its flatness and
+    mass checks."""
     diagnostics["flatness"] = solve.residual
     diagnostics["unique"] = solve.unique
     diagnostics["mass_error"] = abs(solve.measure.mass - 1.0)
@@ -234,12 +308,25 @@ class AscentTrace:
         return self.status == "blowup"
 
 
+# Below this many points `eigvalsh` of the distance matrix costs less than
+# the about 40 matrix-vector products of the Perron root iteration.
+PERRON_MIN_POINTS = 128
+
+
 def ascent_step_default(space: FiniteMetricSpace) -> float:
-    """Fixed ascent step 1/(2 rho(dist)); guarantees monotone ascent for the
-    concave restricted problem, no line search needed."""
+    """Fixed ascent step 1/(2 r) with r >= rho(dist); guarantees monotone
+    ascent for the concave restricted problem, no line search needed.
+
+    rho is the Perron root of the nonnegative distance matrix. From
+    PERRON_MIN_POINTS points on, r is its Collatz-Wielandt upper bound
+    from `perron_upper_bound`, within about 1e-13 of rho; below, the full
+    spectrum is cheaper."""
     if space.n == 1:
         return 1.0
-    rho = float(np.abs(np.linalg.eigvalsh(space.dist)).max())
+    if space.n < PERRON_MIN_POINTS:
+        rho = float(np.abs(np.linalg.eigvalsh(space.dist)).max())
+    else:
+        rho = perron_upper_bound(space.dist)
     return 1.0 / (2.0 * rho) if rho > 0 else 1.0
 
 

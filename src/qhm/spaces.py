@@ -299,7 +299,7 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
             np.sqrt((diff * diff).sum(axis=-1), out=d[i0:i0 + rows])
     if not np.isfinite(d).all():
         raise ValidationError("pairwise distances overflow to non-finite values")
-    dup_tol = 1e-12 * max(1.0, float(d.max()))
+    dup_tol = 1e-12 * float(d.max())
     if np.count_nonzero(d <= dup_tol) > n:  # more than the diagonal
         i, j = _closest_pair(d)
         raise DuplicatePointError(

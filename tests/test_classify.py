@@ -6,6 +6,7 @@ from qhm import (
     centered_form,
     classify,
     energy,
+    euclidean_cloud,
     fixture,
     interval_grid,
     kernel_flat_values,
@@ -15,6 +16,7 @@ from qhm import (
     regular_polygon_arc,
     validate_metric,
 )
+from qhm.classify import _from_mass_zero, _restricted_form, _to_mass_zero
 from qhm.errors import NotApplicableError
 
 from conftest import random_cloud
@@ -45,6 +47,41 @@ class TestCenteredForm:
             lhs = float(a @ centered_form(x) @ a)
             rhs = -energy(x, measure(x, a))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def _householder_basis(n):
+    """The mass-zero basis Q formed explicitly: columns 1.. of
+    H = I - 2 v v' / v'v with v = e1 - ones/sqrt(n)."""
+    v = np.full(n, -1.0 / np.sqrt(n))
+    v[0] += 1.0
+    return (np.eye(n) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
+
+
+class TestMassZeroBasis:
+    @pytest.mark.parametrize("n", [2, 3, 8, 57])
+    def test_restricted_form_matches_explicit_basis(self, n):
+        x = euclidean_cloud(np.random.default_rng(n).uniform(size=(n, 3)))
+        q = _householder_basis(n)
+        b = _restricted_form(x.dist)
+        expected = -(q.T @ x.dist @ q)
+        assert np.array_equal(b, b.T)
+        assert np.abs(b - expected).max() <= 1e-13 * np.abs(expected).max()
+        # the same spectrum as the centered form minus its trivial zero
+        lam = np.linalg.eigvalsh(centered_form(x))
+        lam = np.delete(lam, np.argmin(np.abs(lam)))
+        assert np.allclose(np.linalg.eigvalsh(b), lam, atol=1e-12)
+
+    def test_single_point_form_is_empty(self):
+        assert _restricted_form(np.zeros((1, 1))).shape == (0, 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 57])
+    def test_vector_maps_match_explicit_basis(self, n):
+        rng = np.random.default_rng(n)
+        q = _householder_basis(n)
+        x, y = rng.standard_normal(n), rng.standard_normal(n - 1)
+        assert np.allclose(_to_mass_zero(x), q.T @ x, atol=1e-14)
+        assert np.allclose(_from_mass_zero(y), q @ y, atol=1e-14)
+        assert abs(_from_mass_zero(y).sum()) <= 1e-13
 
 
 class TestClassify:

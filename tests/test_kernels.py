@@ -1,5 +1,7 @@
 """Kernel checks: the tiled triangle scan matches a brute-force triple loop
-exactly, and the blocked ascent matches a one-step-at-a-time loop."""
+exactly, the blocked ascent matches a one-step-at-a-time loop, the blocked
+triangular solves match a dense solve, and the Perron bound brackets the
+spectral radius from above."""
 
 import numpy as np
 import pytest
@@ -11,10 +13,13 @@ from qhm._kernels import (
     ASCENT_CONVERGED,
     ASCENT_MAXITER,
     ASCENT_TILE,
+    TRI_BLOCK,
     TRIANGLE_TILE,
     TRIANGLE_TILE_ROWS,
     ascent,
     ascent_block,
+    cholesky_solver,
+    perron_upper_bound,
     worst_triangle_deficit,
 )
 from qhm.msolver import ascent_step_default
@@ -288,3 +293,47 @@ def test_ascent_stack_is_the_only_large_allocation(n):
     # besides the stack: A and its square while it is built, and a few
     # vectors of the block (potentials, gradients, iterates, records)
     assert peak < 8 * (stack + 3 * n * n * (b > 1) + 16 * b * n + 8 * n)
+
+
+# one row, one block minus one / exactly / plus one, two blocks plus three
+@pytest.mark.parametrize("m", [1, TRI_BLOCK - 1, TRI_BLOCK, TRI_BLOCK + 1,
+                               2 * TRI_BLOCK + 3])
+def test_cholesky_solver_matches_dense_solve(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m))
+    spd = a @ a.T + m * np.eye(m)
+    lower = np.linalg.cholesky(spd)
+    x = rng.standard_normal(m)
+    expected = np.linalg.solve(spd, x)
+    got = cholesky_solver(lower)(x)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+PERRON_SPACES = ["nw-thm2.9", "nw-thm2.9a", "fourpoint-antipodal",
+                 "interval-2", "interval-5", "circle-4", "circle-8",
+                 "circle-16", "ball3-2"]
+
+
+@pytest.mark.parametrize("key", PERRON_SPACES)
+def test_perron_upper_bound_on_fixtures(key):
+    d = fixture(key).space.dist
+    rho = float(np.abs(np.linalg.eigvalsh(d)).max())
+    bound = perron_upper_bound(d)
+    assert rho <= bound <= rho * (1.0 + 1e-12)
+
+
+def test_perron_upper_bound_on_random_spaces():
+    rng = np.random.default_rng(12)
+    for k in range(30):
+        d = (random_metric(int(rng.integers(2, 40)), k).dist if k % 2 else
+             euclidean_cloud(rng.uniform(size=(int(rng.integers(2, 60)), 3))).dist)
+        rho = float(np.abs(np.linalg.eigvalsh(d)).max())
+        assert rho <= perron_upper_bound(d) <= rho * (1.0 + 1e-12)
+
+
+def test_perron_upper_bound_at_iteration_cap(monkeypatch):
+    # stopped early, the upper end of the bracket is still above rho
+    monkeypatch.setattr(_kernels, "PERRON_MAX_ITER", 2)
+    d = fixture("nw-thm2.9a").space.dist
+    rho = float(np.abs(np.linalg.eigvalsh(d)).max())
+    assert perron_upper_bound(d) >= rho

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from qhm import (
+    DEFAULT_TOL,
     GlueSpec,
     Verdict,
     ascent_oracle,
+    ball_chain,
     centered_form,
     classify,
     diameter,
     energy,
     fixture,
+    fixture_keys,
     glue,
     glued_invariant,
     glued_m_predict,
@@ -30,8 +33,15 @@ from qhm import (
     validate_metric,
     verify_maximal,
 )
+from qhm.classify import (
+    DIRECT_SOLVE_MAX,
+    _certified_mass_zero,
+    _restricted_form,
+    certify_strict,
+)
 from qhm.errors import (
     ChainMismatchError,
+    FlatnessViolationError,
     InconsistencyError,
     InvalidInputError,
     NotInvariantInputError,
@@ -146,39 +156,199 @@ class TestEigenpairSolve:
 
 class _Counter:
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.calls, self.failures = fn, 0, 0
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.fn(*args, **kwargs)
+        try:
+            return self.fn(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            self.failures += 1
+            raise
 
 
 class TestOneFactorization:
+    """One factorization per decision: a Strict decision takes one Cholesky
+    and no eigh; any other verdict takes one failed Cholesky and one eigh."""
+
     @pytest.fixture
     def linalg_calls(self, monkeypatch):
         counters = {}
-        for name in ("eigh", "lstsq", "svd"):
+        for name in ("cholesky", "eigh", "lstsq", "svd"):
             counters[name] = _Counter(getattr(np.linalg, name))
             monkeypatch.setattr(np.linalg, name, counters[name])
         return counters
 
-    @pytest.mark.parametrize("key", ["interval-5", "circle-8", "nw-thm2.9",
-                                     "nw-thm2.9a"])
-    def test_m_constant_one_eigh(self, linalg_calls, key):
-        m_constant(fixture(key).space)
-        assert {k: c.calls for k, c in linalg_calls.items()} == {
-            "eigh": 1, "lstsq": 0, "svd": 0}
+    @staticmethod
+    def _counts(linalg_calls):
+        return {k: (c.calls, c.failures) for k, c in linalg_calls.items()}
 
-    def test_glue_diverge_one_eigh_per_decision(self, linalg_calls,
-                                                monkeypatch):
+    # ball3-2 has 129 points, so its solve is the refinement on the factor
+    @pytest.mark.parametrize("key", ["interval-5", "circle-2", "ball3-2"])
+    def test_m_constant_one_cholesky(self, linalg_calls, key):
+        dec = m_constant(fixture(key).space)
+        assert dec.diagnostics["certificate"] == "cholesky"
+        assert self._counts(linalg_calls) == {
+            "cholesky": (1, 0), "eigh": (0, 0), "lstsq": (0, 0), "svd": (0, 0)}
+
+    @pytest.mark.parametrize("key", ["circle-8", "nw-thm2.9", "nw-thm2.9a",
+                                     "fourpoint-antipodal"])
+    def test_m_constant_one_eigh(self, linalg_calls, key):
+        dec = m_constant(fixture(key).space)
+        assert dec.diagnostics["certificate"] == "eigh"
+        assert dec.diagnostics["verdict"] != "Strict"
+        assert self._counts(linalg_calls) == {
+            "cholesky": (1, 1), "eigh": (1, 0), "lstsq": (0, 0), "svd": (0, 0)}
+
+    @pytest.mark.parametrize("key,expected", [
+        ("interval-5", {"cholesky": (1, 0), "eigh": (0, 0)}),
+        ("circle-8", {"cholesky": (1, 1), "eigh": (1, 0)}),
+    ])
+    def test_invariant_measure(self, linalg_calls, key, expected):
+        invariant_measure(fixture(key).space)
+        counts = self._counts(linalg_calls)
+        assert {k: counts[k] for k in expected} == expected
+
+    def test_zero_tol_skips_the_certificate(self, linalg_calls):
+        # tau_hi = 0 is inside Cholesky's backward error: nothing to certify
+        dec = m_constant(interval_grid(0, 1, 5), tol=0.0)
+        assert dec.diagnostics["certificate"] == "eigh"
+        assert self._counts(linalg_calls)["cholesky"] == (0, 0)
+        assert self._counts(linalg_calls)["eigh"] == (1, 0)
+
+    def test_glue_diverge_one_cholesky_per_decision(self, linalg_calls,
+                                                    monkeypatch):
         import qhm.experiments as experiments
 
         decisions = _Counter(experiments.m_constant)
         monkeypatch.setattr(experiments, "m_constant", decisions)
         run_glue_diverge([11, 21])
         assert decisions.calls == 4
-        assert linalg_calls["eigh"].calls == decisions.calls
-        assert linalg_calls["lstsq"].calls == linalg_calls["svd"].calls == 0
+        assert self._counts(linalg_calls) == {
+            "cholesky": (4, 0), "eigh": (0, 0), "lstsq": (0, 0), "svd": (0, 0)}
+
+
+def _decide_both(space, tol=DEFAULT_TOL):
+    """m_constant on the certified path and with the certificate disabled."""
+    import qhm.msolver as msolver
+
+    certified = m_constant(space, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(msolver, "certify_strict", lambda b, tol: None)
+        reference = m_constant(space, tol)
+    assert reference.diagnostics["certificate"] == "eigh"
+    return certified, reference
+
+
+def _assert_agree(certified, reference):
+    assert certified.status == reference.status
+    assert certified.reason == reference.reason
+    assert (certified.diagnostics["verdict"]
+            == reference.diagnostics["verdict"])
+    if certified.finite:
+        assert certified.value == pytest.approx(reference.value, rel=1e-12)
+        assert np.abs(certified.maximal_measure.weights
+                      - reference.maximal_measure.weights).max() <= 1e-10
+        assert certified.diagnostics["unique"] == reference.diagnostics["unique"]
+
+
+class TestCertifiedPath:
+    """The Cholesky-certified Strict path against the eigh path."""
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            certified, reference = _decide_both(random_cloud(rng))
+            assert certified.diagnostics["certificate"] == "cholesky"
+            _assert_agree(certified, reference)
+
+    @pytest.mark.parametrize("key", [k for k in fixture_keys() if "<" not in k]
+                             + ["interval-2", "interval-9", "circle-2",
+                                "circle-8", "circle-16", "ball3-1", "ball3-2"])
+    def test_catalogue_fixtures(self, key):
+        fx = fixture(key)
+        certified, reference = _decide_both(fx.space)
+        _assert_agree(certified, reference)
+        strict = fx.expected.verdict is Verdict.STRICT
+        assert (certified.diagnostics["certificate"] == "cholesky") == strict
+
+    def test_ball_chain(self):
+        _, _, spaces = ball_chain([51, 101, 201, 401, 801])
+        for space in spaces:
+            certified, reference = _decide_both(space)
+            assert certified.diagnostics["certificate"] == "cholesky"
+            _assert_agree(certified, reference)
+
+    @pytest.mark.parametrize("key", ["interval-5", "circle-8", "nw-thm2.9a",
+                                     "ball3-2"])
+    def test_invariant_measure_matches_eigenpair_solve(self, key):
+        from qhm.msolver import _invariant_solve
+
+        space = fixture(key).space
+        got = invariant_measure(space)
+        ref = _invariant_solve(space, classify(space), DEFAULT_TOL)
+        assert got.unique == ref.unique
+        assert got.value == pytest.approx(ref.value, rel=1e-12)
+        assert np.abs(got.measure.weights - ref.measure.weights).max() <= 1e-10
+
+    def test_diagnostics(self):
+        x = fixture("ball3-1").space
+        b = _restricted_form(x.dist)
+        lam_min = float(np.linalg.eigvalsh(b)[0])
+        dec = m_constant(x)
+        assert dec.diagnostics["certificate"] == "cholesky"
+        tau_hi = DEFAULT_TOL * max(1.0, float(np.linalg.norm(b)))
+        assert dec.diagnostics["margin"] == tau_hi
+        assert classify(x).tol_used <= tau_hi < lam_min
+        dec = m_constant(fixture("circle-8").space)
+        assert dec.diagnostics["certificate"] == "eigh"
+        assert dec.diagnostics["margin"] == classify(fixture("circle-8").space).margin
+
+    def test_refinement_that_does_not_contract_falls_back(self):
+        # shift = lambda_min / 1.5: the factor exists, but refinement
+        # multiplies the error by shift / (lambda_min - shift) = 2
+        _, _, (x,) = ball_chain([101])
+        b = _restricted_form(x.dist)
+        assert b.shape[0] > DIRECT_SOLVE_MAX
+        lam_min = float(np.linalg.eigvalsh(b)[0])
+        tol = lam_min / 1.5 / max(1.0, float(np.linalg.norm(b)))
+        cert = certify_strict(b, tol)
+        assert cert is not None
+        assert _certified_mass_zero(cert, x.dist @ np.full(x.n, 1.0 / x.n)) is None
+        dec = m_constant(x, tol)
+        assert dec.diagnostics["certificate"] == "eigh"
+        assert dec.diagnostics["verdict"] == "Strict"
+        assert dec.value == pytest.approx(m_constant(x).value, rel=1e-12)
+
+    @pytest.mark.parametrize("target", ["tau_hi", "tau"])
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 - 1e-7, 1 + 1e-7, 1 + 1e-3])
+    def test_straddle(self, target, factor):
+        # tol puts tau_hi (or classify's tau) just below or just above
+        # lambda_min: the certificate never says Strict where eigh does not
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            x = validate_metric(random_cloud(rng).dist * 10.0)
+            b = _restricted_form(x.dist)
+            vals = np.linalg.eigvalsh(b)
+            scale = (float(np.linalg.norm(b)) if target == "tau_hi"
+                     else float(np.abs(vals).max()))
+            assert scale > 1.0
+            tol = factor * float(vals[0]) / scale
+            cert = certify_strict(b, tol)
+            cls = classify(x, tol)
+            if cert is not None:
+                assert cls.verdict is Verdict.STRICT
+                assert cert.margin < vals[0]
+            if target == "tau_hi":
+                assert (cert is not None) == (factor < 1.0)
+            else:
+                assert cert is None
+                assert (cls.verdict is Verdict.STRICT) == (factor < 1.0)
+            if cls.verdict is Verdict.STRICT:
+                assert m_constant(x, tol).diagnostics["verdict"] == "Strict"
+            else:  # lambda_min is no degenerate direction: tol too loose
+                with pytest.raises(FlatnessViolationError):
+                    m_constant(x, tol)
 
 
 BAD_TOLS = [math.nan, math.inf, -math.inf, -1.0, -1e-12]
@@ -205,6 +375,14 @@ class TestToleranceChecked:
 
     def test_zero_tol_accepted(self):
         assert classify(interval_grid(0, 1, 5), 0.0).verdict is Verdict.STRICT
+
+    def test_zero_tol_solves(self):
+        # the residual check has its own floor, so tol = 0 still finds M
+        x = interval_grid(0, 1, 5)
+        dec = m_constant(x, 0.0)
+        assert dec.finite
+        assert dec.value == pytest.approx(0.5, abs=1e-12)
+        assert invariant_measure(x, 0.0).value == pytest.approx(0.5, abs=1e-12)
 
 
 class TestMConstant:
@@ -358,6 +536,26 @@ class TestGluedInvariant:
 
 
 class TestAscentOracle:
+    @pytest.mark.parametrize("perron_min_points", [2, None])
+    def test_default_step_never_above_spectral_step(self, perron_min_points,
+                                                    monkeypatch):
+        # the step 1/(2 rho) from eigvalsh is the largest that keeps the
+        # ascent monotone; the Perron bound may only shrink it, by < 1e-12
+        import qhm.msolver as msolver
+
+        if perron_min_points is not None:
+            monkeypatch.setattr(msolver, "PERRON_MIN_POINTS", perron_min_points)
+        spaces = [fixture(k).space for k in
+                  ["nw-thm2.9", "nw-thm2.9a", "fourpoint-antipodal",
+                   "interval-2", "interval-5", "circle-8", "ball3-1"]]
+        spaces += ball_chain([201, 801])[2]
+        for space in spaces:
+            rho = float(np.abs(np.linalg.eigvalsh(space.dist)).max())
+            spectral = 1.0 / (2.0 * rho)
+            step = msolver.ascent_step_default(space)
+            assert step <= spectral
+            assert step >= spectral * (1.0 - 1e-12)
+
     def test_interval_converges_to_half(self):
         trace = ascent_oracle(interval_grid(0, 1, 5), iterations=100_000, seed=3)
         assert abs(trace.best_value - 0.5) <= 1e-6

@@ -153,6 +153,19 @@ class TestBuilders:
         with pytest.raises(DuplicatePointError):
             euclidean_cloud([[0, 0], [0, 0], [1, 1]])
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_euclidean_duplicate_tolerance_scales_with_diameter(self, scale):
+        # distinct points at any scale build; coincident ones still raise
+        pts = np.random.default_rng(3).uniform(size=(8, 3)) * scale
+        assert euclidean_cloud(pts).n == 8
+        with pytest.raises(DuplicatePointError):
+            euclidean_cloud(np.vstack([pts, pts[2]]))
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_euclidean_all_points_equal(self, n):
+        with pytest.raises(DuplicatePointError):
+            euclidean_cloud(np.full((n, 3), 0.25))
+
     def test_euclidean_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
