@@ -31,6 +31,10 @@ class NonzeroDiagonalError(ValidationError):
     pass
 
 
+class MalformedMatrixError(ValidationError):
+    """Rows of unequal length, or entries that are not real numbers."""
+
+
 class TriangleViolationError(ValidationError):
     """Triangle inequality violated; carries the worst offending triple."""
 

@@ -20,6 +20,21 @@ metrics by construction and skip it:
 
 Scanning these outputs anyway still passes (tests check it at the builders'
 own tolerances).
+
+Construction and the O(n^2) checks run at memory speed, a few contiguous
+passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries:
+
+- `euclidean_cloud` fills row blocks of the result one coordinate at a time,
+  in the summation order of numpy's own reduction, so its distances are bit
+  for bit those of the one-array formula; it reads the largest and the
+  smallest off-diagonal distance from each block while it is in cache;
+- the checks read finiteness, negativity and scale from one min and one max,
+  and asymmetry and zero distances from one pass over square tiles of the
+  upper triangle against the transposed tiles below it. Only an error
+  recomputes its (i, j) from the whole matrix;
+- builder outputs are checked in place; `validate_metric` (which the JSON
+  readers call) builds its own array, so a caller's array is never aliased;
+- `subspace` of every point in order shares the parent's read-only matrix.
 """
 
 import json
@@ -37,6 +52,7 @@ from .errors import (
     EmptySelectionError,
     IndexOutOfRangeError,
     InvalidInputError,
+    MalformedMatrixError,
     NegativeEntryError,
     NonSquareError,
     NonzeroDiagonalError,
@@ -96,47 +112,127 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(n))
 
 
-def _checked_matrix(matrix, tol_triangle):
+def _checked_matrix(matrix, tol_triangle, owned=False):
     """The O(n^2) checks shared by every way in: a finite square matrix with
     zero diagonal, nonnegative and (up to `tol_triangle`) symmetric entries,
     positive between distinct points. Returns the symmetrized matrix and the
-    absolute triangle tolerance."""
+    absolute triangle tolerance.
+
+    `owned` says `matrix` is a fresh float64 array that the caller hands
+    over (a builder's output): it is checked in place instead of copied.
+    The checks read one min, one max and one tiled pass over the upper
+    triangle (`_asymmetry`); an error path may recompute its detail over the
+    whole matrix."""
     if tol_triangle is not None:
         tol_triangle = float(tol_triangle)
         if not (math.isfinite(tol_triangle) and tol_triangle >= 0.0):
             raise InvalidInputError(
                 f"tol_triangle must be a finite number >= 0, got {tol_triangle!r}")
-    d = np.array(matrix, dtype=np.float64)
+    d = matrix if owned else _float_array(matrix)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
         raise NonSquareError(f"expected a nonempty square matrix, got shape {d.shape}")
     n = d.shape[0]
-    if not np.isfinite(d).all():
+    lo, hi = float(d.min()), float(d.max())  # a NaN entry makes both NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("matrix contains non-finite entries")
-    if (np.diag(d) != 0.0).any():
-        i = int(np.flatnonzero(np.diag(d))[0])
+    if np.diagonal(d).any():
+        i = int(np.flatnonzero(np.diagonal(d))[0])
         raise NonzeroDiagonalError(f"diagonal entry ({i},{i}) = {d[i, i]} must be 0")
-    if (d < 0.0).any():
+    if lo < 0.0:
         i, j = np.unravel_index(int(np.argmin(d)), d.shape)
         raise NegativeEntryError(f"entry ({i},{j}) = {d[i, j]} is negative")
 
-    scale = float(d.max()) if n > 1 else 0.0
+    scale = hi if n > 1 else 0.0
     tol = TRIANGLE_TOL_REL * scale if tol_triangle is None else tol_triangle
 
-    asym = d - d.T
-    np.abs(asym, out=asym)
-    worst_asym = float(asym.max()) if n > 1 else 0.0
+    worst_asym, zero_off_diagonal = _asymmetry(d)
     if worst_asym > tol:
+        asym = np.abs(d - d.T)
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise AsymmetryExceedsToleranceError(
             f"entries ({i},{j}) and ({j},{i}) differ by {worst_asym} > {tol}")
     if worst_asym > 0.0:
         d = (d + d.T) / 2.0
+        zero_off_diagonal = np.count_nonzero(d <= 0.0) > n
 
-    if np.count_nonzero(d <= 0.0) > n:  # more zeros than the diagonal
+    if zero_off_diagonal:
         i, j = _closest_pair(d)
         raise ValidationError(
             f"distance ({i},{j}) between distinct points must be positive")
     return d, tol
+
+
+# Side of the square tiles of the asymmetry pass: TRIANGLE_TILE entries each.
+ASYMMETRY_SIDE = math.isqrt(TRIANGLE_TILE)
+
+
+def _asymmetry(d):
+    """max |d(i,j) - d(j,i)| of a finite nonnegative square matrix with zero
+    diagonal, and whether the tiles on and above the diagonal hold a zero off
+    the diagonal (when the maximum is 0, d is symmetric and that covers every
+    off-diagonal entry).
+
+    One pass over square tiles on and above the diagonal, each against the
+    transposed tile below it: no n x n temporary. |a - b| = |b - a| bit for
+    bit, so the maximum equals that of the full |d - d'|."""
+    n = d.shape[0]
+    side = ASYMMETRY_SIDE
+    buf = np.empty(min(n, side) ** 2)
+    worst = 0.0
+    zeros = 0
+    for i0 in range(0, n, side):
+        for j0 in range(i0, n, side):
+            upper = d[i0:i0 + side, j0:j0 + side]
+            diff = buf[:upper.size].reshape(upper.shape)
+            np.subtract(upper, d[j0:j0 + side, i0:i0 + side].T, out=diff)
+            worst = max(worst, float(np.abs(diff, out=diff).max()))
+            zeros += np.count_nonzero(upper == 0.0)
+    # the diagonal tiles hold the n diagonal zeros
+    return worst, zeros > n
+
+
+_PY_REALS = {int, float}
+
+
+def _is_real_type(t) -> bool:
+    return (issubclass(t, (int, float, np.integer, np.floating))
+            and not issubclass(t, (bool, np.bool_)))
+
+
+def _check_rows(rows):
+    """Reject a nested sequence whose rows differ in length or hold anything
+    but real numbers (booleans, strings and other objects are not), naming
+    the first such row. Entries that are not sequences are left to the
+    shape check."""
+    width = None
+    for i, row in enumerate(rows):
+        if isinstance(row, np.ndarray) and row.ndim == 1:
+            real = row.dtype.kind in "iuf"
+        elif isinstance(row, (list, tuple)):
+            kinds = set(map(type, row))
+            real = kinds <= _PY_REALS or all(map(_is_real_type, kinds))
+        else:
+            continue
+        if width is None:
+            first, width = i, len(row)
+        elif len(row) != width:
+            raise MalformedMatrixError(
+                f"matrix row {i} has {len(row)} entries but row {first} has {width}")
+        if not real:
+            raise MalformedMatrixError(
+                f"matrix row {i} holds entries that are not real numbers")
+
+
+def _float_array(matrix):
+    """A fresh float64 copy of a numeric array or of a nested sequence of
+    real numbers; anything else raises MalformedMatrixError."""
+    if isinstance(matrix, np.ndarray):
+        if matrix.dtype.kind not in "iuf":
+            raise MalformedMatrixError(
+                f"matrix entries must be real numbers, got dtype {matrix.dtype}")
+    elif isinstance(matrix, (list, tuple)):
+        _check_rows(matrix)
+    return np.array(matrix, dtype=np.float64)
 
 
 def _closest_pair(d):
@@ -167,7 +263,9 @@ def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
     runs. Small asymmetries (within `tol_triangle`) are repaired by averaging
     the (i, j) and (j, i) entries before the scan. `tol_triangle` defaults to
     1e-9 relative to the diameter; it exists only to absorb floating
-    construction error, and must be finite and nonnegative.
+    construction error, and must be finite and nonnegative. Entries must be
+    real numbers: ragged rows, strings, booleans and other objects raise
+    MalformedMatrixError. The matrix is copied, never aliased.
     """
     d, tol = _checked_matrix(matrix, tol_triangle)
     if d.shape[0] > 1:
@@ -182,8 +280,10 @@ def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
 def _metric_by_construction(d, labels=None, tol_triangle: float | None = None,
                             name: str = "") -> FiniteMetricSpace:
     """Builder exit: every O(n^2) check of validate_metric, but no triangle
-    scan, for matrices that are metrics by the way they were built."""
-    d, _ = _checked_matrix(d, tol_triangle)
+    scan, for matrices that are metrics by the way they were built. `d` is
+    the builder's own fresh float64 array; it is checked in place, not
+    copied."""
+    d, _ = _checked_matrix(d, tol_triangle, owned=True)
     return _space(d, labels, name)
 
 
@@ -193,7 +293,9 @@ def diameter(space: FiniteMetricSpace) -> float:
 
 
 def subspace(space: FiniteMetricSpace, indices) -> FiniteMetricSpace:
-    """Restriction to the selected points; labels carried over."""
+    """Restriction to the selected points; labels carried over. Selecting
+    every point in order shares the parent's read-only matrix; any other
+    selection copies."""
     idx = list(indices)
     if not idx:
         raise EmptySelectionError("no indices selected")
@@ -204,6 +306,9 @@ def subspace(space: FiniteMetricSpace, indices) -> FiniteMetricSpace:
         if i in seen:
             raise DuplicateIndexError(f"index {i} selected twice")
         seen.add(i)
+    if idx == list(range(space.n)):  # the whole space: share its matrix
+        return FiniteMetricSpace(labels=space.labels, dist=space.dist,
+                                 name=space.name)
     ia = np.asarray(idx, dtype=np.intp)
     d = np.ascontiguousarray(space.dist[np.ix_(ia, ia)])
     return FiniteMetricSpace(labels=tuple(space.labels[i] for i in idx),
@@ -275,11 +380,28 @@ def regular_polygon_arc(n: int) -> FiniteMetricSpace:
                                    tol_triangle=0.0, name=f"circle({n})")
 
 
+# Clouds with n^2 k at most this many coordinate differences take the
+# one-array formula: below it the per-coordinate loop costs more in calls
+# than it saves in memory traffic.
+ONE_ARRAY_MAX = 4096
+
+
 def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
     """Pairwise euclidean distances of a finite point cloud.
 
     Raises ValidationError when a distance overflows and DuplicatePointError
     when two points coincide to 1e-12 of the diameter.
+
+    Rows are computed in blocks of at most TRIANGLE_TILE entries straight
+    into the result. Each entry is the square root of its squared coordinate
+    differences summed in the order numpy's reduction over the coordinate
+    axis of one (n, n, k) array uses, which is sequential below 8
+    coordinates: there the block accumulates one coordinate at a time
+    (`_add_squared_differences`). From 8 coordinates on, and for clouds of
+    at most ONE_ARRAY_MAX differences, each block is that reduction itself.
+    Either way the distances are bit for bit those of the one-array
+    formula. The largest entry and the smallest off-diagonal entry are read
+    per block while it is in cache.
     """
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim == 1:
@@ -289,22 +411,51 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
     if not np.isfinite(pts).all():
         raise InvalidInputError("coordinates must be finite")
     n, k = pts.shape
-    # rows in blocks of at most TRIANGLE_TILE coordinate differences, each
-    # reduced over the coordinates exactly as one (n, n, k) array would be
-    rows = max(1, TRIANGLE_TILE // (n * k))
+    one_array = k >= 8 or n * n * k <= ONE_ARRAY_MAX
+    rows = max(1, TRIANGLE_TILE // (n * k if one_array else n))
     d = np.empty((n, n))
+    if not one_array:
+        cols = np.ascontiguousarray(pts.T)
+        buf = np.empty(min(n, rows) * n)
+    largest, closest = 0.0, np.inf
     with np.errstate(over="ignore"):
         for i0 in range(0, n, rows):
-            diff = pts[i0:i0 + rows, None, :] - pts[None, :, :]
-            np.sqrt((diff * diff).sum(axis=-1), out=d[i0:i0 + rows])
-    if not np.isfinite(d).all():
+            block = d[i0:i0 + rows]
+            if one_array:
+                diff = pts[i0:i0 + rows, None, :] - pts[None, :, :]
+                np.sqrt((diff * diff).sum(axis=-1), out=block)
+            else:
+                _add_squared_differences(
+                    block, cols, i0, buf[:block.size].reshape(block.shape))
+                np.sqrt(block, out=block)
+            # distances are never NaN: an overflow shows as +inf here
+            largest = max(largest, float(block.max()))
+            diagonal = block.reshape(-1)[i0::n + 1]
+            diagonal[:] = np.inf
+            closest = min(closest, float(block.min()))
+            diagonal[:] = 0.0
+    if not math.isfinite(largest):
         raise ValidationError("pairwise distances overflow to non-finite values")
-    dup_tol = 1e-12 * float(d.max())
-    if np.count_nonzero(d <= dup_tol) > n:  # more than the diagonal
+    dup_tol = 1e-12 * largest
+    if closest <= dup_tol:
         i, j = _closest_pair(d)
         raise DuplicatePointError(
             f"points {i} and {j} coincide within tolerance {dup_tol}")
     return _metric_by_construction(d, labels=labels, name=name or f"cloud({n})")
+
+
+def _add_squared_differences(block, cols, i0, tmp):
+    """Fill `block`, rows i0.. of the distance matrix, with the sums over
+    coordinates c = 0, 1, ... of (x_c(i) - x_c(j))^2, added left to right;
+    `cols` holds one coordinate per row, `tmp` is scratch of the block's
+    shape."""
+    rows = block.shape[0]
+    np.subtract.outer(cols[0, i0:i0 + rows], cols[0], out=block)
+    np.square(block, out=block)
+    for x in cols[1:]:
+        np.subtract.outer(x[i0:i0 + rows], x, out=tmp)
+        np.square(tmp, out=tmp)
+        block += tmp
 
 
 def _sphere_lattice(count: int, radius: float) -> np.ndarray:
@@ -362,13 +513,11 @@ def random_metric(n: int, seed: int) -> FiniteMetricSpace:
 # save/load round trip is bit-exact.
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def space_to_json(space: FiniteMetricSpace) -> str:
-    rows = ",\n      ".join(
-        "[" + ", ".join(_fmt17(v) for v in row) + "]" for row in space.dist)
+    # one "%.17g" per entry, filled a row at a time: the same text as
+    # format(v, ".17g") entry by entry, without a Python call per entry
+    row = "[" + ", ".join(["%.17g"] * space.n) + "]"
+    rows = ",\n      ".join(row % tuple(r.tolist()) for r in space.dist)
     return (
         "{\n"
         f'  "name": {json.dumps(space.name)},\n'
@@ -403,8 +552,11 @@ def space_from_json(text: str, tol_triangle: float | None = None) -> FiniteMetri
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
-    return validate_metric(matrix, labels=labels, tol_triangle=tol_triangle,
-                           name=name)
+    try:
+        return validate_metric(matrix, labels=labels,
+                               tol_triangle=tol_triangle, name=name)
+    except MalformedMatrixError as exc:  # a ragged or non-numeric row
+        raise ParseError(str(exc)) from exc
 
 
 def load_space(path, tol_triangle: float | None = None) -> FiniteMetricSpace:

@@ -5,6 +5,8 @@ code with the package kernels) so tests compare two unrelated evaluation
 routes.
 """
 
+import json
+
 import numpy as np
 
 from qhm import InvariantSolve, diameter, measure, potential
@@ -133,3 +135,21 @@ def bordered_invariant_measure(space, tol=1e-9):
     residual = float(np.abs(potential(space, mu) - c).max())
     return InvariantSolve(measure=mu, value=c, residual=residual,
                           unique=bool(rank == n + 1))
+
+
+def _fmt17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_space_to_json(space):
+    """The space JSON writer formatting one entry per Python call: the
+    reference for the row-template writer."""
+    rows = ",\n      ".join(
+        "[" + ", ".join(_fmt17(v) for v in row) + "]" for row in space.dist)
+    return (
+        "{\n"
+        f'  "name": {json.dumps(space.name)},\n'
+        f'  "labels": {json.dumps(list(space.labels))},\n'
+        f'  "matrix": [\n      {rows}\n  ]\n'
+        "}\n"
+    )

@@ -204,6 +204,21 @@ class TestExitCodes:
         bad.write_text("{nope")
         assert run_cli(capsys, "classify", str(bad))[0] == 2
 
+    @pytest.mark.parametrize("matrix", [
+        "[[0, 1, 2], [1, 0]]",
+        '[[0, "1"], ["1", 0]]',
+        "[[0, true], [true, 0]]",
+    ])
+    @pytest.mark.parametrize("verb", ["classify", "mconstant"])
+    def test_malformed_matrix_exit_2(self, capsys, tmp_path, matrix, verb):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"matrix": %s}' % matrix)
+        code, out, err = run_cli(capsys, verb, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: matrix row ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exit_2(self, capsys, tol):
         code, _, err = run_cli(capsys, "--tol", tol, "classify", "--fixture",

@@ -32,6 +32,7 @@ from qhm.errors import (
     EmptySelectionError,
     IndexOutOfRangeError,
     InvalidInputError,
+    MalformedMatrixError,
     NegativeEntryError,
     NonSquareError,
     NonzeroDiagonalError,
@@ -41,6 +42,10 @@ from qhm.errors import (
     ValidationError,
 )
 from qhm.spaces import space_from_json, space_to_json
+from qhm._kernels import TRIANGLE_TILE
+from qhm.fixtures import fixture
+
+from oracles import reference_space_to_json
 
 
 class TestValidateMetric:
@@ -406,3 +411,290 @@ class TestSpaceJson:
     def test_labels_must_be_strings(self):
         with pytest.raises(ParseError):
             space_from_json('{"matrix": [[0, 1], [1, 0]], "labels": [1, 2]}')
+
+
+def _one_array_distances(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+class TestEuclideanConstruction:
+    """Per-coordinate row blocks against the one-array formula."""
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 300, 513])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_row_block_edges_bit_identical(self, n, k):
+        # TRIANGLE_TILE // n rows per block: one block, an exact fit and
+        # blocks with a short last block
+        pts = np.random.default_rng(n * 10 + k).standard_normal((n, k)) * 3.0
+        assert np.array_equal(euclidean_cloud(pts).dist,
+                              _one_array_distances(pts))
+
+    @pytest.mark.parametrize("n, k, per_coordinate", [
+        (64, 1, False), (65, 1, True),
+        (36, 3, False), (37, 3, True),
+        (24, 7, False), (25, 7, True),
+        (300, 8, False), (200, 9, False),
+    ])
+    def test_shape_dispatch_bit_identical(self, n, k, per_coordinate,
+                                          monkeypatch):
+        calls = []
+        kernel = qhm.spaces._add_squared_differences
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(qhm.spaces, "_add_squared_differences", counted)
+        pts = np.random.default_rng(n + k).uniform(-5.0, 5.0, (n, k))
+        assert per_coordinate == (k < 8 and n * n * k > qhm.spaces.ONE_ARRAY_MAX)
+        assert np.array_equal(euclidean_cloud(pts).dist,
+                              _one_array_distances(pts))
+        assert bool(calls) == per_coordinate
+
+    def test_peak_memory_is_result_plus_3mb(self):
+        import tracemalloc
+
+        n = 801
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (n, 3))
+        tracemalloc.start()
+        try:
+            euclidean_cloud(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 + 3e6
+
+    def test_duplicate_in_a_later_block(self):
+        pts = np.random.default_rng(2).uniform(size=(400, 3))
+        pts[390] = pts[5]
+        with pytest.raises(DuplicatePointError) as exc:
+            euclidean_cloud(pts)
+        assert str(exc.value).startswith("points 5 and 390 coincide")
+
+
+class TestReadOnlyAndOwnership:
+    def test_validate_leaves_caller_array_alone(self):
+        a = random_metric(40, 3).dist.copy()
+        kept = a.copy()
+        x = validate_metric(a)
+        assert a.flags.writeable
+        assert not np.shares_memory(a, x.dist)
+        a[0, 1] = a[1, 0] = 1.5
+        assert np.array_equal(x.dist, kept)
+
+    def test_validate_copies_a_read_only_input(self):
+        x = random_metric(20, 1)
+        y = validate_metric(x.dist)
+        assert not np.shares_memory(x.dist, y.dist)
+        assert np.array_equal(x.dist, y.dist)
+
+    @pytest.mark.parametrize("build", [
+        lambda: interval_grid(0, 1, 7),
+        lambda: regular_polygon_arc(9),
+        lambda: random_metric(12, 5),
+        lambda: euclidean_cloud(np.random.default_rng(1).uniform(size=(50, 3))),
+        lambda: euclidean_cloud(np.random.default_rng(1).uniform(size=(5, 2))),
+        lambda: ball_discretization(2, 8),
+        lambda: glue(GlueSpec(random_metric(3, 1), random_metric(4, 2), 1.5)),
+        lambda: ball_chain([21, 41])[2][1],
+        lambda: validate_metric([[0, 1], [1, 0]]),
+        lambda: space_from_json('{"matrix": [[0, 1], [1, 0]]}'),
+    ])
+    def test_outputs_are_read_only(self, build):
+        x = build()
+        assert not x.dist.flags.writeable
+        with pytest.raises(ValueError):
+            x.dist[0, -1] = 9.0
+
+
+class TestSubspaceSharing:
+    def test_identity_selection_shares_the_matrix(self):
+        x = euclidean_cloud(np.random.default_rng(4).uniform(size=(30, 3)))
+        y = subspace(x, range(30))
+        assert y.dist is x.dist or np.shares_memory(y.dist, x.dist)
+        assert not y.dist.flags.writeable
+        assert np.array_equal(y.dist, x.dist)
+        assert y.labels == x.labels and y.name == x.name
+
+    @pytest.mark.parametrize("sel", [
+        list(range(29)), list(range(1, 30)), list(range(29, -1, -1)),
+        [1, 0] + list(range(2, 30)), [0, 2, 4],
+    ])
+    def test_other_selections_copy(self, sel):
+        x = euclidean_cloud(np.random.default_rng(4).uniform(size=(30, 3)))
+        y = subspace(x, sel)
+        assert not np.shares_memory(y.dist, x.dist)
+        assert not y.dist.flags.writeable
+        assert np.array_equal(y.dist, x.dist[np.ix_(sel, sel)])
+
+    def test_top_of_ball_chain_shares_the_master(self):
+        master, chains, spaces = ball_chain([41, 51])
+        assert chains[-1] == list(range(master.n))
+        assert np.shares_memory(spaces[-1].dist, master.dist)
+        assert not np.shares_memory(spaces[0].dist, master.dist)
+
+
+class TestCheckMessages:
+    """Each O(n^2) check keeps its message and reported indices, on the
+    validate path and on the builder exit, with the offending entry in
+    several tiles of a 300-point matrix."""
+
+    N = 300
+
+    def _base(self):
+        return random_metric(self.N, 11).dist.copy()
+
+    def _raises(self, d, error, message, tol_triangle=None):
+        for check in (
+                lambda: validate_metric(d, tol_triangle=tol_triangle),
+                lambda: qhm.spaces._metric_by_construction(
+                    d.copy(), tol_triangle=tol_triangle)):
+            with pytest.raises(error) as exc:
+                check()
+            assert type(exc.value) is error
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 1), (280, 20), (299, 299)])
+    def test_non_finite(self, value, at):
+        d = self._base()
+        d[at] = value
+        self._raises(d, ValidationError, "matrix contains non-finite entries")
+
+    @pytest.mark.parametrize("i", [0, 255, 256, 299])
+    def test_nonzero_diagonal(self, i):
+        d = self._base()
+        d[i, i] = 0.5
+        d[i + 1 - 2 * (i == 299), 3] = 0.5  # an off-diagonal entry too
+        self._raises(d, NonzeroDiagonalError,
+                     f"diagonal entry ({i},{i}) = 0.5 must be 0")
+
+    def test_negative_entry_first_minimum(self):
+        d = self._base()
+        d[290, 3] = -0.5
+        d[3, 290] = -0.25
+        d[295, 1] = -0.5
+        self._raises(d, NegativeEntryError, "entry (290,3) = -0.5 is negative")
+
+    @pytest.mark.parametrize("i, j", [(10, 280), (280, 10), (257, 299)])
+    def test_asymmetry_reports_upper_entry(self, i, j):
+        d = self._base()
+        d[i, j], d[j, i] = 1.75, 1.5
+        d[5, 6] += 1e-4  # a smaller asymmetry elsewhere
+        lo, hi = min(i, j), max(i, j)
+        self._raises(d, AsymmetryExceedsToleranceError,
+                     f"entries ({lo},{hi}) and ({hi},{lo}) differ by 0.25 > 0.001",
+                     tol_triangle=1e-3)
+
+    def test_asymmetry_default_tolerance(self):
+        d = self._base()
+        d[100, 200] = 1.0
+        d[200, 100] = 2.0
+        tol = 1e-9 * float(d.max())
+        self._raises(d, AsymmetryExceedsToleranceError,
+                     f"entries (100,200) and (200,100) differ by 1.0 > {tol}")
+
+    @pytest.mark.parametrize("i, j", [(7, 250), (260, 270), (0, 299)])
+    def test_zero_off_diagonal(self, i, j):
+        d = self._base()
+        d[i, j] = d[j, i] = 0.0
+        self._raises(d, ValidationError,
+                     f"distance ({i},{j}) between distinct points must be positive")
+
+    def test_zero_after_averaging_within_tolerance(self):
+        d = self._base()
+        d[4, 280], d[280, 4] = 0.0, 5e-324  # averages to 0
+        self._raises(d, ValidationError,
+                     "distance (4,280) between distinct points must be positive",
+                     tol_triangle=1e-9)
+        d[280, 4] = 1e-12  # averages to 5e-13: positive, and repaired
+        repaired, _ = qhm.spaces._checked_matrix(d, 1e-9)
+        assert repaired[4, 280] == repaired[280, 4] == 5e-13
+
+
+class TestMalformedMatrices:
+    @pytest.mark.parametrize("text, row", [
+        ('{"matrix": [[0, 1, 2], [1, 0]]}', 1),
+        ('{"matrix": [[0, 1], [1, 0, 2], [2, 2, 0]]}', 1),
+        ('{"matrix": [[0, "1"], ["1", 0]]}', 0),
+        ('{"matrix": [[0, 1], [true, 0]]}', 1),
+        ('{"matrix": [[0, 1, 1], [1, 0, 1], [1, null, 0]]}', 2),
+        ('{"matrix": [[0, {}], [{}, 0]]}', 0),
+        ('{"matrix": [[0, [1]], [[1], 0]]}', 0),
+    ])
+    def test_json_names_the_row(self, text, row):
+        with pytest.raises(ParseError) as exc:
+            space_from_json(text)
+        assert str(exc.value).startswith(f"matrix row {row} ")
+
+    def test_json_rectangular_is_still_non_square(self):
+        with pytest.raises(NonSquareError):
+            space_from_json('{"matrix": [[0, 1, 2], [1, 0, 1]]}')
+
+    def test_json_integers_and_big_integers_parse(self):
+        x = space_from_json('{"matrix": [[0, 100000000000000000000], '
+                            '[100000000000000000000, 0]]}')
+        assert x.dist[0, 1] == 1e20
+
+    @pytest.mark.parametrize("matrix", [
+        [[0, "1"], ["1", 0]],
+        [[0, True], [True, 0]],
+        [[False, True], [True, False]],
+        [[0, None], [None, 0]],
+        [[0, {}], [{}, 0]],
+        np.array([[False, True], [True, False]]),
+        np.array([["0", "1"], ["1", "0"]]),
+        np.array([[0, 1], [1, 0]], dtype=object),
+    ])
+    def test_validate_rejects_non_numbers(self, matrix):
+        with pytest.raises(MalformedMatrixError) as exc:
+            validate_metric(matrix)
+        assert "real numbers" in str(exc.value)
+
+    def test_validate_ragged(self):
+        with pytest.raises(MalformedMatrixError) as exc:
+            validate_metric([[0, 1, 2], [1, 0]])
+        assert str(exc.value) == "matrix row 1 has 2 entries but row 0 has 3"
+
+    @pytest.mark.parametrize("matrix", [
+        [[0, 1], [1, 0]],
+        [(0, 1.5), (1.5, 0)],
+        [np.array([0.0, 1.0]), np.array([1.0, 0.0])],
+        [[np.float32(0), np.int64(1)], [1, 0.0]],
+        np.array([[0, 1], [1, 0]], dtype=np.int32),
+    ])
+    def test_validate_accepts_real_numbers(self, matrix):
+        x = validate_metric(matrix)
+        assert x.dist.dtype == np.float64 and x.dist[0, 0] == 0.0
+
+
+class TestJsonWriter:
+    """The row-template writer against the entry-by-entry one, byte for
+    byte."""
+
+    @pytest.mark.parametrize("key", ["nw-thm2.9", "nw-thm2.9a",
+                                     "fourpoint-antipodal", "interval-9",
+                                     "circle-8", "ball3-1"])
+    def test_fixtures(self, key):
+        x = fixture(key).space
+        assert space_to_json(x) == reference_space_to_json(x)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-50, 1e-10, 1.0, 1e10,
+                                       1e50, 1e100])
+    def test_scaled_clouds(self, scale):
+        pts = np.random.default_rng(9).standard_normal((40, 3)) * scale
+        x = euclidean_cloud(pts, name="cloud")
+        assert space_to_json(x) == reference_space_to_json(x)
+
+    @pytest.mark.parametrize("value", [5e-324, 2.2250738585072014e-308 / 3,
+                                       1.0 / 3.0, 0.1, 1e16, 123456789.0])
+    def test_single_entries(self, value):
+        x = validate_metric([[0.0, value], [value, 0.0]], name='"q"')
+        text = space_to_json(x)
+        assert text == reference_space_to_json(x)
+        assert space_from_json(text).dist[0, 1] == value
+
+    def test_single_point(self):
+        x = validate_metric([[0.0]])
+        assert space_to_json(x) == reference_space_to_json(x)
