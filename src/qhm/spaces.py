@@ -22,7 +22,8 @@ Scanning these outputs anyway still passes (tests check it at the builders'
 own tolerances).
 
 Construction and the O(n^2) checks run at memory speed, a few contiguous
-passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries:
+passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries
+(on a matrix that passes without repair; see below):
 
 - `euclidean_cloud` fills row blocks of the result one coordinate at a time,
   in the summation order of numpy's own reduction, so its distances are bit
@@ -30,8 +31,9 @@ passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries:
   smallest off-diagonal distance from each block while it is in cache;
 - the checks read finiteness, negativity and scale from one min and one max,
   and asymmetry and zero distances from one pass over square tiles of the
-  upper triangle against the transposed tiles below it. Only an error
-  recomputes its (i, j) from the whole matrix;
+  upper triangle against the transposed tiles below it. Repairing a small
+  asymmetry builds the averaged n x n matrix and rereads its zeros, and an
+  error recomputes its (i, j) from the whole matrix; both allocate n x n;
 - builder outputs are checked in place; `validate_metric` (which the JSON
   readers call) builds its own array, so a caller's array is never aliased;
 - `subspace` of every point in order shares the parent's read-only matrix.
@@ -121,8 +123,8 @@ def _checked_matrix(matrix, tol_triangle, owned=False):
     `owned` says `matrix` is a fresh float64 array that the caller hands
     over (a builder's output): it is checked in place instead of copied.
     The checks read one min, one max and one tiled pass over the upper
-    triangle (`_asymmetry`); an error path may recompute its detail over the
-    whole matrix."""
+    triangle (`_asymmetry`). Only the asymmetry repair and the error paths
+    allocate n x n: the averaged matrix, or the detail of an error."""
     if tol_triangle is not None:
         tol_triangle = float(tol_triangle)
         if not (math.isfinite(tol_triangle) and tol_triangle >= 0.0):
@@ -191,28 +193,28 @@ def _asymmetry(d):
     return worst, zeros > n
 
 
-_PY_REALS = {int, float}
-
-
 def _is_real_type(t) -> bool:
     return (issubclass(t, (int, float, np.integer, np.floating))
             and not issubclass(t, (bool, np.bool_)))
 
 
 def _check_rows(rows):
-    """Reject a nested sequence whose rows differ in length or hold anything
-    but real numbers (booleans, strings and other objects are not), naming
-    the first such row. Entries that are not sequences are left to the
-    shape check."""
+    """Reject a nested sequence whose rows differ in length, are not
+    sequences, or hold anything but real numbers (booleans, strings and
+    other objects are not), naming the first such row. A flat sequence, with
+    no row a sequence, is left to the shape check."""
+    sequence = (list, tuple, np.ndarray)
+    if not any(isinstance(row, sequence) for row in rows):
+        return
     width = None
     for i, row in enumerate(rows):
         if isinstance(row, np.ndarray) and row.ndim == 1:
             real = row.dtype.kind in "iuf"
         elif isinstance(row, (list, tuple)):
-            kinds = set(map(type, row))
-            real = kinds <= _PY_REALS or all(map(_is_real_type, kinds))
+            real = all(map(_is_real_type, set(map(type, row))))
         else:
-            continue
+            raise MalformedMatrixError(
+                f"matrix row {i} is not a sequence of real numbers")
         if width is None:
             first, width = i, len(row)
         elif len(row) != width:
@@ -381,9 +383,15 @@ def regular_polygon_arc(n: int) -> FiniteMetricSpace:
 
 
 # Clouds with n^2 k at most this many coordinate differences take the
-# one-array formula: below it the per-coordinate loop costs more in calls
-# than it saves in memory traffic.
-ONE_ARRAY_MAX = 4096
+# one-array formula, where the per-coordinate loop's extra numpy calls cost
+# more than its memory traffic saves. Measured on a 2-vCPU machine, the two
+# paths interleaved: on 3-10 points in 2-3 dimensions the loop took
+# 1.15-1.21x as long (39-59 us one-array) in five of six shapes; the two
+# meet at 12-16 points (n^2 k between about 300 and 770), and at 36 points
+# in 3 dimensions the loop wins, 76 against 111 us. With no
+# one-array branch the small-batch benchmark (clouds of 3-8 points) read
+# wall_s +11% over 10 runs.
+ONE_ARRAY_MAX = 512
 
 
 def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:

@@ -431,9 +431,9 @@ class TestEuclideanConstruction:
                               _one_array_distances(pts))
 
     @pytest.mark.parametrize("n, k, per_coordinate", [
-        (64, 1, False), (65, 1, True),
-        (36, 3, False), (37, 3, True),
-        (24, 7, False), (25, 7, True),
+        (22, 1, False), (23, 1, True),
+        (13, 3, False), (14, 3, True),
+        (8, 7, False), (9, 7, True),
         (300, 8, False), (200, 9, False),
     ])
     def test_shape_dispatch_bit_identical(self, n, k, per_coordinate,
@@ -632,6 +632,11 @@ class TestMalformedMatrices:
         with pytest.raises(NonSquareError):
             space_from_json('{"matrix": [[0, 1, 2], [1, 0, 1]]}')
 
+    @pytest.mark.parametrize("matrix", [[0.0], [0, 1], [], 5])
+    def test_flat_input_is_still_non_square(self, matrix):
+        with pytest.raises(NonSquareError):
+            validate_metric(matrix)
+
     def test_json_integers_and_big_integers_parse(self):
         x = space_from_json('{"matrix": [[0, 100000000000000000000], '
                             '[100000000000000000000, 0]]}')
@@ -646,6 +651,11 @@ class TestMalformedMatrices:
         np.array([[False, True], [True, False]]),
         np.array([["0", "1"], ["1", "0"]]),
         np.array([[0, 1], [1, 0]], dtype=object),
+        [[0, 1], 5],
+        [[0, 1], None],
+        [[0, 1], "ab"],
+        [5, [0, 1]],
+        [[0, 1], np.float64(1.0)],
     ])
     def test_validate_rejects_non_numbers(self, matrix):
         with pytest.raises(MalformedMatrixError) as exc:
