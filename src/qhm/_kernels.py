@@ -2,9 +2,16 @@
 triangular solves of a Cholesky factor and the Perron root bound.
 
 All are plain numpy. The triangle scan works in slabs of a fixed element
-budget; the ascent advances its linear recurrence a block of iterates at a
-time; the triangular solves go a block of rows at a time.
+budget; from SCREEN_MIN points on, `triangle_scan` first screens the pairs
+in float32 on one thread per CPU and recomputes in float64 only the pairs
+the screen cannot certify, with the same result bit for bit. The ascent
+advances its linear recurrence a block of iterates at a time; the
+triangular solves go a block of rows at a time.
 """
+
+import math
+import os
+import threading
 
 import numpy as np
 
@@ -61,6 +68,218 @@ def worst_triangle_deficit(dist: np.ndarray):
             i, j = i0 + int(r), i0 + int(c)
             at = (i, j, int(np.argmin(dist[i, :] + dist[:, j])))
     return worst, at[0], at[1], at[2]
+
+
+def _block_minima(x, i0, i1, buf, least, tmp):
+    """Fill `least` (rows i0:i1 by columns i0:) with min over k of
+    x[i, k] + x[k, j], in slabs of at most buf.size sums (rows x pivots x
+    columns); `tmp` is scratch of least's shape. This is the slab loop of
+    `worst_triangle_deficit`, which keeps its own copy: there the per-block
+    function call cost 8-15% on 8-40 points. Apart from the buffer that
+    numpy's ufuncs allocate per call, it writes only into what it is given,
+    so that the screen's worker threads need no memory of their own."""
+    n = x.shape[0]
+    rows, width = least.shape
+    pivots = max(1, buf.size // (rows * width))
+    for k0 in range(0, n, pivots):
+        k1 = min(n, k0 + pivots)
+        slab = buf[:rows * (k1 - k0) * width].reshape(rows, k1 - k0, width)
+        np.add(x[i0:i1, k0:k1, None], x[None, k0:k1, i0:], out=slab)
+        if k0 == 0:
+            np.minimum.reduce(slab, axis=1, out=least)
+        else:
+            np.minimum.reduce(slab, axis=1, out=tmp)
+            np.minimum(least, tmp, out=least)
+
+
+# The float32 screen of `triangle_scan`. A pair is certified when its
+# screened minimum is at least e(i,j) (1 + 4 SCREEN_U) + 8 SCREEN_ETA, where
+# SCREEN_U is float32's unit roundoff and SCREEN_ETA its smallest normal
+# number (which also covers subnormals flushed to zero).
+SCREEN_U = 2.0 ** -24
+SCREEN_ETA = 2.0 ** -126
+# Rows per block and float32 elements per slab of the screen (512 KB, which
+# is also TRIANGLE_TILE doubles for the exact passes that reuse it).
+# Measured on a 2-vCPU machine (medians of 5), the scan of the 802-point
+# glued file took 0.21, 0.18 and 0.16 s with slabs of 2^16, 2^17 and 2^18
+# elements, a 1601-point ball 1.55, 1.31 and 1.39 s; 4, 8 and 16 rows per
+# block were within noise of each other.
+SCREEN_ROWS = 8
+SCREEN_TILE = 1 << 17
+# A block whose open cells exceed this share of its cells reruns the exact
+# slab loop instead of rechecking its open pairs one at a time, which
+# gathers two rows per pair: on an 801-point grid, where all 319,600 pairs
+# stay open, rechecking every pair took 0.89-0.96 s against 0.46-0.48 s
+# with every block rerun. Screened balls and glued clouds leave at most 11%
+# of a block open (median under 0.5%); grids and arcs about 97%.
+SCREEN_OPEN_MAX = 0.25
+# Below this many points `triangle_scan` is `worst_triangle_deficit`: no
+# screen and no threads. Measured on a 2-vCPU machine, the two interleaved
+# (medians of 15 rounds): on euclidean clouds the screen took 1.18x as long
+# at 144 points, 1.01x at 160, 0.89x at 176 and 0.70x at 208; on interval
+# grids, which it cannot certify, 1.28x at 192, 1.01x at 208, 0.99x at 240
+# and 0.95x at 256. Below 64 points its fixed cost (threads, scratch) made
+# it 2-8x slower.
+SCREEN_MIN = 208
+
+
+def triangle_scan(dist: np.ndarray):
+    """`worst_triangle_deficit(dist)`, bit for bit, for the matrices
+    `validate_metric` scans: finite, symmetric, nonnegative, zero diagonal.
+
+    Below SCREEN_MIN points it is that function. From there on a float32
+    screen decides most pairs first. The screen e is dist times the power of
+    two that puts its largest entry just below 2^125, rounded to float32,
+    with its diagonal set to +inf; for each pair i < j it takes s(i,j), the
+    least float32 sum e(i,k) + e(k,j), which ignores k = i and k = j. Scaling
+    by a power of two is exact and no sum overflows, so with u = SCREEN_U
+    and eta = SCREEN_ETA every e is within u D + eta of its scaled entry D
+    (eta covers entries below float32's normal range, rounded or flushed to
+    zero) and every float32 sum within u of the exact sum of its terms.
+    Then s(i,j) >= e(i,j) (1 + 4u) + 8 eta, with the bound evaluated in
+    float64, gives
+        (D(i,k) + D(k,j)) (1 + u)^2 + 2 eta (1 + u)
+            >= (D(i,j) (1 - u) - eta) (1 + 4u) + 8 eta,
+    so D(i,k) + D(k,j) > D(i,j) for every k outside {i, j}. Rounding to
+    float64 is monotone and d(i,j) is a float64, so no float64 sum
+    d(i,k) + d(k,j) falls below d(i,j), while k = i gives it exactly: the
+    certified pair's float64 deficit is exactly 0.
+
+    Pairs left open are recomputed in float64 from their two rows; a block
+    with more than SCREEN_OPEN_MAX of its cells open (a tight metric, such
+    as a grid on a line) reruns the exact slab loop instead, and a worker
+    whose block did so skips the screen on its next 1, 2, 4, ... blocks
+    until a screened block passes again. The result is the
+    lexicographically first pair i < j at the largest deficit, with k the
+    first argmin, or (0.0, 0, 0, 0) when no deficit is positive: what the
+    slab loop returns.
+
+    Blocks of SCREEN_ROWS rows are claimed in order by one worker per CPU of
+    the process's affinity (numpy releases the GIL inside its loops), the
+    caller being one of them. Each block's answer depends on the block
+    alone and the answers are combined in block order, so the result does
+    not depend on the number of workers. Every buffer is allocated here,
+    on the calling thread, before the workers start: the float32 copy
+    (4 n^2 bytes) and about 0.5 MB + 25 SCREEN_ROWS n bytes per worker.
+    """
+    n = dist.shape[0]
+    if n < SCREEN_MIN:
+        return worst_triangle_deficit(dist)
+    screen = np.empty((n, n), dtype=np.float32)
+    np.ldexp(dist, 125 - math.frexp(float(dist.max()))[1], out=screen)
+    screen.reshape(-1)[::n + 1] = np.inf
+    starts = range(0, n, SCREEN_ROWS)
+    found = [None] * len(starts)
+    claims = iter(range(len(starts)))
+    lock = threading.Lock()
+    errors = []
+
+    def work(scratch):
+        skip = backoff = 0
+        try:
+            while True:
+                with lock:
+                    b = None if errors else next(claims, None)
+                if b is None:
+                    return
+                i0 = starts[b]
+                found[b], exact = _scan_block(
+                    dist, screen if skip == 0 else None, i0,
+                    min(n, i0 + SCREEN_ROWS), *scratch)
+                if skip:
+                    skip -= 1
+                elif exact:  # screen the next block only after `skip` more
+                    backoff = skip = max(1, 2 * backoff)
+                else:
+                    backoff = 0
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    scratch = [_screen_scratch(n) for _ in range(min(_cpus(), len(starts)))]
+    threads = [threading.Thread(target=work, args=(s,)) for s in scratch[1:]]
+    for t in threads:
+        t.start()
+    work(scratch[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    worst, i, j = max(found, key=lambda f: f[0])  # the first block at the max
+    if worst <= 0.0:
+        return 0.0, 0, 0, 0
+    return worst, i, j, int(np.argmin(dist[i, :] + dist[:, j]))
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _screen_scratch(n):
+    """One worker's buffers for `_scan_block` on n points: one slab, read as
+    float32 by the screen and as float64 by the exact passes after it, and
+    row-block vectors."""
+    m = SCREEN_ROWS * n
+    return (np.empty(max(SCREEN_TILE // 2, m, 2 * n)),
+            np.empty(m, dtype=np.float32), np.empty(m, dtype=np.float32),
+            np.empty(m), np.empty(m, dtype=bool), np.empty(m))
+
+
+def _scan_block(dist, screen, i0, i1, slab64, least32, tmp32, bound,
+                is_open, tmp64):
+    """((deficit, i, j), exact) for rows i0:i1 against the columns j > i:
+    the largest deficit of the block's pairs and the first pair that attains
+    it, or (0.0, i0, i0) when none is positive. `exact` says the block ran
+    the exact slab loop: with no screen given, or with too many pairs left
+    open by it."""
+    n = dist.shape[0]
+    shape = (i1 - i0, n - i0)
+    size = shape[0] * shape[1]
+    if screen is not None:
+        least = least32[:size].reshape(shape)
+        _block_minima(screen, i0, i1, slab64.view(np.float32), least,
+                      tmp32[:size].reshape(shape))
+        # the bound and the comparison in float64, with no cast buffers
+        limit = bound[:size].reshape(shape)
+        np.copyto(limit, screen[i0:i1, i0:])
+        limit *= 1.0 + 4.0 * SCREEN_U
+        limit += 8.0 * SCREEN_ETA
+        screened = tmp64[:size].reshape(shape)
+        np.copyto(screened, least)
+        opened = np.less(screened, limit, out=is_open[:size].reshape(shape))
+        for r in range(shape[0]):
+            opened[r, :r + 1] = False  # only pairs i < j
+        count = np.count_nonzero(opened)
+        if count == 0:
+            return (0.0, i0, i0), False
+    if screen is None or count > SCREEN_OPEN_MAX * size:
+        exact = bound[:size].reshape(shape)
+        _block_minima(dist, i0, i1, slab64, exact,
+                      tmp64[:size].reshape(shape))
+        deficit = np.subtract(dist[i0:i1, i0:], exact, out=exact)
+        r, c = np.unravel_index(int(np.argmax(deficit)), shape)
+        return (float(deficit[r, c]), i0 + int(r), i0 + int(c)), True
+    i, j = np.nonzero(opened)
+    i += i0
+    j += i0
+    deficit = tmp64[:count]
+    per = slab64.size // (2 * n)
+    for a in range(0, count, per):
+        m = min(per, count - a)
+        left = slab64[:m * n].reshape(m, n)
+        right = slab64[m * n:2 * m * n].reshape(m, n)
+        np.take(dist, i[a:a + m], axis=0, out=left, mode="clip")
+        np.take(dist, j[a:a + m], axis=0, out=right, mode="clip")
+        np.minimum.reduce(np.add(left, right, out=left), axis=1,
+                          out=deficit[a:a + m])
+    np.subtract(dist[i, j], deficit, out=deficit)
+    best = int(np.argmax(deficit))
+    if deficit[best] <= 0.0:
+        return (0.0, i0, i0), False
+    return (float(deficit[best]), int(i[best]), int(j[best])), False
 
 
 # Element budget of the ascent's stack of matrices dist @ A^k (4 MB); a block

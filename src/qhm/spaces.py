@@ -3,9 +3,14 @@
 A space is an immutable labeled point set with a validated symmetric distance
 matrix. Every matrix passes the O(n^2) checks (finite, zero diagonal,
 nonnegative, symmetric, positive between distinct points). The O(n^3)
-triangle scan runs only where a matrix comes in from outside the package:
-`validate_metric` and the space JSON readers built on it. Builder outputs are
-metrics by construction and skip it:
+triangle scan (`qhm._kernels.triangle_scan`) runs only where a matrix comes
+in from outside the package: `validate_metric` and the space JSON readers.
+From SCREEN_MIN points on it screens the pairs in float32 on one thread per
+CPU of the process's affinity and certifies a pair only with a margin,
+e(i,j) (1 + 4u) + 8 eta, that covers every float32 rounding, so that a
+certified pair's float64 deficit is exactly 0; the open pairs are recomputed
+in float64, and the result is that of the exact slab loop bit for bit.
+Builder outputs are metrics by construction and skip the scan:
 
 - interval grids and polygon arcs are exact integer multiples of a step whose
   low mantissa bits are cleared, so the triangle inequality holds exactly;
@@ -34,8 +39,11 @@ passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries
   upper triangle against the transposed tiles below it. Repairing a small
   asymmetry builds the averaged n x n matrix and rereads its zeros, and an
   error recomputes its (i, j) from the whole matrix; both allocate n x n;
-- builder outputs are checked in place; `validate_metric` (which the JSON
-  readers call) builds its own array, so a caller's array is never aliased;
+- builder outputs are checked in place; `validate_metric` builds its own
+  array, so a caller's array is never aliased; the JSON readers convert the
+  parsed rows into their own array and drop the rows and the text (when they
+  read the file) before the checks and the scan, which run on that array
+  without a second copy;
 - `subspace` of every point in order shares the parent's read-only matrix.
 """
 
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TRIANGLE_TILE, worst_triangle_deficit
+from ._kernels import TRIANGLE_TILE, triangle_scan
 from .errors import (
     CrossDistanceTooSmallError,
     DegenerateIntervalError,
@@ -198,13 +206,16 @@ def _is_real_type(t) -> bool:
             and not issubclass(t, (bool, np.bool_)))
 
 
-def _check_rows(rows):
+def _check_rows(rows, what):
     """Reject a nested sequence whose rows differ in length, are not
-    sequences, or hold anything but real numbers (booleans, strings and
-    other objects are not), naming the first such row. A flat sequence, with
-    no row a sequence, is left to the shape check."""
+    sequences, or hold anything but real numbers (booleans, strings, complex
+    numbers and other objects are not), naming the first such row. A flat
+    sequence, with no row a sequence, must hold real numbers; its shape is
+    left to the caller."""
     sequence = (list, tuple, np.ndarray)
     if not any(isinstance(row, sequence) for row in rows):
+        if not all(map(_is_real_type, set(map(type, rows)))):
+            raise MalformedMatrixError(f"{what} entries must be real numbers")
         return
     width = None
     for i, row in enumerate(rows):
@@ -214,27 +225,28 @@ def _check_rows(rows):
             real = all(map(_is_real_type, set(map(type, row))))
         else:
             raise MalformedMatrixError(
-                f"matrix row {i} is not a sequence of real numbers")
+                f"{what} row {i} is not a sequence of real numbers")
         if width is None:
             first, width = i, len(row)
         elif len(row) != width:
             raise MalformedMatrixError(
-                f"matrix row {i} has {len(row)} entries but row {first} has {width}")
+                f"{what} row {i} has {len(row)} entries but row {first} has {width}")
         if not real:
             raise MalformedMatrixError(
-                f"matrix row {i} holds entries that are not real numbers")
+                f"{what} row {i} holds entries that are not real numbers")
 
 
-def _float_array(matrix):
-    """A fresh float64 copy of a numeric array or of a nested sequence of
-    real numbers; anything else raises MalformedMatrixError."""
-    if isinstance(matrix, np.ndarray):
-        if matrix.dtype.kind not in "iuf":
+def _float_array(x, what="matrix"):
+    """A fresh float64 copy of a numeric array or of a (nested) sequence of
+    real numbers; anything else raises MalformedMatrixError, which names the
+    input as `what`."""
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "iuf":
             raise MalformedMatrixError(
-                f"matrix entries must be real numbers, got dtype {matrix.dtype}")
-    elif isinstance(matrix, (list, tuple)):
-        _check_rows(matrix)
-    return np.array(matrix, dtype=np.float64)
+                f"{what} entries must be real numbers, got dtype {x.dtype}")
+    elif isinstance(x, (list, tuple)):
+        _check_rows(x, what)
+    return np.array(x, dtype=np.float64)
 
 
 def _closest_pair(d):
@@ -260,18 +272,24 @@ def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
                     name: str = "") -> FiniteMetricSpace:
     """Validate a square distance matrix and wrap it as a space.
 
-    This is the entry point for matrices from outside the package (the public
-    API and space JSON files); it is the only place the O(n^3) triangle scan
-    runs. Small asymmetries (within `tol_triangle`) are repaired by averaging
-    the (i, j) and (j, i) entries before the scan. `tol_triangle` defaults to
+    This is the entry point for matrices from outside the package; with the
+    space JSON readers, which share its checks, it is the only place the
+    O(n^3) triangle scan runs. Small asymmetries (within `tol_triangle`) are
+    repaired by averaging the (i, j) and (j, i) entries before the scan. `tol_triangle` defaults to
     1e-9 relative to the diameter; it exists only to absorb floating
     construction error, and must be finite and nonnegative. Entries must be
     real numbers: ragged rows, strings, booleans and other objects raise
     MalformedMatrixError. The matrix is copied, never aliased.
     """
     d, tol = _checked_matrix(matrix, tol_triangle)
+    return _scanned(d, tol, labels, name)
+
+
+def _scanned(d, tol, labels, name) -> FiniteMetricSpace:
+    """Wrap a checked matrix as a space once the triangle scan finds no
+    deficit above the absolute tolerance `tol`."""
     if d.shape[0] > 1:
-        deficit, i, j, k = worst_triangle_deficit(d)
+        deficit, i, j, k = triangle_scan(d)
         if deficit > tol:
             raise TriangleViolationError(
                 f"d({i},{j}) exceeds d({i},{k}) + d({k},{j}) by {deficit} > {tol}",
@@ -398,7 +416,9 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
     """Pairwise euclidean distances of a finite point cloud.
 
     Raises ValidationError when a distance overflows and DuplicatePointError
-    when two points coincide to 1e-12 of the diameter.
+    when two points coincide to 1e-12 of the diameter. Coordinates must be
+    real numbers: ragged rows, strings, booleans, complex numbers and other
+    objects raise MalformedMatrixError, naming the row.
 
     Rows are computed in blocks of at most TRIANGLE_TILE entries straight
     into the result. Each entry is the square root of its squared coordinate
@@ -411,7 +431,7 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
     formula. The largest entry and the smallest off-diagonal entry are read
     per block while it is in cache.
     """
-    pts = np.asarray(coords, dtype=np.float64)
+    pts = _float_array(coords, "coordinate")
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -541,15 +561,33 @@ def save_space(space: FiniteMetricSpace, path) -> None:
 
 
 def space_from_json(text: str, tol_triangle: float | None = None) -> FiniteMetricSpace:
+    return _scanned(*_parsed_space(_json_object(text), tol_triangle))
+
+
+def load_space(path, tol_triangle: float | None = None) -> FiniteMetricSpace:
+    """Read a space from its JSON file; validation errors carry field context."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = _json_object(fh.read())  # the text is freed once parsed
+    return _scanned(*_parsed_space(obj, tol_triangle))
+
+
+def _json_object(text):
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object with a 'matrix' key")
+    return obj
+
+
+def _parsed_space(obj, tol_triangle):
+    """(matrix, absolute triangle tolerance, labels, name) of a parsed space
+    file, with the O(n^2) checks done. The rows are taken out of `obj` and
+    converted, so that they are freed before the caller's O(n^3) scan."""
     if "matrix" not in obj:
         raise ParseError("missing required key 'matrix'")
-    matrix = obj["matrix"]
+    matrix = obj.pop("matrix")
     if (not isinstance(matrix, list) or not matrix
             or not all(isinstance(r, list) for r in matrix)):
         raise ParseError("'matrix' must be a nonempty array of arrays of numbers")
@@ -561,14 +599,9 @@ def space_from_json(text: str, tol_triangle: float | None = None) -> FiniteMetri
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
     try:
-        return validate_metric(matrix, labels=labels,
-                               tol_triangle=tol_triangle, name=name)
+        d = _float_array(matrix)
     except MalformedMatrixError as exc:  # a ragged or non-numeric row
         raise ParseError(str(exc)) from exc
-
-
-def load_space(path, tol_triangle: float | None = None) -> FiniteMetricSpace:
-    """Read a space from its JSON file; validation errors carry field context."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return space_from_json(text, tol_triangle=tol_triangle)
+    del matrix  # the rows go before the checks
+    d, tol = _checked_matrix(d, tol_triangle, owned=True)
+    return d, tol, labels, name

@@ -1,18 +1,22 @@
 """Kernel checks: the tiled triangle scan matches a brute-force triple loop
-exactly, the blocked ascent matches a one-step-at-a-time loop, the blocked
-triangular solves match a dense solve, and the Perron bound brackets the
-spectral radius from above."""
+exactly, and the screened scan matches both bit for bit; the blocked ascent
+matches a one-step-at-a-time loop, the blocked triangular solves match a
+dense solve, and the Perron bound brackets the spectral radius from above."""
 
 import numpy as np
 import pytest
 
-from qhm import (_kernels, energy_bilinear, euclidean_cloud, fixture, measure,
-                 random_metric)
+from qhm import (GlueSpec, _kernels, energy_bilinear, euclidean_cloud, fixture,
+                 glue, interval_grid, measure, random_metric,
+                 regular_polygon_arc, validate_metric)
 from qhm._kernels import (
     ASCENT_BLOWUP,
     ASCENT_CONVERGED,
     ASCENT_MAXITER,
     ASCENT_TILE,
+    SCREEN_MIN,
+    SCREEN_ROWS,
+    SCREEN_TILE,
     TRI_BLOCK,
     TRIANGLE_TILE,
     TRIANGLE_TILE_ROWS,
@@ -20,8 +24,10 @@ from qhm._kernels import (
     ascent_block,
     cholesky_solver,
     perron_upper_bound,
+    triangle_scan,
     worst_triangle_deficit,
 )
+from qhm.errors import TriangleViolationError
 from qhm.msolver import ascent_step_default
 
 
@@ -114,6 +120,337 @@ def test_triangle_deficit_stays_within_tile():
     # one slab, numpy's ufunc buffer and a few row-block vectors; a single
     # n x n temporary would be 2.9 MB
     assert peak < 8 * (TRIANGLE_TILE + np.getbufsize() + 6 * TRIANGLE_TILE_ROWS * n)
+
+
+# -- the screened scan against the slab loop and brute force ------------------
+
+@pytest.fixture
+def small_screen(monkeypatch):
+    """The screen on every size, in blocks of 3 rows and slabs of a few
+    pivots, so that small matrices cross many block and slab edges."""
+    monkeypatch.setattr(_kernels, "SCREEN_MIN", 1)
+    monkeypatch.setattr(_kernels, "SCREEN_ROWS", 3)
+    monkeypatch.setattr(_kernels, "SCREEN_TILE", 128)
+
+
+def _assert_scan_matches(dist, brute=True):
+    """triangle_scan returns worst_triangle_deficit's tuple, and the brute
+    force's (the first triple in i, j, k order at the largest deficit)."""
+    from oracles import brute_worst_triangle_deficit
+
+    got = triangle_scan(dist)
+    assert got == worst_triangle_deficit(dist)
+    if brute:
+        assert got == brute_worst_triangle_deficit(dist)
+    return got
+
+
+def _tied_with(n, plants, seed=0):
+    """The "tied" metric (entries 2 and 3, every deficit <= 0) with the
+    given pairs set to 7: each then has deficit 3, the largest."""
+    dist = _symmetric(n, "tied", seed)
+    for i, j in plants:
+        dist[i, j] = dist[j, i] = 7.0
+    return dist
+
+
+@pytest.mark.parametrize("open_max", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("kind", ["violating", "tied", "uniform"])
+@pytest.mark.parametrize("n", TRIANGLE_SIZES)
+def test_scan_matches_on_symmetric_kinds(n, kind, open_max, small_screen,
+                                         monkeypatch):
+    # open_max 0 reruns every block with an open pair exactly, 1 rechecks
+    # every open pair on its own
+    monkeypatch.setattr(_kernels, "SCREEN_OPEN_MAX", open_max)
+    for seed in range(4):
+        deficit = _assert_scan_matches(_symmetric(n, kind, seed))[0]
+        if kind == "tied" or n < 3:
+            assert deficit == 0.0
+
+
+@pytest.mark.parametrize("n", [SCREEN_MIN - 1, SCREEN_MIN])
+def test_scan_on_both_sides_of_the_crossover(n, monkeypatch):
+    blocks = []
+    scan_block = _kernels._scan_block
+
+    def counted(*args):
+        blocks.append(args[2])
+        return scan_block(*args)
+
+    monkeypatch.setattr(_kernels, "_scan_block", counted)
+    for kind in ("violating", "tied", "uniform"):
+        _assert_scan_matches(_symmetric(n, kind, n), brute=False)
+    # below the crossover the slab loop runs alone, with no screen
+    assert len(blocks) == (0 if n < SCREEN_MIN
+                           else 3 * len(range(0, n, SCREEN_ROWS)))
+
+
+def test_screen_leaves_loose_metrics_to_the_pair_recheck(monkeypatch):
+    # random entries in [1, 2], and a cloud whose nearly collinear triples
+    # leave a few pairs open: no block reruns the exact loop
+    exact = []
+    scan_block = _kernels._scan_block
+
+    def counted(*args):
+        found, ran_exact = scan_block(*args)
+        exact.append(ran_exact)
+        return found, ran_exact
+
+    monkeypatch.setattr(_kernels, "_scan_block", counted)
+    n = SCREEN_MIN + 50
+    cloud = euclidean_cloud(np.random.default_rng(6).uniform(size=(n, 2)))
+    for dist in (random_metric(n, 4).dist, cloud.dist):
+        _assert_scan_matches(dist, brute=False)
+    assert len(exact) == 2 * len(range(0, n, SCREEN_ROWS)) and not any(exact)
+
+
+@pytest.mark.parametrize("plants", [
+    [(0, 1)], [(0, 18)], [(17, 18)], [(5, 18)], [(0, 9)],
+    [(17, 18), (0, 18)],  # the same deficit twice: the first pair wins
+    [(9, 12), (1, 18), (0, 2)],
+])
+def test_scan_finds_planted_violations_at_the_edges(plants, small_screen):
+    dist = _tied_with(19, plants)
+    assert _assert_scan_matches(dist)[:3] == (3.0,) + min(plants)
+
+
+def test_scan_finds_planted_violations_at_full_size():
+    n = SCREEN_MIN + 5
+    for plants in ([(0, 1)], [(0, n - 1)], [(n - 2, n - 1)],
+                   [(n - 2, n - 1), (1, n - 1)]):
+        dist = _tied_with(n, plants)
+        assert _assert_scan_matches(dist, brute=False)[:3] == (3.0,) + min(plants)
+
+
+@pytest.mark.parametrize("n", [SCREEN_MIN, 2 * SCREEN_MIN + 1])
+def test_scan_on_tight_families(n):
+    # every pair is tight (grids, arcs) or ties (the "tied" kind), so the
+    # screen leaves them open and the blocks rerun the exact loop
+    for dist in (interval_grid(0.0, 1.0, n).dist,
+                 regular_polygon_arc(n).dist, _symmetric(n, "tied", 1)):
+        assert _assert_scan_matches(dist, brute=False)[0] == 0.0
+
+
+def test_scan_on_tight_and_loose_blocks_mixed():
+    # a grid glued to a cloud: blocks switch between the exact loop and the
+    # screen, and a planted violation sits in the cloud's rows
+    grid = interval_grid(0.0, 1.0, 150)
+    cloud = euclidean_cloud(np.random.default_rng(2).uniform(0.0, 1.0, (150, 3)))
+    dist = glue(GlueSpec(grid, cloud, 1.0)).dist.copy()
+    _assert_scan_matches(dist, brute=False)
+    dist[200, 290] = dist[290, 200] = 1.9
+    assert _assert_scan_matches(dist, brute=False)[0] > 0.0
+    dist = glue(GlueSpec(cloud, grid, 1.0)).dist.copy()
+    dist[3, 290] = dist[290, 3] = 1.9
+    assert _assert_scan_matches(dist, brute=False)[0] > 0.0
+
+
+def _scaled(dist, top):
+    """dist with its largest entry mapped to `top`; integer matrices scaled
+    to the smallest subnormal are exact multiples of it."""
+    if top == 5e-324:
+        return dist * top
+    return dist * (top / dist.max())
+
+
+SCALES = [5e-324, 1e-300, 1e300, 1.7e308]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("top", SCALES)
+@pytest.mark.parametrize("kind", ["violating", "tied", "uniform"])
+def test_scan_at_extreme_scales(kind, top, small_screen):
+    for n in (3, 19):
+        for seed in range(3):
+            dist = _symmetric(n, kind, seed)
+            if kind == "uniform" and top == 5e-324:
+                dist = np.round(dist * 4.0)  # integers, exact in subnormals
+            _assert_scan_matches(_scaled(dist, top))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("top", SCALES)
+def test_scan_at_extreme_scales_full_size(top):
+    n = SCREEN_MIN + 3
+    for kind in ("violating", "uniform"):
+        dist = _symmetric(n, kind, 7)
+        if top == 5e-324:
+            dist = np.round(dist * 4.0)
+        _assert_scan_matches(_scaled(dist, top), brute=False)
+    grid = interval_grid(0.0, 1.0, n).dist
+    _assert_scan_matches(_scaled(grid, top), brute=False)
+
+
+@pytest.mark.parametrize("n", [19, SCREEN_MIN + 2])
+def test_scan_with_subnormal_entries_beside_normal_ones(n, monkeypatch):
+    # a cluster of points subnormally close together, far from the others:
+    # in the float32 screen their distances flush to 0 and stay open
+    if n < SCREEN_MIN:
+        monkeypatch.setattr(_kernels, "SCREEN_MIN", 1)
+        monkeypatch.setattr(_kernels, "SCREEN_ROWS", 3)
+    dist = _symmetric(n, "tied", 3)
+    tiny = [1, 4, n - 1]
+    for a in tiny[1:]:  # the same distances to every other point
+        dist[a, :] = dist[:, a] = dist[1, :]
+    for a, b in [(1, 4), (1, n - 1), (4, n - 1)]:
+        dist[a, b] = dist[b, a] = 2e-320
+    np.fill_diagonal(dist, 0.0)
+    assert _assert_scan_matches(dist, brute=n < 50)[0] == 0.0
+    dist[1, n - 1] = dist[n - 1, 1] = 5e-320  # > 2e-320 + 2e-320
+    got = _assert_scan_matches(dist, brute=n < 50)
+    assert got[:3] == (5e-320 - 4e-320, 1, n - 1) and got[3] in tiny
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scan_on_one_two_and_three_points(n, small_screen):
+    for kind in ("violating", "uniform"):
+        for seed in range(3):
+            _assert_scan_matches(_symmetric(n, kind, seed))
+    assert triangle_scan(np.zeros((1, 1))) == (0.0, 0, 0, 0)
+
+
+def _rounds_up_below(v):
+    """A float64 at most v that rounds up when converted to float32."""
+    low = np.float32(v)
+    if float(low) > v:
+        low = np.nextafter(low, np.float32(-np.inf))
+    while True:
+        up = np.nextafter(low, np.float32(np.inf))
+        x = float(low) + (float(up) - float(low)) * 0.5000001
+        if x <= v:
+            return x
+        low = np.nextafter(low, np.float32(-np.inf))
+
+
+@pytest.mark.parametrize("bits", [21, 22, 23, 24, 25, 26, 30, 40])
+def test_scan_sees_violations_hidden_by_float32_rounding(bits, small_screen):
+    # d(i,k) and d(k,j) round up to float32 while d(i,j) is a float32 or
+    # rounds down: the float32 sum can reach d(i,j) although the exact one
+    # is short of it by at least 2^-bits relative. The margin must leave
+    # every such pair open.
+    rng = np.random.default_rng(bits)
+    for trial in range(40):
+        if trial % 4 < 2:
+            target = float(np.float32(rng.uniform(9.0, 16.0)))
+            x = rng.uniform(0.3, 0.7) * target
+        else:  # the worst case: every mantissa just above a power of two
+            target = float(np.float32(16.0 + rng.uniform(0.0, 2.0 ** -6)))
+            x = target / 2.0 * (1.0 + rng.uniform(-2.0 ** -12, 2.0 ** -12))
+        if trial % 2:  # d(i,j) rounds down to float32 by almost half an ulp
+            up = float(np.nextafter(np.float32(target), np.float32(np.inf)))
+            target += (up - target) * 0.4999999
+        x = _rounds_up_below(x)
+        y = _rounds_up_below(target * (1.0 - 2.0 ** -bits) - x)
+        # other entries within 5% above the target: a metric apart from
+        # the planted triple, with every other sum at least twice it
+        dist = target * (1.0 + 0.05 * _symmetric(19, "uniform", trial) / 3.0)
+        np.fill_diagonal(dist, 0.0)
+        i, k, j = rng.choice(19, 3, replace=False)
+        dist[i, j] = dist[j, i] = target
+        dist[i, k] = dist[k, i] = x
+        dist[k, j] = dist[j, k] = y
+        deficit = _assert_scan_matches(dist)[0]
+        assert deficit == target - (x + y) > 0.0
+
+
+def test_worker_count_does_not_change_the_result(monkeypatch):
+    n = SCREEN_MIN + 21
+    cases = [_symmetric(n, kind, 2) for kind in ("violating", "tied", "uniform")]
+    cases.append(_tied_with(n, [(n - 3, n - 1), (40, 100)]))
+    cases.append(interval_grid(0.0, 1.0, n).dist)
+    for dist in cases:
+        results = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_cpus", lambda: workers)
+            results.add(triangle_scan(dist))
+        assert results == {worst_triangle_deficit(dist)}
+
+
+def test_every_block_claimed_once_under_thread_churn(monkeypatch):
+    # more workers than CPUs and a switch every microsecond: each block is
+    # scanned exactly once and the result is unchanged
+    import sys
+    import threading
+
+    claimed = []
+    scan_block = _kernels._scan_block
+
+    def counted(dist, screen, i0, *rest):
+        claimed.append(i0)
+        return scan_block(dist, screen, i0, *rest)
+
+    monkeypatch.setattr(_kernels, "_scan_block", counted)
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 8)
+    monkeypatch.setattr(_kernels, "SCREEN_ROWS", 2)
+    dist = _tied_with(SCREEN_MIN + 9, [(SCREEN_MIN, SCREEN_MIN + 8)])
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.append(triangle_scan(dist)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [worst_triangle_deficit(dist)]
+    assert sorted(claimed) == list(range(0, dist.shape[0], 2))
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    scan_block = _kernels._scan_block
+
+    def failing(dist, screen, i0, *rest):
+        if i0 == 5 * SCREEN_ROWS:
+            raise FloatingPointError("block 5")
+        return scan_block(dist, screen, i0, *rest)
+
+    monkeypatch.setattr(_kernels, "_scan_block", failing)
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    with pytest.raises(FloatingPointError, match="block 5"):
+        triangle_scan(_symmetric(SCREEN_MIN + 1, "uniform", 0))
+
+
+@pytest.mark.parametrize("n", [SCREEN_MIN + 1, 301])
+def test_validate_metric_at_the_tolerance_edges(n):
+    # a single violation of deficit delta: raised exactly when delta > tol,
+    # with the triple and the message of the slab loop
+    dist = random_metric(n, 8).dist.copy()  # entries in [1, 2]
+    a, b = n // 3, n - 2
+    dist[a, b] = dist[b, a] = 2.5
+    delta, i, j, k = worst_triangle_deficit(dist)
+    assert delta > 0.0 and (i, j) == (a, b)
+    assert triangle_scan(dist) == (delta, i, j, k)
+    for tol in (delta, float(np.nextafter(delta, np.inf))):
+        validate_metric(dist, tol_triangle=tol)
+    tol = float(np.nextafter(delta, 0.0))
+    with pytest.raises(TriangleViolationError) as exc:
+        validate_metric(dist, tol_triangle=tol)
+    assert str(exc.value) == (f"d({i},{j}) exceeds d({i},{k}) + d({k},{j}) "
+                              f"by {delta} > {tol}")
+    assert exc.value.triple == (i, j, k) and exc.value.deficit == delta
+
+
+def test_scan_memory_is_the_copy_and_the_scratch(monkeypatch):
+    import tracemalloc
+
+    n, workers = 600, 2
+    monkeypatch.setattr(_kernels, "_cpus", lambda: workers)
+    dist = _symmetric(n, "uniform", 0)
+    tracemalloc.start()
+    try:
+        triangle_scan(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = SCREEN_ROWS * n
+    scratch = 8 * max(SCREEN_TILE // 2, rows, 2 * n) + (4 + 4 + 8 + 1 + 8) * rows
+    # the float32 copy; each worker's scratch, the buffers numpy's ufuncs
+    # allocate per call (one or two of np.getbufsize() doubles) and its
+    # arrays of open pairs (at most a quarter of a block); a float64 copy of
+    # the matrix would add 2.9 MB
+    buffers = 3 * 8 * np.getbufsize()
+    assert peak < 4 * n * n + workers * (scratch + buffers + 8 * rows)
 
 
 # -- blocked ascent against the one-step loop ---------------------------------

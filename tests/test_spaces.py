@@ -326,13 +326,13 @@ class TestTrustBoundary:
     @pytest.fixture
     def scans(self, monkeypatch):
         sizes = []
-        scan = qhm.spaces.worst_triangle_deficit
+        scan = qhm.spaces.triangle_scan
 
         def counted(dist):
             sizes.append(dist.shape[0])
             return scan(dist)
 
-        monkeypatch.setattr(qhm.spaces, "worst_triangle_deficit", counted)
+        monkeypatch.setattr(qhm.spaces, "triangle_scan", counted)
         return sizes
 
     def test_builders_do_not_scan(self, scans):
@@ -356,6 +356,21 @@ class TestTrustBoundary:
         save_space(x, path)
         load_space(path)
         assert scans == [6, 6, 6]
+
+    def test_large_untrusted_matrix_scans_once(self, scans, tmp_path):
+        # above the screen's crossover: still one scan per matrix, none
+        # from the builders
+        n = qhm._kernels.SCREEN_MIN + 41
+        x = random_metric(n, 3)
+        assert scans == []
+        validate_metric(x.dist)
+        assert scans == [n]
+        path = tmp_path / "x.json"
+        save_space(x, path)
+        y = load_space(path)
+        assert scans == [n, n]
+        glue(GlueSpec(x, y, 1.0))
+        assert scans == [n, n]
 
     def test_glue_at_boundary_validates(self):
         grid = interval_grid(0.0, 4.0, 9)
@@ -662,6 +677,13 @@ class TestMalformedMatrices:
             validate_metric(matrix)
         assert "real numbers" in str(exc.value)
 
+    @pytest.mark.parametrize("matrix", [["a", 1.0], [True, 0.5], [0.0, None],
+                                        [1j, 0.0]])
+    def test_validate_rejects_flat_non_numbers(self, matrix):
+        with pytest.raises(MalformedMatrixError) as exc:
+            validate_metric(matrix)
+        assert str(exc.value) == "matrix entries must be real numbers"
+
     def test_validate_ragged(self):
         with pytest.raises(MalformedMatrixError) as exc:
             validate_metric([[0, 1, 2], [1, 0]])
@@ -677,6 +699,96 @@ class TestMalformedMatrices:
     def test_validate_accepts_real_numbers(self, matrix):
         x = validate_metric(matrix)
         assert x.dist.dtype == np.float64 and x.dist[0, 0] == 0.0
+
+
+class TestCoordinateInput:
+    """euclidean_cloud rejects what the matrix readers reject, naming the
+    row, and reads numeric input exactly as before."""
+
+    @pytest.mark.parametrize("coords, message", [
+        ([["a", 0], [1, 2]], "coordinate row 0 holds entries that are not real numbers"),
+        ([[0, 0], [1, "2"]], "coordinate row 1 holds entries that are not real numbers"),
+        ([[0, 0], [1, 2, 3]], "coordinate row 1 has 3 entries but row 0 has 2"),
+        ([[0, 0, 0], [1, 2], [3, 4, 5]], "coordinate row 1 has 2 entries but row 0 has 3"),
+        ([[1j, 0], [1, 2]], "coordinate row 0 holds entries that are not real numbers"),
+        ([[0, 0], [1, 2 + 0j]], "coordinate row 1 holds entries that are not real numbers"),
+        ([[True, False], [False, True]], "coordinate row 0 holds entries that are not real numbers"),
+        ([[0.0, 1.0], [np.True_, 0.5]], "coordinate row 1 holds entries that are not real numbers"),
+        ([[0, 0], None], "coordinate row 1 is not a sequence of real numbers"),
+        ([np.array([0.0, 1.0]), np.array([True, False])],
+         "coordinate row 1 holds entries that are not real numbers"),
+        (["a", 1.0], "coordinate entries must be real numbers"),
+        ([True, 0.5], "coordinate entries must be real numbers"),
+        (np.array([[1j, 0], [1, 2]]),
+         "coordinate entries must be real numbers, got dtype complex128"),
+        (np.array([[True, False], [False, True]]),
+         "coordinate entries must be real numbers, got dtype bool"),
+        (np.array([["0", "1"], ["1", "0"]]),
+         "coordinate entries must be real numbers, got dtype <U1"),
+        (np.array([[0, 1], [1, 0]], dtype=object),
+         "coordinate entries must be real numbers, got dtype object"),
+    ])
+    def test_rejected_naming_the_row(self, coords, message):
+        with pytest.raises(MalformedMatrixError) as exc:
+            euclidean_cloud(coords)
+        assert str(exc.value) == message
+
+    def test_numeric_input_keeps_its_bits(self):
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(-1.0, 1.0, (30, 3))
+        ref = euclidean_cloud(pts).dist
+        for same in (pts.tolist(), [tuple(p) for p in pts], list(pts),
+                     tuple(pts.tolist())):
+            assert np.array_equal(euclidean_cloud(same).dist, ref)
+        ints = rng.integers(-5, 6, (12, 2))
+        ref = euclidean_cloud(ints.astype(np.float64)).dist
+        for same in (ints, ints.tolist(), ints.astype(np.int32)):
+            assert np.array_equal(euclidean_cloud(same).dist, ref)
+        f32 = pts.astype(np.float32)
+        assert np.array_equal(euclidean_cloud(f32).dist,
+                              euclidean_cloud(f32.astype(np.float64)).dist)
+        line = euclidean_cloud([0, 1.5, np.float32(4.0)])
+        assert np.array_equal(line.dist,
+                              euclidean_cloud([[0.0], [1.5], [4.0]]).dist)
+
+    def test_caller_array_untouched(self):
+        pts = np.random.default_rng(22).uniform(size=(10, 3))
+        before = pts.copy()
+        euclidean_cloud(pts)
+        assert np.array_equal(pts, before) and pts.flags.writeable
+
+
+class TestJsonReaderMemory:
+    """The JSON text and the parsed rows are freed before the O(n^3) scan,
+    which sees only the owned float64 matrix."""
+
+    N = 300
+
+    def test_only_the_matrix_is_left_at_the_scan(self, monkeypatch, tmp_path):
+        import tracemalloc
+
+        n = self.N
+        x = random_metric(n, 5)
+        path = tmp_path / "x.json"
+        save_space(x, path)
+        text = space_to_json(x)  # the caller's text: allocated untraced
+        held = []
+        scan = qhm.spaces.triangle_scan
+
+        def spy(d):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return scan(d)
+
+        monkeypatch.setattr(qhm.spaces, "triangle_scan", spy)
+        tracemalloc.start()
+        try:
+            assert np.array_equal(load_space(path).dist, x.dist)
+            assert np.array_equal(space_from_json(text).dist, x.dist)
+        finally:
+            tracemalloc.stop()
+        # the matrix is 0.7 MB; the text alone is 1.8 MB, the parsed rows
+        # 2.9 MB
+        assert len(held) == 2 and max(held) < 2 * 8 * n * n < len(text)
 
 
 class TestJsonWriter:
