@@ -3,7 +3,7 @@ triangular solves of a Cholesky factor and the Perron root bound.
 
 All are plain numpy. The triangle scan works in slabs of a fixed element
 budget; from SCREEN_MIN points on, `triangle_scan` first screens the pairs
-in float32 on one thread per CPU and recomputes in float64 only the pairs
+in float32 on up to four threads and recomputes in float64 only the pairs
 the screen cannot certify, with the same result bit for bit. The ascent
 advances its linear recurrence a block of iterates at a time; the
 triangular solves go a block of rows at a time.
@@ -111,16 +111,30 @@ SCREEN_TILE = 1 << 17
 # gathers two rows per pair: on an 801-point grid, where all 319,600 pairs
 # stay open, rechecking every pair took 0.89-0.96 s against 0.46-0.48 s
 # with every block rerun. Screened balls and glued clouds leave at most 11%
-# of a block open (median under 0.5%); grids and arcs about 97%.
+# of a block open (median under 0.5%); grids and arcs about 97%. Every
+# block is screened first, so a tight metric pays for the screen and the
+# slab loop: on a 2-vCPU machine (medians of 7 interleaved rounds) the scan
+# of `interval_grid(0, 1, 801)` took 0.52 s and of `regular_polygon_arc(801)`
+# 0.51 s, against 0.54 and 0.55 s for `worst_triangle_deficit` alone.
 SCREEN_OPEN_MAX = 0.25
 # Below this many points `triangle_scan` is `worst_triangle_deficit`: no
 # screen and no threads. Measured on a 2-vCPU machine, the two interleaved
 # (medians of 15 rounds): on euclidean clouds the screen took 1.18x as long
-# at 144 points, 1.01x at 160, 0.89x at 176 and 0.70x at 208; on interval
-# grids, which it cannot certify, 1.28x at 192, 1.01x at 208, 0.99x at 240
-# and 0.95x at 256. Below 64 points its fixed cost (threads, scratch) made
-# it 2-8x slower.
+# at 144 points, 1.01x at 160, 0.89x at 176 and 0.70x at 208. Interval
+# grids, which it cannot certify, took (medians of 9) 1.25x as long at 208
+# points, 1.38x at 256, 1.06x at 320, 1.10x at 401 and 0.95x at 801; the
+# crossover is set by the clouds, the common untrusted input (balls and
+# their glue). Below 64 points the screen's fixed cost (threads, scratch)
+# made it 2-8x slower.
 SCREEN_MIN = 208
+# At most this many workers screen at once. The CPU affinity overstates the
+# CPUs a process gets under a cgroup quota, and surplus threads cost time:
+# on a 2-vCPU machine (medians of 7 rounds at 802 points, 3 at 1601) the scan
+# of a euclidean cloud took 0.34/2.40 s on 1 worker, 0.21/1.24 on 2, 0.21/1.29
+# on 3, 0.23/1.34 on 4, 0.26/1.49 on 6 and 0.36/1.75 on 12; pinned to one
+# CPU, 0.32 s on 1 worker and 0.33 on 4 or 8. Four keeps that loss under 10%
+# and the scratch of all workers under 3.4 MB up to 1601 points.
+SCREEN_WORKERS = 4
 
 
 def triangle_scan(dist: np.ndarray):
@@ -147,20 +161,19 @@ def triangle_scan(dist: np.ndarray):
 
     Pairs left open are recomputed in float64 from their two rows; a block
     with more than SCREEN_OPEN_MAX of its cells open (a tight metric, such
-    as a grid on a line) reruns the exact slab loop instead, and a worker
-    whose block did so skips the screen on its next 1, 2, 4, ... blocks
-    until a screened block passes again. The result is the
-    lexicographically first pair i < j at the largest deficit, with k the
-    first argmin, or (0.0, 0, 0, 0) when no deficit is positive: what the
-    slab loop returns.
+    as a grid on a line) reruns the exact slab loop instead. The result is
+    the lexicographically first pair i < j at the largest deficit, with k
+    the first argmin, or (0.0, 0, 0, 0) when no deficit is positive: what
+    the slab loop returns.
 
-    Blocks of SCREEN_ROWS rows are claimed in order by one worker per CPU of
-    the process's affinity (numpy releases the GIL inside its loops), the
-    caller being one of them. Each block's answer depends on the block
+    Blocks of SCREEN_ROWS rows are claimed in order by the workers, the
+    caller being one of them (numpy releases the GIL inside its loops);
+    `_workers` says how many. Each block's answer depends on the block
     alone and the answers are combined in block order, so the result does
-    not depend on the number of workers. Every buffer is allocated here,
-    on the calling thread, before the workers start: the float32 copy
-    (4 n^2 bytes) and about 0.5 MB + 25 SCREEN_ROWS n bytes per worker.
+    not depend on the number of workers, nor on how many of their threads
+    could be started. Every buffer is allocated here, on the calling
+    thread, before the workers start: the float32 copy (4 n^2 bytes) and
+    about 0.5 MB + 25 SCREEN_ROWS n bytes per worker.
     """
     n = dist.shape[0]
     if n < SCREEN_MIN:
@@ -175,7 +188,6 @@ def triangle_scan(dist: np.ndarray):
     errors = []
 
     def work(scratch):
-        skip = backoff = 0
         try:
             while True:
                 with lock:
@@ -183,24 +195,24 @@ def triangle_scan(dist: np.ndarray):
                 if b is None:
                     return
                 i0 = starts[b]
-                found[b], exact = _scan_block(
-                    dist, screen if skip == 0 else None, i0,
-                    min(n, i0 + SCREEN_ROWS), *scratch)
-                if skip:
-                    skip -= 1
-                elif exact:  # screen the next block only after `skip` more
-                    backoff = skip = max(1, 2 * backoff)
-                else:
-                    backoff = 0
+                found[b] = _scan_block(dist, screen, i0,
+                                       min(n, i0 + SCREEN_ROWS), *scratch)
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 
-    scratch = [_screen_scratch(n) for _ in range(min(_cpus(), len(starts)))]
-    threads = [threading.Thread(target=work, args=(s,)) for s in scratch[1:]]
-    for t in threads:
-        t.start()
+    scratch = [_screen_scratch(n) for _ in range(_workers(n, len(starts)))]
+    started = []
+    try:
+        for s in scratch[1:]:
+            t = threading.Thread(target=work, args=(s,))
+            t.start()
+            started.append(t)
+    except RuntimeError:  # no thread to spare: those started share the blocks
+        pass
+    except BaseException as exc:  # stop the started workers, then re-raise
+        errors.append(exc)
     work(scratch[0])
-    for t in threads:
+    for t in started:
         t.join()
     if errors:
         raise errors[0]
@@ -218,6 +230,16 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _workers(n, blocks):
+    """Workers for the screen of n points in `blocks` row blocks: one per
+    CPU, at most one per block and SCREEN_WORKERS in all, and no more than
+    keep their scratch within the float32 copy, though always two (the
+    measured SCREEN_MIN assumes two)."""
+    copy = 4 * n * n
+    per = 8 * max(SCREEN_TILE // 2, SCREEN_ROWS * n) + 25 * SCREEN_ROWS * n
+    return min(_cpus(), blocks, SCREEN_WORKERS, max(2, copy // per))
+
+
 def _screen_scratch(n):
     """One worker's buffers for `_scan_block` on n points: one slab, read as
     float32 by the screen and as float64 by the exact passes after it, and
@@ -230,38 +252,35 @@ def _screen_scratch(n):
 
 def _scan_block(dist, screen, i0, i1, slab64, least32, tmp32, bound,
                 is_open, tmp64):
-    """((deficit, i, j), exact) for rows i0:i1 against the columns j > i:
-    the largest deficit of the block's pairs and the first pair that attains
-    it, or (0.0, i0, i0) when none is positive. `exact` says the block ran
-    the exact slab loop: with no screen given, or with too many pairs left
-    open by it."""
+    """(deficit, i, j) for rows i0:i1 against the columns j > i: the
+    largest deficit of the block's pairs and the first pair that attains
+    it, or (0.0, i0, i0) when none is positive."""
     n = dist.shape[0]
     shape = (i1 - i0, n - i0)
     size = shape[0] * shape[1]
-    if screen is not None:
-        least = least32[:size].reshape(shape)
-        _block_minima(screen, i0, i1, slab64.view(np.float32), least,
-                      tmp32[:size].reshape(shape))
-        # the bound and the comparison in float64, with no cast buffers
-        limit = bound[:size].reshape(shape)
-        np.copyto(limit, screen[i0:i1, i0:])
-        limit *= 1.0 + 4.0 * SCREEN_U
-        limit += 8.0 * SCREEN_ETA
-        screened = tmp64[:size].reshape(shape)
-        np.copyto(screened, least)
-        opened = np.less(screened, limit, out=is_open[:size].reshape(shape))
-        for r in range(shape[0]):
-            opened[r, :r + 1] = False  # only pairs i < j
-        count = np.count_nonzero(opened)
-        if count == 0:
-            return (0.0, i0, i0), False
-    if screen is None or count > SCREEN_OPEN_MAX * size:
+    least = least32[:size].reshape(shape)
+    _block_minima(screen, i0, i1, slab64.view(np.float32), least,
+                  tmp32[:size].reshape(shape))
+    # the bound and the comparison in float64, with no cast buffers
+    limit = bound[:size].reshape(shape)
+    np.copyto(limit, screen[i0:i1, i0:])
+    limit *= 1.0 + 4.0 * SCREEN_U
+    limit += 8.0 * SCREEN_ETA
+    screened = tmp64[:size].reshape(shape)
+    np.copyto(screened, least)
+    opened = np.less(screened, limit, out=is_open[:size].reshape(shape))
+    for r in range(shape[0]):
+        opened[r, :r + 1] = False  # only pairs i < j
+    count = np.count_nonzero(opened)
+    if count == 0:
+        return 0.0, i0, i0
+    if count > SCREEN_OPEN_MAX * size:
         exact = bound[:size].reshape(shape)
         _block_minima(dist, i0, i1, slab64, exact,
                       tmp64[:size].reshape(shape))
         deficit = np.subtract(dist[i0:i1, i0:], exact, out=exact)
         r, c = np.unravel_index(int(np.argmax(deficit)), shape)
-        return (float(deficit[r, c]), i0 + int(r), i0 + int(c)), True
+        return float(deficit[r, c]), i0 + int(r), i0 + int(c)
     i, j = np.nonzero(opened)
     i += i0
     j += i0
@@ -278,8 +297,8 @@ def _scan_block(dist, screen, i0, i1, slab64, least32, tmp32, bound,
     np.subtract(dist[i, j], deficit, out=deficit)
     best = int(np.argmax(deficit))
     if deficit[best] <= 0.0:
-        return (0.0, i0, i0), False
-    return (float(deficit[best]), int(i[best]), int(j[best])), False
+        return 0.0, i0, i0
+    return float(deficit[best]), int(i[best]), int(j[best])
 
 
 # Element budget of the ascent's stack of matrices dist @ A^k (4 MB); a block

@@ -5,8 +5,8 @@ matrix. Every matrix passes the O(n^2) checks (finite, zero diagonal,
 nonnegative, symmetric, positive between distinct points). The O(n^3)
 triangle scan (`qhm._kernels.triangle_scan`) runs only where a matrix comes
 in from outside the package: `validate_metric` and the space JSON readers.
-From SCREEN_MIN points on it screens the pairs in float32 on one thread per
-CPU of the process's affinity and certifies a pair only with a margin,
+From SCREEN_MIN points on it screens the pairs in float32 on up to four
+threads, one per CPU of the process's affinity, and certifies a pair only with a margin,
 e(i,j) (1 + 4u) + 8 eta, that covers every float32 rounding, so that a
 certified pair's float64 deficit is exactly 0; the open pairs are recomputed
 in float64, and the result is that of the exact slab loop bit for bit.

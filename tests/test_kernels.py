@@ -3,6 +3,8 @@ exactly, and the screened scan matches both bit for bit; the blocked ascent
 matches a one-step-at-a-time loop, the blocked triangular solves match a
 dense solve, and the Perron bound brackets the spectral radius from above."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qhm._kernels import (
     SCREEN_MIN,
     SCREEN_ROWS,
     SCREEN_TILE,
+    SCREEN_WORKERS,
     TRI_BLOCK,
     TRIANGLE_TILE,
     TRIANGLE_TILE_ROWS,
@@ -188,20 +191,19 @@ def test_scan_on_both_sides_of_the_crossover(n, monkeypatch):
 def test_screen_leaves_loose_metrics_to_the_pair_recheck(monkeypatch):
     # random entries in [1, 2], and a cloud whose nearly collinear triples
     # leave a few pairs open: no block reruns the exact loop
-    exact = []
-    scan_block = _kernels._scan_block
+    passes = []
+    block_minima = _kernels._block_minima
 
-    def counted(*args):
-        found, ran_exact = scan_block(*args)
-        exact.append(ran_exact)
-        return found, ran_exact
+    def counted(x, *args):
+        passes.append(x.dtype)
+        return block_minima(x, *args)
 
-    monkeypatch.setattr(_kernels, "_scan_block", counted)
+    monkeypatch.setattr(_kernels, "_block_minima", counted)
     n = SCREEN_MIN + 50
     cloud = euclidean_cloud(np.random.default_rng(6).uniform(size=(n, 2)))
     for dist in (random_metric(n, 4).dist, cloud.dist):
         _assert_scan_matches(dist, brute=False)
-    assert len(exact) == 2 * len(range(0, n, SCREEN_ROWS)) and not any(exact)
+    assert passes == [np.float32] * (2 * len(range(0, n, SCREEN_ROWS)))
 
 
 @pytest.mark.parametrize("plants", [
@@ -223,12 +225,27 @@ def test_scan_finds_planted_violations_at_full_size():
 
 
 @pytest.mark.parametrize("n", [SCREEN_MIN, 2 * SCREEN_MIN + 1])
-def test_scan_on_tight_families(n):
-    # every pair is tight (grids, arcs) or ties (the "tied" kind), so the
-    # screen leaves them open and the blocks rerun the exact loop
-    for dist in (interval_grid(0.0, 1.0, n).dist,
-                 regular_polygon_arc(n).dist, _symmetric(n, "tied", 1)):
+def test_scan_on_tight_families(n, monkeypatch):
+    # every pair is tight (grids, arcs), so the screen leaves them open and
+    # the blocks rerun the exact loop; the "tied" kind has no positive
+    # deficit either
+    passes = []
+    block_minima = _kernels._block_minima
+
+    def counted(x, *args):
+        passes.append(x.dtype)
+        return block_minima(x, *args)
+
+    monkeypatch.setattr(_kernels, "_block_minima", counted)
+    blocks = len(range(0, n, SCREEN_ROWS))
+    for dist in (interval_grid(0.0, 1.0, n).dist, regular_polygon_arc(n).dist):
+        passes.clear()
         assert _assert_scan_matches(dist, brute=False)[0] == 0.0
+        # every block screened, and all but perhaps the last (a corner of
+        # few pairs) rerun
+        assert passes.count(np.float32) == blocks
+        assert passes.count(np.float64) >= blocks - 1
+    assert _assert_scan_matches(_symmetric(n, "tied", 1), brute=False)[0] == 0.0
 
 
 def test_scan_on_tight_and_loose_blocks_mixed():
@@ -361,7 +378,7 @@ def test_worker_count_does_not_change_the_result(monkeypatch):
     for dist in cases:
         results = set()
         for workers in (1, 2, 3):
-            monkeypatch.setattr(_kernels, "_cpus", lambda: workers)
+            monkeypatch.setattr(_kernels, "_workers", lambda n, b: workers)
             results.add(triangle_scan(dist))
         assert results == {worst_triangle_deficit(dist)}
 
@@ -380,7 +397,7 @@ def test_every_block_claimed_once_under_thread_churn(monkeypatch):
         return scan_block(dist, screen, i0, *rest)
 
     monkeypatch.setattr(_kernels, "_scan_block", counted)
-    monkeypatch.setattr(_kernels, "_cpus", lambda: 8)
+    monkeypatch.setattr(_kernels, "_workers", lambda n, blocks: 8)
     monkeypatch.setattr(_kernels, "SCREEN_ROWS", 2)
     dist = _tied_with(SCREEN_MIN + 9, [(SCREEN_MIN, SCREEN_MIN + 8)])
     got = []
@@ -431,11 +448,69 @@ def test_validate_metric_at_the_tolerance_edges(n):
     assert exc.value.triple == (i, j, k) and exc.value.deficit == delta
 
 
-def test_scan_memory_is_the_copy_and_the_scratch(monkeypatch):
+class _FlakyThread(threading.Thread):
+    """A thread whose start fails, with `error`, once `allowed` threads
+    have started; `started` lists those that did."""
+    allowed, error, started = 0, RuntimeError, []
+
+    def start(self):
+        if len(self.started) >= self.allowed:
+            raise self.error("can't start new thread")
+        super().start()
+        self.started.append(self)
+
+
+@pytest.mark.parametrize("allowed", [0, 1, 2])
+def test_scan_runs_on_the_threads_it_could_start(allowed, monkeypatch):
+    # a process out of threads: the workers that started and the caller
+    # share the blocks, and every started worker is joined
+    monkeypatch.setattr(_kernels, "_workers", lambda n, blocks: 4)
+    for dist in (_tied_with(SCREEN_MIN + 9, [(40, SCREEN_MIN + 8)]),
+                 interval_grid(0.0, 1.0, SCREEN_MIN + 9).dist):
+        flaky = type("Flaky", (_FlakyThread,),
+                     {"allowed": allowed, "started": []})
+        monkeypatch.setattr(_kernels.threading, "Thread", flaky)
+        assert triangle_scan(dist) == worst_triangle_deficit(dist)
+        assert len(flaky.started) == allowed
+        assert not any(t.is_alive() for t in flaky.started)
+
+
+def test_scan_stops_its_workers_when_a_start_is_interrupted(monkeypatch):
+    class Interrupt(BaseException):
+        pass
+
+    # the started worker scans only once the second start has failed
+    gate = threading.Event()
+    claimed = []
+    scan_block = _kernels._scan_block
+
+    def counted(dist, screen, i0, *rest):
+        claimed.append(i0)
+        gate.wait(timeout=60)
+        return scan_block(dist, screen, i0, *rest)
+
+    class Flaky(_FlakyThread):
+        allowed, error, started = 1, Interrupt, []
+
+        def start(self):
+            if self.started:
+                gate.set()
+            super().start()
+
+    monkeypatch.setattr(_kernels.threading, "Thread", Flaky)
+    monkeypatch.setattr(_kernels, "_workers", lambda n, blocks: 3)
+    monkeypatch.setattr(_kernels, "_scan_block", counted)
+    with pytest.raises(Interrupt):
+        triangle_scan(_symmetric(SCREEN_MIN + 1, "uniform", 0))
+    assert len(Flaky.started) == 1 and not Flaky.started[0].is_alive()
+    assert len(claimed) < len(range(0, SCREEN_MIN + 1, SCREEN_ROWS))
+
+
+@pytest.mark.parametrize("n, cpus", [(600, 2), (600, 64), (1200, 64)])
+def test_scan_memory_is_the_copy_and_the_scratch(n, cpus, monkeypatch):
     import tracemalloc
 
-    n, workers = 600, 2
-    monkeypatch.setattr(_kernels, "_cpus", lambda: workers)
+    monkeypatch.setattr(_kernels, "_cpus", lambda: cpus)
     dist = _symmetric(n, "uniform", 0)
     tracemalloc.start()
     try:
@@ -448,9 +523,13 @@ def test_scan_memory_is_the_copy_and_the_scratch(monkeypatch):
     # the float32 copy; each worker's scratch, the buffers numpy's ufuncs
     # allocate per call (one or two of np.getbufsize() doubles) and its
     # arrays of open pairs (at most a quarter of a block); a float64 copy of
-    # the matrix would add 2.9 MB
-    buffers = 3 * 8 * np.getbufsize()
-    assert peak < 4 * n * n + workers * (scratch + buffers + 8 * rows)
+    # the matrix would add 2.9 MB at 600 points. However many CPUs there
+    # are, at most SCREEN_WORKERS workers run, and their scratch stays
+    # within the float32 copy or two workers' worth.
+    per = np.getbufsize() * 3 * 8 + 8 * rows
+    workers = min(cpus, SCREEN_WORKERS)
+    assert peak < 4 * n * n + workers * (scratch + per)
+    assert peak < 4 * n * n + max(4 * n * n, 2 * scratch) + workers * per
 
 
 # -- blocked ascent against the one-step loop ---------------------------------
