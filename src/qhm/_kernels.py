@@ -1,10 +1,13 @@
 """Numeric kernels: the triangle scan, the projected-ascent oracle, the
 triangular solves of a Cholesky factor and the Perron root bound.
 
-All are plain numpy. The triangle scan works in slabs of a fixed element
-budget; from SCREEN_MIN points on, `triangle_scan` first screens the pairs
-in float32 on up to four threads and recomputes in float64 only the pairs
-the screen cannot certify, with the same result bit for bit. The ascent
+All are plain numpy. The triangle scan has one exact loop, `_exact_block`,
+which scans a block of rows in slabs of a fixed element budget, and one
+combiner of the blocks' answers, `_worst`. `worst_triangle_deficit` runs
+the loop on every block. From SCREEN_MIN points on, `triangle_scan` first
+screens the pairs in float32 on up to four threads, recomputes in float64
+the few pairs the screen cannot certify and runs the exact loop on the
+blocks it leaves mostly open, with the same result bit for bit. The ascent
 advances its linear recurrence a block of iterates at a time; the
 triangular solves go a block of rows at a time.
 """
@@ -21,9 +24,15 @@ ASCENT_CONVERGED = 1
 ASCENT_BLOWUP = 2
 
 
-# Element budget of one triangle-scan slab (rows x pivots x columns). Apart
-# from this one buffer the scan allocates only row-block vectors of
-# TRIANGLE_TILE_ROWS x n elements, never an n x n temporary.
+# Element budget of one triangle-scan slab (rows x pivots x columns) of
+# float64, and rows per block. The screen reads the same 512 KB slab as
+# 2 TRIANGLE_TILE float32. Apart from the slab the scan allocates only
+# row-block vectors of TRIANGLE_TILE_ROWS x n elements, never an n x n
+# temporary (the screen adds its float32 copy). Measured on a 2-vCPU machine
+# (medians of 5), the screened scan of the 802-point glued file took 0.21,
+# 0.18 and 0.16 s with slabs of 2^16, 2^17 and 2^18 float32 elements, a
+# 1601-point ball 1.55, 1.31 and 1.39 s; 4, 8 and 16 rows per block were
+# within noise of each other.
 TRIANGLE_TILE = 1 << 16
 TRIANGLE_TILE_ROWS = 8
 
@@ -32,54 +41,40 @@ def worst_triangle_deficit(dist: np.ndarray):
     """Largest d(i,j) - (d(i,k) + d(k,j)) over all triples, with a triple
     that attains it: returns (deficit, i, j, k).
 
-    `dist` must be symmetric. The scan then covers only columns j >= i0 of
-    each block of rows i0:i1, since the deficit of (j, i, k) equals that of
-    (i, j, k) bit for bit. Each slab of at most TRIANGLE_TILE elements holds
-    the sums d(i,k) + d(k,j) for a block of rows, a block of pivots and the
-    columns j >= i0; their minimum over the pivots is folded into a running
-    row-block minimum s(i,j). Rounded subtraction is monotone, so
-    d(i,j) - s(i,j) is exactly the largest d(i,j) - (d(i,k) + d(k,j)) over k.
-    The pivot of the winning (i, j) is recovered by one pass over its row.
+    `dist` must be symmetric. The exact loop `_exact_block` runs on each
+    block of TRIANGLE_TILE_ROWS rows against the columns j >= i0 only, since
+    the deficit of (j, i, k) equals that of (i, j, k) bit for bit, and
+    `_worst` combines the blocks' answers.
     """
     n = dist.shape[0]
     rows = min(n, TRIANGLE_TILE_ROWS)
     buf = np.empty(min(max(TRIANGLE_TILE, rows * n), rows * n * n))
-    worst = -np.inf
-    at = (0, 0, 0)
-    for i0 in range(0, n, rows):
-        i1 = min(n, i0 + rows)
-        width = n - i0
-        pivots = max(1, buf.size // ((i1 - i0) * width))
-        least = None
-        for k0 in range(0, n, pivots):
-            k1 = min(n, k0 + pivots)
-            slab = buf[:(i1 - i0) * (k1 - k0) * width].reshape(
-                i1 - i0, k1 - k0, width)
-            np.add(dist[i0:i1, k0:k1, None], dist[None, k0:k1, i0:], out=slab)
-            if least is None:
-                least = slab.min(axis=1)
-            else:
-                np.minimum(least, slab.min(axis=1), out=least)
-        deficit = dist[i0:i1, i0:] - least
-        m = float(deficit.max())
-        if m > worst:
-            worst = m
-            r, c = np.unravel_index(int(np.argmax(deficit)), deficit.shape)
-            i, j = i0 + int(r), i0 + int(c)
-            at = (i, j, int(np.argmin(dist[i, :] + dist[:, j])))
-    return worst, at[0], at[1], at[2]
+    least, tmp = np.empty(rows * n), np.empty(rows * n)
+    return _worst(dist, [_exact_block(dist, i0, min(n, i0 + rows), buf,
+                                      least, tmp)
+                         for i0 in range(0, n, rows)])
+
+
+def _worst(dist, found):
+    """(deficit, i, j, k) from the blocks' (deficit, i, j) in block order:
+    the first block at the largest deficit, with k the first argmin of
+    d(i,k) + d(k,j). A block with no positive deficit reports (0.0, i0, i0),
+    so a metric gives (0.0, 0, 0, 0)."""
+    worst, i, j = max(found, key=lambda f: f[0])
+    return worst, i, j, int(np.argmin(dist[i, :] + dist[:, j]))
 
 
 def _block_minima(x, i0, i1, buf, least, tmp):
-    """Fill `least` (rows i0:i1 by columns i0:) with min over k of
-    x[i, k] + x[k, j], in slabs of at most buf.size sums (rows x pivots x
-    columns); `tmp` is scratch of least's shape. This is the slab loop of
-    `worst_triangle_deficit`, which keeps its own copy: there the per-block
-    function call cost 8-15% on 8-40 points. Apart from the buffer that
-    numpy's ufuncs allocate per call, it writes only into what it is given,
-    so that the screen's worker threads need no memory of their own."""
+    """min over k of x[i, k] + x[k, j] for rows i0:i1 and columns j >= i0,
+    as a view of `least`, in slabs of at most buf.size sums (rows x pivots x
+    columns); `least` and `tmp` hold at least a block's elements. Apart
+    from the buffer that numpy's ufuncs allocate per call, it writes only
+    into what it is given, so that the screen's worker threads need no
+    memory of their own."""
     n = x.shape[0]
-    rows, width = least.shape
+    rows, width = i1 - i0, n - i0
+    least = least[:rows * width].reshape(rows, width)
+    tmp = tmp[:rows * width].reshape(rows, width)
     pivots = max(1, buf.size // (rows * width))
     for k0 in range(0, n, pivots):
         k1 = min(n, k0 + pivots)
@@ -90,6 +85,22 @@ def _block_minima(x, i0, i1, buf, least, tmp):
         else:
             np.minimum.reduce(slab, axis=1, out=tmp)
             np.minimum(least, tmp, out=least)
+    return least
+
+
+def _exact_block(dist, i0, i1, buf, least, tmp):
+    """(deficit, i, j) for rows i0:i1 in float64: the largest
+    d(i,j) - (d(i,k) + d(k,j)) over k and the columns j >= i0, and the first
+    (i, j) in row order that attains it; `buf`, `least` and `tmp` are as for
+    `_block_minima`. Rounded subtraction is monotone, so d(i,j) minus the
+    least sum is exactly the largest deficit over k. A pair j < i repeats
+    the deficit of (j, i) in an earlier row, and k = i gives every diagonal
+    entry 0, so the first pair has i <= j and is (i0, i0) when no deficit
+    is positive."""
+    deficit = _block_minima(dist, i0, i1, buf, least, tmp)
+    np.subtract(dist[i0:i1, i0:], deficit, out=deficit)
+    r, c = divmod(int(np.argmax(deficit)), deficit.shape[1])
+    return float(deficit[r, c]), i0 + r, i0 + c
 
 
 # The float32 screen of `triangle_scan`. A pair is certified when its
@@ -98,14 +109,6 @@ def _block_minima(x, i0, i1, buf, least, tmp):
 # number (which also covers subnormals flushed to zero).
 SCREEN_U = 2.0 ** -24
 SCREEN_ETA = 2.0 ** -126
-# Rows per block and float32 elements per slab of the screen (512 KB, which
-# is also TRIANGLE_TILE doubles for the exact passes that reuse it).
-# Measured on a 2-vCPU machine (medians of 5), the scan of the 802-point
-# glued file took 0.21, 0.18 and 0.16 s with slabs of 2^16, 2^17 and 2^18
-# elements, a 1601-point ball 1.55, 1.31 and 1.39 s; 4, 8 and 16 rows per
-# block were within noise of each other.
-SCREEN_ROWS = 8
-SCREEN_TILE = 1 << 17
 # A block whose open cells exceed this share of its cells reruns the exact
 # slab loop instead of rechecking its open pairs one at a time, which
 # gathers two rows per pair: on an 801-point grid, where all 319,600 pairs
@@ -161,19 +164,19 @@ def triangle_scan(dist: np.ndarray):
 
     Pairs left open are recomputed in float64 from their two rows; a block
     with more than SCREEN_OPEN_MAX of its cells open (a tight metric, such
-    as a grid on a line) reruns the exact slab loop instead. The result is
-    the lexicographically first pair i < j at the largest deficit, with k
-    the first argmin, or (0.0, 0, 0, 0) when no deficit is positive: what
-    the slab loop returns.
+    as a grid on a line) reruns the exact loop `_exact_block` instead. Each
+    block reports the first pair i < j at its largest deficit, or
+    (0.0, i0, i0) when none is positive, as `_exact_block` does, and
+    `_worst` combines them as it does for `worst_triangle_deficit`.
 
-    Blocks of SCREEN_ROWS rows are claimed in order by the workers, the
-    caller being one of them (numpy releases the GIL inside its loops);
+    Blocks of TRIANGLE_TILE_ROWS rows are claimed in order by the workers,
+    the caller being one of them (numpy releases the GIL inside its loops);
     `_workers` says how many. Each block's answer depends on the block
     alone and the answers are combined in block order, so the result does
     not depend on the number of workers, nor on how many of their threads
     could be started. Every buffer is allocated here, on the calling
     thread, before the workers start: the float32 copy (4 n^2 bytes) and
-    about 0.5 MB + 25 SCREEN_ROWS n bytes per worker.
+    about 0.5 MB + 25 TRIANGLE_TILE_ROWS n bytes per worker.
     """
     n = dist.shape[0]
     if n < SCREEN_MIN:
@@ -181,7 +184,8 @@ def triangle_scan(dist: np.ndarray):
     screen = np.empty((n, n), dtype=np.float32)
     np.ldexp(dist, 125 - math.frexp(float(dist.max()))[1], out=screen)
     screen.reshape(-1)[::n + 1] = np.inf
-    starts = range(0, n, SCREEN_ROWS)
+    rows = TRIANGLE_TILE_ROWS
+    starts = range(0, n, rows)
     found = [None] * len(starts)
     claims = iter(range(len(starts)))
     lock = threading.Lock()
@@ -195,8 +199,8 @@ def triangle_scan(dist: np.ndarray):
                 if b is None:
                     return
                 i0 = starts[b]
-                found[b] = _scan_block(dist, screen, i0,
-                                       min(n, i0 + SCREEN_ROWS), *scratch)
+                found[b] = _scan_block(dist, screen, i0, min(n, i0 + rows),
+                                       *scratch)
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 
@@ -216,10 +220,7 @@ def triangle_scan(dist: np.ndarray):
         t.join()
     if errors:
         raise errors[0]
-    worst, i, j = max(found, key=lambda f: f[0])  # the first block at the max
-    if worst <= 0.0:
-        return 0.0, 0, 0, 0
-    return worst, i, j, int(np.argmin(dist[i, :] + dist[:, j]))
+    return _worst(dist, found)
 
 
 def _cpus() -> int:
@@ -236,7 +237,8 @@ def _workers(n, blocks):
     keep their scratch within the float32 copy, though always two (the
     measured SCREEN_MIN assumes two)."""
     copy = 4 * n * n
-    per = 8 * max(SCREEN_TILE // 2, SCREEN_ROWS * n) + 25 * SCREEN_ROWS * n
+    m = TRIANGLE_TILE_ROWS * n
+    per = 8 * max(TRIANGLE_TILE, m) + 25 * m
     return min(_cpus(), blocks, SCREEN_WORKERS, max(2, copy // per))
 
 
@@ -244,8 +246,8 @@ def _screen_scratch(n):
     """One worker's buffers for `_scan_block` on n points: one slab, read as
     float32 by the screen and as float64 by the exact passes after it, and
     row-block vectors."""
-    m = SCREEN_ROWS * n
-    return (np.empty(max(SCREEN_TILE // 2, m, 2 * n)),
+    m = TRIANGLE_TILE_ROWS * n
+    return (np.empty(max(TRIANGLE_TILE, m, 2 * n)),
             np.empty(m, dtype=np.float32), np.empty(m, dtype=np.float32),
             np.empty(m), np.empty(m, dtype=bool), np.empty(m))
 
@@ -256,11 +258,9 @@ def _scan_block(dist, screen, i0, i1, slab64, least32, tmp32, bound,
     largest deficit of the block's pairs and the first pair that attains
     it, or (0.0, i0, i0) when none is positive."""
     n = dist.shape[0]
-    shape = (i1 - i0, n - i0)
-    size = shape[0] * shape[1]
-    least = least32[:size].reshape(shape)
-    _block_minima(screen, i0, i1, slab64.view(np.float32), least,
-                  tmp32[:size].reshape(shape))
+    least = _block_minima(screen, i0, i1, slab64.view(np.float32), least32,
+                          tmp32)
+    shape, size = least.shape, least.size
     # the bound and the comparison in float64, with no cast buffers
     limit = bound[:size].reshape(shape)
     np.copyto(limit, screen[i0:i1, i0:])
@@ -275,12 +275,7 @@ def _scan_block(dist, screen, i0, i1, slab64, least32, tmp32, bound,
     if count == 0:
         return 0.0, i0, i0
     if count > SCREEN_OPEN_MAX * size:
-        exact = bound[:size].reshape(shape)
-        _block_minima(dist, i0, i1, slab64, exact,
-                      tmp64[:size].reshape(shape))
-        deficit = np.subtract(dist[i0:i1, i0:], exact, out=exact)
-        r, c = np.unravel_index(int(np.argmax(deficit)), shape)
-        return float(deficit[r, c]), i0 + int(r), i0 + int(c)
+        return _exact_block(dist, i0, i1, slab64, bound, tmp64)
     i, j = np.nonzero(opened)
     i += i0
     j += i0

@@ -173,7 +173,10 @@ def glue_cmd(ctx, x_file, y_file, c):
     x = load_space(x_file)
     y = load_space(y_file)
     z = glue_spaces(GlueSpec(x, y, c))
-    _emit_text(ctx, space_to_json(z))
+    if ctx.obj["out"] is None:
+        _emit_text(ctx, space_to_json(z))
+    else:  # row by row, with no copy of the whole text
+        save_space(z, ctx.obj["out"])
 
 
 @cli.command("fixtures")

@@ -430,15 +430,25 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
     Either way the distances are bit for bit those of the one-array
     formula. The largest entry and the smallest off-diagonal entry are read
     per block while it is in cache.
+
+    Below 2^-400 the squared differences would lose bits to underflow (and
+    from about 1e-170 vanish), so a cloud whose largest |coordinate| is that
+    small is scaled by a power of two to just below 1 first, and each
+    block of distances scaled back: both are exact, so the distances are
+    those of the scaled cloud times the same power of two, bit for bit.
     """
     pts = _float_array(coords, "coordinate")
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
+    if pts.ndim != 2 or 0 in pts.shape:
         raise InvalidInputError(f"expected a (n, k) coordinate array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
+    top = float(np.abs(pts).max())  # NaN or inf if any coordinate is
+    if not math.isfinite(top):
         raise InvalidInputError("coordinates must be finite")
     n, k = pts.shape
+    shift = -math.frexp(top)[1] if 0.0 < top < 2.0 ** -400 else 0
+    if shift:
+        np.ldexp(pts, shift, out=pts)
     one_array = k >= 8 or n * n * k <= ONE_ARRAY_MAX
     rows = max(1, TRIANGLE_TILE // (n * k if one_array else n))
     d = np.empty((n, n))
@@ -456,6 +466,8 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
                 _add_squared_differences(
                     block, cols, i0, buf[:block.size].reshape(block.shape))
                 np.sqrt(block, out=block)
+            if shift:
+                np.ldexp(block, -shift, out=block)
             # distances are never NaN: an overflow shows as +inf here
             largest = max(largest, float(block.max()))
             diagonal = block.reshape(-1)[i0::n + 1]
@@ -541,23 +553,30 @@ def random_metric(n: int, seed: int) -> FiniteMetricSpace:
 # save/load round trip is bit-exact.
 
 
-def space_to_json(space: FiniteMetricSpace) -> str:
-    # one "%.17g" per entry, filled a row at a time: the same text as
-    # format(v, ".17g") entry by entry, without a Python call per entry
+def _json_chunks(space: FiniteMetricSpace):
+    """The space's JSON text, one matrix row per chunk: `save_space` writes
+    the chunks as they come, so no copy of the whole text is held. Each row
+    is one "%.17g" per entry, filled a row at a time: the same text as
+    format(v, ".17g") entry by entry, without a Python call per entry."""
     row = "[" + ", ".join(["%.17g"] * space.n) + "]"
-    rows = ",\n      ".join(row % tuple(r.tolist()) for r in space.dist)
-    return (
+    yield (
         "{\n"
         f'  "name": {json.dumps(space.name)},\n'
         f'  "labels": {json.dumps(list(space.labels))},\n'
-        f'  "matrix": [\n      {rows}\n  ]\n'
-        "}\n"
+        '  "matrix": [\n      '
     )
+    for i, r in enumerate(space.dist):
+        yield (",\n      " if i else "") + row % tuple(r.tolist())
+    yield "\n  ]\n}\n"
+
+
+def space_to_json(space: FiniteMetricSpace) -> str:
+    return "".join(_json_chunks(space))
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(space_to_json(space))
+        fh.writelines(_json_chunks(space))
 
 
 def space_from_json(text: str, tol_triangle: float | None = None) -> FiniteMetricSpace:

@@ -17,8 +17,6 @@ from qhm._kernels import (
     ASCENT_MAXITER,
     ASCENT_TILE,
     SCREEN_MIN,
-    SCREEN_ROWS,
-    SCREEN_TILE,
     SCREEN_WORKERS,
     TRI_BLOCK,
     TRIANGLE_TILE,
@@ -132,8 +130,8 @@ def small_screen(monkeypatch):
     """The screen on every size, in blocks of 3 rows and slabs of a few
     pivots, so that small matrices cross many block and slab edges."""
     monkeypatch.setattr(_kernels, "SCREEN_MIN", 1)
-    monkeypatch.setattr(_kernels, "SCREEN_ROWS", 3)
-    monkeypatch.setattr(_kernels, "SCREEN_TILE", 128)
+    monkeypatch.setattr(_kernels, "TRIANGLE_TILE_ROWS", 3)
+    monkeypatch.setattr(_kernels, "TRIANGLE_TILE", 64)
 
 
 def _assert_scan_matches(dist, brute=True):
@@ -185,12 +183,13 @@ def test_scan_on_both_sides_of_the_crossover(n, monkeypatch):
         _assert_scan_matches(_symmetric(n, kind, n), brute=False)
     # below the crossover the slab loop runs alone, with no screen
     assert len(blocks) == (0 if n < SCREEN_MIN
-                           else 3 * len(range(0, n, SCREEN_ROWS)))
+                           else 3 * len(range(0, n, TRIANGLE_TILE_ROWS)))
 
 
-def test_screen_leaves_loose_metrics_to_the_pair_recheck(monkeypatch):
-    # random entries in [1, 2], and a cloud whose nearly collinear triples
-    # leave a few pairs open: no block reruns the exact loop
+def _scan_passes(dist, monkeypatch):
+    """triangle_scan(dist), checked against worst_triangle_deficit, and the
+    dtypes of the `_block_minima` passes the scan alone made (the reference
+    runs the same routine)."""
     passes = []
     block_minima = _kernels._block_minima
 
@@ -198,12 +197,22 @@ def test_screen_leaves_loose_metrics_to_the_pair_recheck(monkeypatch):
         passes.append(x.dtype)
         return block_minima(x, *args)
 
-    monkeypatch.setattr(_kernels, "_block_minima", counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_block_minima", counted)
+        got = triangle_scan(dist)
+    assert got == worst_triangle_deficit(dist)
+    return got, passes
+
+
+def test_screen_leaves_loose_metrics_to_the_pair_recheck(monkeypatch):
+    # random entries in [1, 2], and a cloud whose nearly collinear triples
+    # leave a few pairs open: no block reruns the exact loop
     n = SCREEN_MIN + 50
     cloud = euclidean_cloud(np.random.default_rng(6).uniform(size=(n, 2)))
+    passes = []
     for dist in (random_metric(n, 4).dist, cloud.dist):
-        _assert_scan_matches(dist, brute=False)
-    assert passes == [np.float32] * (2 * len(range(0, n, SCREEN_ROWS)))
+        passes += _scan_passes(dist, monkeypatch)[1]
+    assert passes == [np.float32] * (2 * len(range(0, n, TRIANGLE_TILE_ROWS)))
 
 
 @pytest.mark.parametrize("plants", [
@@ -229,23 +238,43 @@ def test_scan_on_tight_families(n, monkeypatch):
     # every pair is tight (grids, arcs), so the screen leaves them open and
     # the blocks rerun the exact loop; the "tied" kind has no positive
     # deficit either
-    passes = []
-    block_minima = _kernels._block_minima
-
-    def counted(x, *args):
-        passes.append(x.dtype)
-        return block_minima(x, *args)
-
-    monkeypatch.setattr(_kernels, "_block_minima", counted)
-    blocks = len(range(0, n, SCREEN_ROWS))
+    blocks = len(range(0, n, TRIANGLE_TILE_ROWS))
     for dist in (interval_grid(0.0, 1.0, n).dist, regular_polygon_arc(n).dist):
-        passes.clear()
-        assert _assert_scan_matches(dist, brute=False)[0] == 0.0
+        got, passes = _scan_passes(dist, monkeypatch)
+        assert got[0] == 0.0
         # every block screened, and all but perhaps the last (a corner of
         # few pairs) rerun
         assert passes.count(np.float32) == blocks
         assert passes.count(np.float64) >= blocks - 1
     assert _assert_scan_matches(_symmetric(n, "tied", 1), brute=False)[0] == 0.0
+
+
+def test_one_exact_block_routine(monkeypatch):
+    # the reference runs the exact block routine once per row block, the
+    # screen once per block it reruns: every block of a grid but perhaps
+    # the last, no block of a loose metric
+    n = SCREEN_MIN + 3
+    starts = list(range(0, n, TRIANGLE_TILE_ROWS))
+    grid = interval_grid(0.0, 1.0, n).dist
+    loose = random_metric(n, 4).dist
+    expected = [worst_triangle_deficit(d) for d in (grid, loose)]
+    calls = []
+    exact_block = _kernels._exact_block
+
+    def counted(dist, i0, *args):
+        calls.append(i0)
+        return exact_block(dist, i0, *args)
+
+    monkeypatch.setattr(_kernels, "_exact_block", counted)
+    assert worst_triangle_deficit(grid) == expected[0]
+    assert calls == starts
+    calls.clear()
+    assert triangle_scan(grid) == expected[0]
+    assert len(calls) >= len(starts) - 1
+    assert len(set(calls)) == len(calls) and set(calls) <= set(starts)
+    calls.clear()
+    assert triangle_scan(loose) == expected[1]
+    assert calls == []
 
 
 def test_scan_on_tight_and_loose_blocks_mixed():
@@ -304,7 +333,7 @@ def test_scan_with_subnormal_entries_beside_normal_ones(n, monkeypatch):
     # in the float32 screen their distances flush to 0 and stay open
     if n < SCREEN_MIN:
         monkeypatch.setattr(_kernels, "SCREEN_MIN", 1)
-        monkeypatch.setattr(_kernels, "SCREEN_ROWS", 3)
+        monkeypatch.setattr(_kernels, "TRIANGLE_TILE_ROWS", 3)
     dist = _symmetric(n, "tied", 3)
     tiny = [1, 4, n - 1]
     for a in tiny[1:]:  # the same distances to every other point
@@ -398,7 +427,7 @@ def test_every_block_claimed_once_under_thread_churn(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_scan_block", counted)
     monkeypatch.setattr(_kernels, "_workers", lambda n, blocks: 8)
-    monkeypatch.setattr(_kernels, "SCREEN_ROWS", 2)
+    monkeypatch.setattr(_kernels, "TRIANGLE_TILE_ROWS", 2)
     dist = _tied_with(SCREEN_MIN + 9, [(SCREEN_MIN, SCREEN_MIN + 8)])
     got = []
     interval = sys.getswitchinterval()
@@ -418,7 +447,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     scan_block = _kernels._scan_block
 
     def failing(dist, screen, i0, *rest):
-        if i0 == 5 * SCREEN_ROWS:
+        if i0 == 5 * TRIANGLE_TILE_ROWS:
             raise FloatingPointError("block 5")
         return scan_block(dist, screen, i0, *rest)
 
@@ -503,7 +532,7 @@ def test_scan_stops_its_workers_when_a_start_is_interrupted(monkeypatch):
     with pytest.raises(Interrupt):
         triangle_scan(_symmetric(SCREEN_MIN + 1, "uniform", 0))
     assert len(Flaky.started) == 1 and not Flaky.started[0].is_alive()
-    assert len(claimed) < len(range(0, SCREEN_MIN + 1, SCREEN_ROWS))
+    assert len(claimed) < len(range(0, SCREEN_MIN + 1, TRIANGLE_TILE_ROWS))
 
 
 @pytest.mark.parametrize("n, cpus", [(600, 2), (600, 64), (1200, 64)])
@@ -518,8 +547,8 @@ def test_scan_memory_is_the_copy_and_the_scratch(n, cpus, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = SCREEN_ROWS * n
-    scratch = 8 * max(SCREEN_TILE // 2, rows, 2 * n) + (4 + 4 + 8 + 1 + 8) * rows
+    rows = TRIANGLE_TILE_ROWS * n
+    scratch = 8 * max(TRIANGLE_TILE, rows, 2 * n) + (4 + 4 + 8 + 1 + 8) * rows
     # the float32 copy; each worker's scratch, the buffers numpy's ufuncs
     # allocate per call (one or two of np.getbufsize() doubles) and its
     # arrays of open pairs (at most a quarter of a block); a float64 copy of

@@ -179,6 +179,24 @@ class TestBuilders:
         assert not isinstance(exc.value, DuplicatePointError)
         assert "non-finite" in str(exc.value)
 
+    @pytest.mark.parametrize("shape", [(8, 3), (40, 3), (12, 9)])
+    def test_euclidean_tiny_clouds_scale_exactly(self, shape):
+        # down to 2^-1000 the distances are those of the unscaled cloud
+        # times the same power of two: no squared difference underflows
+        rng = np.random.default_rng(shape[0])
+        for _ in range(20 if shape == (8, 3) else 3):
+            pts = rng.uniform(-1.0, 1.0, shape)
+            dist = euclidean_cloud(pts).dist
+            for k in (0, 100, 400, 500, 900, 1000):
+                assert np.array_equal(euclidean_cloud(np.ldexp(pts, -k)).dist,
+                                      np.ldexp(dist, -k))
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 0)), [[0.0, np.nan]],
+                                     [[0.0, 1.0], [np.inf, 0.0]]])
+    def test_euclidean_rejects_empty_or_non_finite_coordinates(self, bad):
+        with pytest.raises(InvalidInputError):
+            euclidean_cloud(bad)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 12, 40])
     def test_euclidean_row_blocks_match_one_array(self, k):
         # 300 points span several row blocks at every k
