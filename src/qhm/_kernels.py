@@ -18,6 +18,8 @@ import threading
 
 import numpy as np
 
+from .tolerances import PERRON_RTOL
+
 # ascent loop exit status codes
 ASCENT_MAXITER = 0
 ASCENT_CONVERGED = 1
@@ -437,9 +439,8 @@ def cholesky_solver(lower: np.ndarray):
     return solve
 
 
-# Relative width of the Collatz-Wielandt bracket at which the Perron root
-# iteration stops, and the most iterations it runs.
-PERRON_RTOL = 1e-13
+# The most iterations the Perron root iteration runs; it stops earlier once
+# its Collatz-Wielandt bracket is narrower than PERRON_RTOL relative.
 PERRON_MAX_ITER = 500
 
 

@@ -12,15 +12,16 @@ restricted to that subspace, B = -Q'DQ for an orthonormal mass-zero basis Q:
     otherwise                ->  NonStrict; eigenvectors within +-tau of zero
                                  span the degenerate (seminorm-zero) directions
 
-with tau = tol * max(1, spectral radius). Single-point spaces are Strict by
+with tau = tol * spectral radius of B, so the verdict does not depend on the
+unit of length (see `qhm.tolerances`). Single-point spaces are Strict by
 convention. Q is the last n - 1 columns of one Householder reflection H,
 never formed: B comes from D by a rank-two update in O(n^2), and Q and Q'
 are applied to vectors in closed form, O(n) each.
 
 `classify` always takes the full `eigh` of B, since its verdict carries the
 spectrum. A Strict verdict alone needs less: `certify_strict` factors
-B - (tau_hi + r) I by Cholesky, with tau_hi = tol * max(1, ||B||_F) >= tau
-and r a bound on the factorization's backward error. Success proves every
+B - (tau_hi + r) I by Cholesky, with tau_hi = tol * ||B||_F >= tau and r
+a bound on the factorization's backward error. Success proves every
 eigenvalue of B exceeds tau_hi, so `eigh` would also answer Strict; the
 factor then solves with B by iterative refinement (a plain LU solve when B
 is small). `m_constant` and `invariant_measure` try that certificate first
@@ -42,8 +43,8 @@ from .errors import (
     NotApplicableError,
 )
 from .spaces import FiniteMetricSpace, diameter
+from .tolerances import DEFAULT_TOL, FLATNESS_REL
 
-DEFAULT_TOL = 1e-9  # relative spectral tolerance
 EPS = float(np.finfo(np.float64).eps)
 # Up to this order of B a dense LU solve with B costs less than setting up
 # the blocked triangular solves of its certificate and refining.
@@ -57,8 +58,9 @@ def check_tol(tol: float) -> None:
 
 
 def default_flatness_tol(space: FiniteMetricSpace) -> float:
-    """Absolute tolerance for 'constant potential' checks, scaled by size."""
-    return 1e-8 * (1.0 + diameter(space))
+    """Tolerance for 'constant potential' checks: FLATNESS_REL times the
+    diameter."""
+    return FLATNESS_REL * diameter(space)
 
 
 class Verdict(str, Enum):
@@ -170,7 +172,7 @@ class StrictCertificate:
 
 def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
     """Certify that every eigenvalue of the restricted form `b` exceeds
-    tau_hi = tol * max(1, ||b||_F), or return None.
+    tau_hi = tol * ||b||_F, or return None.
 
     ||b||_F >= spectral radius, so tau_hi >= classify's tau. Cholesky's
     computed factor of C is exact for C + E with ||E||_2 <= gamma_{m+1}
@@ -182,7 +184,7 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
     m = b.shape[0]
     if m == 0:
         return None
-    margin = tol * max(1.0, float(np.linalg.norm(b)))
+    margin = tol * float(np.linalg.norm(b))
     rounding = (m + 1) * EPS * float(b.trace())
     if not margin > rounding:
         return None
@@ -260,7 +262,7 @@ def _classify_form(space: FiniteMetricSpace, b: np.ndarray,
             f"eigensolver failed on the {n - 1} dimensional restricted form "
             f"(entry scale {scale:.3e}): {exc}") from exc
 
-    tau = tol * max(1.0, float(np.abs(vals).max()))
+    tau = tol * float(np.abs(vals).max())
     evidence = dict(eigenvalues=np.sort(np.append(vals, 0.0)),
                     margin=float(np.abs(vals).min()), tol_used=tau,
                     restricted_values=vals, restricted_vectors=vecs)

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonzeroMassError, ParseError, SpaceMismatchError
-from .spaces import FiniteMetricSpace
-
-MASS_TOL = 1e-9  # absolute tolerance on total mass for mass-zero preconditions
+from .spaces import FiniteMetricSpace, diameter
+from .tolerances import MASS_TOL, NEG_RADICAND_REL
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +97,7 @@ def _require_mass_zero(mu: SignedMeasure, mass_tol: float, what: str) -> None:
 
 
 def seminorm_zero(space: FiniteMetricSpace, mu: SignedMeasure,
-                  mass_tol: float = MASS_TOL, neg_tol: float = 1e-9,
+                  mass_tol: float = MASS_TOL, neg_tol: float | None = None,
                   diagnostics: dict | None = None) -> float:
     """Seminorm sqrt(-I(mu)) of a mass-zero measure.
 
@@ -106,10 +105,15 @@ def seminorm_zero(space: FiniteMetricSpace, mu: SignedMeasure,
     negative radicands are clamped to zero; pass a `diagnostics` dict to
     receive the raw radicand and a flag when it is below -neg_tol (which
     signals genuinely non-quasihypermetric input rather than roundoff).
+    `neg_tol` defaults to NEG_RADICAND_REL * diameter * ||mu||_1^2, the
+    scale of I(mu).
     """
     _require_mass_zero(mu, mass_tol, "seminorm argument")
     radicand = -energy(space, mu)
     if diagnostics is not None:
+        if neg_tol is None:
+            l1 = float(np.abs(mu.weights).sum())
+            neg_tol = NEG_RADICAND_REL * diameter(space) * l1 * l1
         diagnostics["radicand"] = radicand
         diagnostics["negative_squared_norm"] = radicand < -neg_tol
     return float(np.sqrt(max(0.0, radicand)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import DEFAULT_TOL, Verdict, classify
+from .classify import Verdict, classify
 from .energy import energy, uniform
 from .errors import PredictionMismatchError, QhmError
 from .msolver import (
@@ -35,9 +35,13 @@ from .spaces import (
     subspace,
     validate_metric,
 )
+from .tolerances import (
+    DEFAULT_TOL,
+    EQUAL_GLUE_RTOL,
+    GLUE_DIVERGE_PREDICTION_RTOL,
+)
 
 GLUE_DIVERGE_C = 1.5
-GLUE_DIVERGE_PREDICTION_RTOL = 1e-6
 BALL_SHELLS = 5
 
 
@@ -316,7 +320,7 @@ def run_equal_glue_demo(n_polygon: int, out=None,
         row.update(n=z.n, verdict=v.value, status=dec.status,
                    m_value=dec.value,
                    ok=(v is Verdict.NON_STRICT and dec.finite
-                       and abs(dec.value - m) <= 1e-9 * max(1.0, m)))
+                       and abs(dec.value - m) <= EQUAL_GLUE_RTOL * m))
 
     for i in range(n):
         add_row(f"component-del{i}", component_del(i))

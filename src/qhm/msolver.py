@@ -40,7 +40,6 @@ from ._kernels import (
     perron_upper_bound,
 )
 from .classify import (
-    DEFAULT_TOL,
     StrictCertificate,
     Verdict,
     _certified_mass_zero,
@@ -53,7 +52,6 @@ from .classify import (
     kernel_flat_values,
 )
 from .energy import (
-    MASS_TOL,
     SignedMeasure,
     energy,
     inner_extended,
@@ -68,6 +66,13 @@ from .errors import (
     NotInvariantInputError,
 )
 from .spaces import FiniteMetricSpace, GlueSpec, diameter, glue
+from .tolerances import (
+    BLOWUP_REL,
+    DEFAULT_TOL,
+    GRAD_TOL_REL,
+    MASS_TOL,
+    RESIDUAL_FLOOR,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,18 +106,12 @@ class MDecision:
         return self.status == "finite"
 
 
-# Relative floor of the invariant solve's residual check, which is
-# tol * max(1, diameter) but never below this: the accuracy the solve can
-# promise whatever the spectral tolerance (tol = 0 included).
-RESIDUAL_FLOOR = 1e-9
-
-
 def _invariant_solve(space: FiniteMetricSpace, evidence,
                      tol: float) -> InvariantSolve | None:
     """w = u + Q B+ Q' D u and c = mean(D w), with B+ from the eigenpairs of
     a Classification or B^-1 from a StrictCertificate; None when that solve
-    fails, or D w - c or the mass error exceeds
-    max(tol, RESIDUAL_FLOOR) * max(1, diameter)."""
+    fails, D w - c exceeds max(tol, RESIDUAL_FLOOR) * diameter, or the
+    mass error, which has no units, exceeds max(tol, RESIDUAL_FLOOR)."""
     n = space.n
     u = np.full(n, 1.0 / n)
     if isinstance(evidence, StrictCertificate):
@@ -125,8 +124,9 @@ def _invariant_solve(space: FiniteMetricSpace, evidence,
     pot = space.dist @ w
     c = float(pot.sum()) / n
     residual = float(np.abs(pot - c).max())
-    floor = max(tol, RESIDUAL_FLOOR) * max(1.0, diameter(space))
-    if max(residual, abs(float(w.sum()) - 1.0)) > floor:
+    bound = max(tol, RESIDUAL_FLOOR)
+    if (residual > bound * diameter(space)
+            or abs(float(w.sum()) - 1.0) > bound):
         return None
     return InvariantSolve(measure=measure(space, w), value=c,
                           residual=residual, unique=unique)
@@ -242,7 +242,7 @@ def glued_m_predict(m_x: float, m_y: float, c: float,
     On the boundary 2c = m_x + m_y the constant stays finite (equal to the
     shared component value) only when m_x = m_y; otherwise a mass-zero
     measure with nonzero constant potential exists and the constant is
-    infinite. Boundary detection uses `tol` relative to the magnitudes.
+    infinite. Boundary detection uses `tol` relative to max(m_x + m_y, 2c).
     """
     check_tol(tol)
     for v, what in ((m_x, "m_x"), (m_y, "m_y"), (c, "c")):
@@ -254,7 +254,7 @@ def glued_m_predict(m_x: float, m_y: float, c: float,
         raise InvalidInputError(f"cross-distance must be positive, got {c}")
     s = m_x + m_y
     gap = 2.0 * c - s
-    eps = tol * max(1.0, s, 2.0 * c)
+    eps = tol * max(s, 2.0 * c)
     if gap > eps:
         return GluePrediction(kind="finite", value=(c * c - m_x * m_y) / gap)
     if gap < -eps:
@@ -332,7 +332,7 @@ def ascent_step_default(space: FiniteMetricSpace) -> float:
 
 def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
                   step: float | None = None, seed: int = 0,
-                  blowup: float | None = None, grad_tol: float = 1e-10,
+                  blowup: float | None = None, grad_tol: float | None = None,
                   record_stride: int | None = None) -> AscentTrace:
     """Projected gradient ascent on I(mu) over the mass-1 affine slice.
 
@@ -340,17 +340,23 @@ def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
     iterates mu += step * P(2 potential(mu)). For quasihypermetric spaces
     with a finite constant the best value climbs to it (the restricted
     problem is concave); when the constant is infinite the trace grows
-    without bound, reported via the blowup threshold (default 1e6 times the
-    diameter). Purely iterative: shares nothing with the eigenpair solve, so
-    it serves as an independent check.
+    without bound, reported via the blowup threshold. Both thresholds scale
+    with the space: `blowup` defaults to BLOWUP_REL (1e6) times the
+    diameter and `grad_tol` to GRAD_TOL_REL (1e-10) times the diameter. A
+    one-point space has no scale and takes 1 and 1e-10. Purely iterative:
+    shares nothing with the eigenpair solve, so it serves as an independent
+    check.
     """
     if iterations < 1:
         raise InvalidInputError(f"need at least 1 iteration, got {iterations}")
     n = space.n
     if step is None:
         step = ascent_step_default(space)
+    diam = diameter(space)
     if blowup is None:
-        blowup = max(1.0, 1e6 * diameter(space))
+        blowup = BLOWUP_REL * diam if diam > 0.0 else 1.0
+    if grad_tol is None:
+        grad_tol = GRAD_TOL_REL * diam if diam > 0.0 else GRAD_TOL_REL
     if record_stride is None:
         record_stride = max(1, iterations // 256)
     if record_stride < 1:
@@ -400,7 +406,8 @@ def verify_maximal(space: FiniteMetricSpace, mu: SignedMeasure, m_value: float,
                    trials: int = 1000, seed: int = 0,
                    tol: float = DEFAULT_TOL) -> MaximalityReport:
     """Check flatness, random dominance, and the norm identity for a
-    candidate maximal measure."""
+    candidate maximal measure. A trial's energy dominates m_value when it
+    exceeds it by more than tol * diameter."""
     check_tol(tol)
     if abs(mu.mass - 1.0) > MASS_TOL:
         raise InvalidInputError(f"candidate must have mass 1, got {mu.mass}")
@@ -410,13 +417,14 @@ def verify_maximal(space: FiniteMetricSpace, mu: SignedMeasure, m_value: float,
     base = np.full(n, 1.0 / n)
     violations = 0
     worst = -math.inf
+    margin = tol * diameter(space)
     for _ in range(trials):
         z = rng.standard_normal(n)
         z -= z.mean()
         nu = measure(space, base + z)
         excess = energy(space, nu) - m_value
         worst = max(worst, excess)
-        if excess > tol:
+        if excess > margin:
             violations += 1
     norm_sq = inner_extended(space, m_value, mu, mu)
     return MaximalityReport(flatness=flatness, dominance_violations=violations,

@@ -72,8 +72,7 @@ from .errors import (
     AsymmetryExceedsToleranceError,
     ValidationError,
 )
-
-TRIANGLE_TOL_REL = 1e-9  # default triangle tolerance, relative to diameter
+from .tolerances import DUPLICATE_POINT_REL, TRIANGLE_TOL_REL
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,7 +475,7 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
             diagonal[:] = 0.0
     if not math.isfinite(largest):
         raise ValidationError("pairwise distances overflow to non-finite values")
-    dup_tol = 1e-12 * largest
+    dup_tol = DUPLICATE_POINT_REL * largest
     if closest <= dup_tol:
         i, j = _closest_pair(d)
         raise DuplicatePointError(

@@ -1,0 +1,67 @@
+"""Every default tolerance of qhm, and what each one is relative to.
+
+The energy supremum is homogeneous: scaling every distance by lambda > 0
+scales M by lambda and leaves the verdict and the maximizing measure as
+they are. So no threshold here is absolute. Each one is a pure number
+times a quantity of the space itself:
+
+- rho(B), the spectral radius of the restricted form B = -Q'DQ, for the
+  spectral verdict, and ||B||_F >= rho(B) for its Cholesky certificate;
+- the diameter, for potentials, residuals, energies and the ascent;
+- mass 1, for total masses, which have no units.
+
+No rescaling pass is needed to make the decisions scale-free. For points
+i != j the mass-zero vector x = (e_i - e_j)/sqrt(2) has unit norm and
+energy -d(i, j), so ||B||_F >= rho(B) >= diameter. A floor of 1 under any of
+these scales could only act on spaces of diameter below 1, and there it
+turned a relative threshold into an absolute one. A one-point space has
+diameter 0 and no scale; its decisions meet only exact zeros, and the
+ascent oracle keeps absolute defaults for it.
+"""
+
+# Spectral verdict: an eigenvalue of B within DEFAULT_TOL * rho(B) of zero
+# is degenerate. The Strict certificate proves every eigenvalue exceeds
+# DEFAULT_TOL * ||B||_F, and the glue boundary is DEFAULT_TOL * max(s, 2c).
+DEFAULT_TOL = 1e-9
+
+# Total mass of a measure, which has no units: the mass-zero and mass-1
+# preconditions.
+MASS_TOL = 1e-9
+
+# The invariant solve accepts a potential within max(tol, RESIDUAL_FLOOR)
+# times the diameter of its constant, and a mass within max(tol,
+# RESIDUAL_FLOOR) of 1: the accuracy the solve can promise whatever the
+# spectral tolerance (tol = 0 included).
+RESIDUAL_FLOOR = 1e-9
+
+# A constant potential varies by at most FLATNESS_REL * diameter, and a
+# degenerate direction whose constant value is larger is nonzero.
+FLATNESS_REL = 1e-8
+
+# A seminorm radicand -I(mu) below -NEG_RADICAND_REL * diameter * ||mu||_1^2
+# is negative beyond roundoff (|I(mu)| <= diameter * ||mu||_1^2).
+NEG_RADICAND_REL = 1e-9
+
+# The ascent oracle stops converged when every projected gradient entry is
+# below GRAD_TOL_REL * diameter, and reports blowup when its best value
+# reaches BLOWUP_REL * diameter.
+GRAD_TOL_REL = 1e-10
+BLOWUP_REL = 1e6
+
+# Triangle and symmetry defects of an untrusted matrix are forgiven up to
+# TRIANGLE_TOL_REL times its largest entry.
+TRIANGLE_TOL_REL = 1e-9
+
+# Two cloud points closer than DUPLICATE_POINT_REL times the largest
+# distance coincide.
+DUPLICATE_POINT_REL = 1e-12
+
+# The Perron root iteration stops when its Collatz-Wielandt bracket is
+# narrower than PERRON_RTOL times its upper end.
+PERRON_RTOL = 1e-13
+
+# Experiments: a solved glued constant matches the closed form to
+# GLUE_DIVERGE_PREDICTION_RTOL relative, and the equal-glue demo's glued
+# constant matches the component constant m to EQUAL_GLUE_RTOL * m.
+GLUE_DIVERGE_PREDICTION_RTOL = 1e-6
+EQUAL_GLUE_RTOL = 1e-9

@@ -140,7 +140,7 @@ class TestEigenpairSolve:
         vals = classify(x).restricted_values
         # a tolerance that puts tau between the two smallest eigenvalues
         tau = math.sqrt(vals[0] * vals[1])
-        cls = classify(x, tau / max(1.0, float(np.abs(vals).max())))
+        cls = classify(x, tau / float(np.abs(vals).max()))
         assert cls.verdict is Verdict.NON_STRICT
         # the same pseudo-inverse from the eigenpairs of the full centered
         # form, whose trivial zero (the all-ones direction) falls below tau
@@ -297,7 +297,7 @@ class TestCertifiedPath:
         lam_min = float(np.linalg.eigvalsh(b)[0])
         dec = m_constant(x)
         assert dec.diagnostics["certificate"] == "cholesky"
-        tau_hi = DEFAULT_TOL * max(1.0, float(np.linalg.norm(b)))
+        tau_hi = DEFAULT_TOL * float(np.linalg.norm(b))
         assert dec.diagnostics["margin"] == tau_hi
         assert classify(x).tol_used <= tau_hi < lam_min
         dec = m_constant(fixture("circle-8").space)
@@ -311,7 +311,7 @@ class TestCertifiedPath:
         b = _restricted_form(x.dist)
         assert b.shape[0] > DIRECT_SOLVE_MAX
         lam_min = float(np.linalg.eigvalsh(b)[0])
-        tol = lam_min / 1.5 / max(1.0, float(np.linalg.norm(b)))
+        tol = lam_min / 1.5 / float(np.linalg.norm(b))
         cert = certify_strict(b, tol)
         assert cert is not None
         assert _certified_mass_zero(cert, x.dist @ np.full(x.n, 1.0 / x.n)) is None
@@ -742,7 +742,8 @@ class TestSolverProperties:
             trace = ascent_oracle(x, iterations=100_000, seed=11)
             assert dec.value - 1e-4 <= trace.best_value <= dec.value + 1e-9
 
-    @pytest.mark.parametrize("lam", [0.01, 3.7, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("lam", [1e-12, 1e-9, 1e-6, 0.01, 3.7, 1e6, 1e9,
+                                     1e12])
     def test_scaling_covariance(self, lam):
         rng = np.random.default_rng(13)
         for _ in range(10):
