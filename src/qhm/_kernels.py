@@ -5,11 +5,11 @@ All are plain numpy. The triangle scan has one exact loop, `_exact_block`,
 which scans a block of rows in slabs of a fixed element budget, and one
 combiner of the blocks' answers, `_worst`. `worst_triangle_deficit` runs
 the loop on every block. From SCREEN_MIN points on, `triangle_scan` first
-screens the pairs in float32 on up to four threads, recomputes in float64
-the few pairs the screen cannot certify and runs the exact loop on the
-blocks it leaves mostly open, with the same result bit for bit. The ascent
-advances its linear recurrence a block of iterates at a time; the
-triangular solves go a block of rows at a time.
+screens the pairs in exact 16-bit integers on up to four threads,
+recomputes in float64 the pairs the screen cannot certify and runs the
+exact loop on the blocks it leaves mostly open, with the same result bit
+for bit. The ascent advances its linear recurrence a block of iterates at
+a time; the triangular solves go a block of rows at a time.
 """
 
 import math
@@ -28,13 +28,13 @@ ASCENT_BLOWUP = 2
 
 # Element budget of one triangle-scan slab (rows x pivots x columns) of
 # float64, and rows per block. The screen reads the same 512 KB slab as
-# 2 TRIANGLE_TILE float32. Apart from the slab the scan allocates only
+# 4 TRIANGLE_TILE uint16. Apart from the slab the scan allocates only
 # row-block vectors of TRIANGLE_TILE_ROWS x n elements, never an n x n
-# temporary (the screen adds its float32 copy). Measured on a 2-vCPU machine
-# (medians of 5), the screened scan of the 802-point glued file took 0.21,
-# 0.18 and 0.16 s with slabs of 2^16, 2^17 and 2^18 float32 elements, a
-# 1601-point ball 1.55, 1.31 and 1.39 s; 4, 8 and 16 rows per block were
-# within noise of each other.
+# temporary (the screen adds its uint16 copy). Measured on a 2-vCPU machine
+# (medians of 7 rounds, 3 at 1601 points), the screened scan of the
+# 802-point glued file took 0.14, 0.10 and 0.08 s with slabs of 2^16, 2^17
+# and 2^18 uint16 elements, a 1601-point ball 1.25, 0.81 and 0.69 s; 4, 8
+# and 16 rows per block were within noise of each other.
 TRIANGLE_TILE = 1 << 16
 TRIANGLE_TILE_ROWS = 8
 
@@ -105,40 +105,42 @@ def _exact_block(dist, i0, i1, buf, least, tmp):
     return float(deficit[r, c]), i0 + r, i0 + c
 
 
-# The float32 screen of `triangle_scan`. A pair is certified when its
-# screened minimum is at least e(i,j) (1 + 4 SCREEN_U) + 8 SCREEN_ETA, where
-# SCREEN_U is float32's unit roundoff and SCREEN_ETA its smallest normal
-# number (which also covers subnormals flushed to zero).
-SCREEN_U = 2.0 ** -24
-SCREEN_ETA = 2.0 ** -126
+# The integer screen of `triangle_scan` scales the matrix so that its largest
+# entry lies in [2^(SCREEN_BITS - 1), 2^SCREEN_BITS) and puts 2^SCREEN_BITS
+# on the diagonal: no uint16 sum that decides a pair can pass 65535.
+SCREEN_BITS = 15
 # A block whose open cells exceed this share of its cells reruns the exact
 # slab loop instead of rechecking its open pairs one at a time, which
 # gathers two rows per pair: on an 801-point grid, where all 319,600 pairs
 # stay open, rechecking every pair took 0.89-0.96 s against 0.46-0.48 s
-# with every block rerun. Screened balls and glued clouds leave at most 11%
-# of a block open (median under 0.5%); grids and arcs about 97%. Every
+# with every block rerun. The integer screen leaves at most 14% of a block
+# of a ball, a glued file or a gaussian cloud open (medians 1.3-5.2%);
+# grids and arcs about 99%, planar clouds of 800 points about 80%. Every
 # block is screened first, so a tight metric pays for the screen and the
-# slab loop: on a 2-vCPU machine (medians of 7 interleaved rounds) the scan
-# of `interval_grid(0, 1, 801)` took 0.52 s and of `regular_polygon_arc(801)`
-# 0.51 s, against 0.54 and 0.55 s for `worst_triangle_deficit` alone.
+# slab loop, both on every worker: on a 2-vCPU machine (medians of 7
+# interleaved rounds) the scan of `interval_grid(0, 1, 801)` took 0.36 s
+# and of `regular_polygon_arc(801)` 0.33 s, against 0.48 and 0.45 s for
+# `worst_triangle_deficit` alone on one thread.
 SCREEN_OPEN_MAX = 0.25
 # Below this many points `triangle_scan` is `worst_triangle_deficit`: no
 # screen and no threads. Measured on a 2-vCPU machine, the two interleaved
-# (medians of 15 rounds): on euclidean clouds the screen took 1.18x as long
-# at 144 points, 1.01x at 160, 0.89x at 176 and 0.70x at 208. Interval
-# grids, which it cannot certify, took (medians of 9) 1.25x as long at 208
-# points, 1.38x at 256, 1.06x at 320, 1.10x at 401 and 0.95x at 801; the
-# crossover is set by the clouds, the common untrusted input (balls and
-# their glue). Below 64 points the screen's fixed cost (threads, scratch)
-# made it 2-8x slower.
-SCREEN_MIN = 208
+# (four runs of 9-21 rounds, medians): on euclidean clouds the screen took
+# 0.82-1.18x as long at 128 points, 0.71-0.99x at 144, 0.58-0.84x at 160
+# and 0.54-0.56x at 176. Interval grids, which it cannot certify, took
+# 1.3-2.0x as long at 128 points, 1.2-1.7x at 144, 1.0-1.1x at 176 and
+# 0.7-1.4x from 192 to 320. The crossover is set by the clouds, the common
+# untrusted input (balls and their glue): 144 is the first size they won in
+# every run. From 64 to 104 points the screen's fixed cost (threads,
+# scratch) made clouds 1.0-1.45x and grids 1.9-2.8x slower.
+SCREEN_MIN = 144
 # At most this many workers screen at once. The CPU affinity overstates the
 # CPUs a process gets under a cgroup quota, and surplus threads cost time:
 # on a 2-vCPU machine (medians of 7 rounds at 802 points, 3 at 1601) the scan
-# of a euclidean cloud took 0.34/2.40 s on 1 worker, 0.21/1.24 on 2, 0.21/1.29
-# on 3, 0.23/1.34 on 4, 0.26/1.49 on 6 and 0.36/1.75 on 12; pinned to one
-# CPU, 0.32 s on 1 worker and 0.33 on 4 or 8. Four keeps that loss under 10%
-# and the scratch of all workers under 3.4 MB up to 1601 points.
+# of a euclidean cloud took 0.14/1.04 s on 1 worker, 0.09/0.61 on 2,
+# 0.09/0.65 on 3, 0.10/0.68 on 4, 0.11/0.89 on 6 and 0.14/1.06 on 12;
+# pinned to one CPU, 0.16 s on 1 worker and 0.17 on 4 or 8. Four keeps that
+# loss near 10% and the scratch of all workers under 3.2 MB up to 1601
+# points.
 SCREEN_WORKERS = 4
 
 
@@ -146,23 +148,21 @@ def triangle_scan(dist: np.ndarray):
     """`worst_triangle_deficit(dist)`, bit for bit, for the matrices
     `validate_metric` scans: finite, symmetric, nonnegative, zero diagonal.
 
-    Below SCREEN_MIN points it is that function. From there on a float32
-    screen decides most pairs first. The screen e is dist times the power of
-    two that puts its largest entry just below 2^125, rounded to float32,
-    with its diagonal set to +inf; for each pair i < j it takes s(i,j), the
-    least float32 sum e(i,k) + e(k,j), which ignores k = i and k = j. Scaling
-    by a power of two is exact and no sum overflows, so with u = SCREEN_U
-    and eta = SCREEN_ETA every e is within u D + eta of its scaled entry D
-    (eta covers entries below float32's normal range, rounded or flushed to
-    zero) and every float32 sum within u of the exact sum of its terms.
-    Then s(i,j) >= e(i,j) (1 + 4u) + 8 eta, with the bound evaluated in
-    float64, gives
-        (D(i,k) + D(k,j)) (1 + u)^2 + 2 eta (1 + u)
-            >= (D(i,j) (1 - u) - eta) (1 + 4u) + 8 eta,
-    so D(i,k) + D(k,j) > D(i,j) for every k outside {i, j}. Rounding to
-    float64 is monotone and d(i,j) is a float64, so no float64 sum
-    d(i,k) + d(k,j) falls below d(i,j), while k = i gives it exactly: the
-    certified pair's float64 deficit is exactly 0.
+    Below SCREEN_MIN points it is that function. From there on an exact
+    integer screen decides most pairs first. With 2^e the power of two that
+    puts the largest entry in [2^14, 2^15), the screen is L = floor(s) as
+    uint16 for s = d 2^e, with 2^15 on the diagonal. Scaling by 2^e is exact
+    unless s falls below 2^-1022, and there s < 1, so L = 0 either way: thus
+    L <= s < L + 1. A pair i < j is certified when min over k of
+    L(i,k) + L(k,j) > L(i,j). The sums are integers, so for every k outside
+    {i, j}
+        s(i,k) + s(k,j) >= L(i,k) + L(k,j) >= L(i,j) + 1 > s(i,j),
+    while k in {i, j} sums to 2^15 + L(i,j) and never decides. Off the
+    diagonal L < 2^15, so no sum of a pair i != j wraps past 65535; only
+    the masked diagonal cells can. Rounding to float64 is monotone and
+    d(i,j) is a float64, so no float64 sum d(i,k) + d(k,j) falls below
+    d(i,j), while k = i gives it exactly: the certified pair's float64
+    deficit is exactly 0.
 
     Pairs left open are recomputed in float64 from their two rows; a block
     with more than SCREEN_OPEN_MAX of its cells open (a tight metric, such
@@ -177,15 +177,17 @@ def triangle_scan(dist: np.ndarray):
     alone and the answers are combined in block order, so the result does
     not depend on the number of workers, nor on how many of their threads
     could be started. Every buffer is allocated here, on the calling
-    thread, before the workers start: the float32 copy (4 n^2 bytes) and
-    about 0.5 MB + 25 TRIANGLE_TILE_ROWS n bytes per worker.
+    thread, before the workers start: the uint16 copy (2 n^2 bytes, filled
+    through numpy's cast buffer, with no float64 temporary) and about
+    0.5 MB + 21 TRIANGLE_TILE_ROWS n bytes per worker.
     """
     n = dist.shape[0]
     if n < SCREEN_MIN:
         return worst_triangle_deficit(dist)
-    screen = np.empty((n, n), dtype=np.float32)
-    np.ldexp(dist, 125 - math.frexp(float(dist.max()))[1], out=screen)
-    screen.reshape(-1)[::n + 1] = np.inf
+    screen = np.empty((n, n), dtype=np.uint16)
+    np.ldexp(dist, SCREEN_BITS - math.frexp(float(dist.max()))[1],
+             out=screen, casting="unsafe")  # the cast truncates: the floor
+    screen.reshape(-1)[::n + 1] = 1 << SCREEN_BITS
     rows = TRIANGLE_TILE_ROWS
     starts = range(0, n, rows)
     found = [None] * len(starts)
@@ -236,48 +238,41 @@ def _cpus() -> int:
 def _workers(n, blocks):
     """Workers for the screen of n points in `blocks` row blocks: one per
     CPU, at most one per block and SCREEN_WORKERS in all, and no more than
-    keep their scratch within the float32 copy, though always two (the
+    keep their scratch within the uint16 copy, though always two (the
     measured SCREEN_MIN assumes two)."""
-    copy = 4 * n * n
+    copy = 2 * n * n
     m = TRIANGLE_TILE_ROWS * n
-    per = 8 * max(TRIANGLE_TILE, m) + 25 * m
+    per = 8 * max(TRIANGLE_TILE, m) + 21 * m
     return min(_cpus(), blocks, SCREEN_WORKERS, max(2, copy // per))
 
 
 def _screen_scratch(n):
     """One worker's buffers for `_scan_block` on n points: one slab, read as
-    float32 by the screen and as float64 by the exact passes after it, and
+    uint16 by the screen and as float64 by the exact passes after it, and
     row-block vectors."""
     m = TRIANGLE_TILE_ROWS * n
     return (np.empty(max(TRIANGLE_TILE, m, 2 * n)),
-            np.empty(m, dtype=np.float32), np.empty(m, dtype=np.float32),
-            np.empty(m), np.empty(m, dtype=bool), np.empty(m))
+            np.empty(m, dtype=np.uint16), np.empty(m, dtype=np.uint16),
+            np.empty(m, dtype=bool), np.empty(m), np.empty(m))
 
 
-def _scan_block(dist, screen, i0, i1, slab64, least32, tmp32, bound,
-                is_open, tmp64):
+def _scan_block(dist, screen, i0, i1, slab64, least16, tmp16, is_open,
+                least64, tmp64):
     """(deficit, i, j) for rows i0:i1 against the columns j > i: the
     largest deficit of the block's pairs and the first pair that attains
     it, or (0.0, i0, i0) when none is positive."""
     n = dist.shape[0]
-    least = _block_minima(screen, i0, i1, slab64.view(np.float32), least32,
-                          tmp32)
-    shape, size = least.shape, least.size
-    # the bound and the comparison in float64, with no cast buffers
-    limit = bound[:size].reshape(shape)
-    np.copyto(limit, screen[i0:i1, i0:])
-    limit *= 1.0 + 4.0 * SCREEN_U
-    limit += 8.0 * SCREEN_ETA
-    screened = tmp64[:size].reshape(shape)
-    np.copyto(screened, least)
-    opened = np.less(screened, limit, out=is_open[:size].reshape(shape))
-    for r in range(shape[0]):
+    sums = _block_minima(screen, i0, i1, slab64.view(np.uint16), least16,
+                         tmp16)
+    opened = np.less_equal(sums, screen[i0:i1, i0:],
+                           out=is_open[:sums.size].reshape(sums.shape))
+    for r in range(opened.shape[0]):
         opened[r, :r + 1] = False  # only pairs i < j
     count = np.count_nonzero(opened)
     if count == 0:
         return 0.0, i0, i0
-    if count > SCREEN_OPEN_MAX * size:
-        return _exact_block(dist, i0, i1, slab64, bound, tmp64)
+    if count > SCREEN_OPEN_MAX * opened.size:
+        return _exact_block(dist, i0, i1, slab64, least64, tmp64)
     i, j = np.nonzero(opened)
     i += i0
     j += i0

@@ -26,6 +26,9 @@ from .fixtures import fixture, fixture_keys
 from .msolver import ascent_oracle, invariant_measure, m_constant
 from .spaces import GlueSpec, glue as glue_spaces, load_space, save_space, space_to_json
 
+# a space file argument: it must exist, and a directory is a usage error
+SPACE_PATH = click.Path(exists=True, dir_okay=False)
+
 CSV_HELP = {
     "converge": "columns: " + ",".join(experiments.CONVERGE_COLUMNS),
     "glue-diverge": "columns: " + ",".join(experiments.GLUE_DIVERGE_COLUMNS),
@@ -74,7 +77,7 @@ def _measure_dict(mu) -> dict:
 
 
 @cli.command("classify")
-@click.argument("space_file", required=False, type=click.Path(exists=True))
+@click.argument("space_file", required=False, type=SPACE_PATH)
 @click.option("--fixture", "fixture_key", default=None,
               help="Catalogue key instead of a file.")
 @click.pass_context
@@ -99,7 +102,7 @@ def classify_cmd(ctx, space_file, fixture_key):
 
 
 @cli.command("mconstant")
-@click.argument("space_file", required=False, type=click.Path(exists=True))
+@click.argument("space_file", required=False, type=SPACE_PATH)
 @click.option("--fixture", "fixture_key", default=None,
               help="Catalogue key instead of a file.")
 @click.option("--check-measure", "check", default=None, metavar="W1,W2,...",
@@ -143,7 +146,7 @@ def mconstant_cmd(ctx, space_file, fixture_key, check, oracle_iters):
 
 
 @cli.command("invariant")
-@click.argument("space_file", required=False, type=click.Path(exists=True))
+@click.argument("space_file", required=False, type=SPACE_PATH)
 @click.option("--fixture", "fixture_key", default=None,
               help="Catalogue key instead of a file.")
 @click.pass_context
@@ -164,8 +167,8 @@ def invariant_cmd(ctx, space_file, fixture_key):
 
 
 @cli.command("glue")
-@click.argument("x_file", type=click.Path(exists=True))
-@click.argument("y_file", type=click.Path(exists=True))
+@click.argument("x_file", type=SPACE_PATH)
+@click.argument("y_file", type=SPACE_PATH)
 @click.argument("c", type=float)
 @click.pass_context
 def glue_cmd(ctx, x_file, y_file, c):

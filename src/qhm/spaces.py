@@ -5,10 +5,11 @@ matrix. Every matrix passes the O(n^2) checks (finite, zero diagonal,
 nonnegative, symmetric, positive between distinct points). The O(n^3)
 triangle scan (`qhm._kernels.triangle_scan`) runs only where a matrix comes
 in from outside the package: `validate_metric` and the space JSON readers.
-From SCREEN_MIN points on it screens the pairs in float32 on up to four
-threads, one per CPU of the process's affinity, and certifies a pair only with a margin,
-e(i,j) (1 + 4u) + 8 eta, that covers every float32 rounding, so that a
-certified pair's float64 deficit is exactly 0; the open pairs are recomputed
+From SCREEN_MIN points on it screens the pairs in exact 16-bit integers on
+up to four threads, one per CPU of the process's affinity: L = floor(d 2^e)
+with the largest entry in [2^14, 2^15), a uint16 copy of 2 n^2 bytes. A pair
+is certified when every L(i,k) + L(k,j) exceeds L(i,j); since L <= d 2^e <
+L + 1, its float64 deficit is then exactly 0. The open pairs are recomputed
 in float64, and the result is that of the exact slab loop bit for bit.
 Builder outputs are metrics by construction and skip the scan:
 
@@ -237,15 +238,19 @@ def _check_rows(rows, what):
 
 def _float_array(x, what="matrix"):
     """A fresh float64 copy of a numeric array or of a (nested) sequence of
-    real numbers; anything else raises MalformedMatrixError, which names the
-    input as `what`."""
+    real numbers; anything else, or an integer beyond float64's range,
+    raises MalformedMatrixError, which names the input as `what`."""
     if isinstance(x, np.ndarray):
         if x.dtype.kind not in "iuf":
             raise MalformedMatrixError(
                 f"{what} entries must be real numbers, got dtype {x.dtype}")
     elif isinstance(x, (list, tuple)):
         _check_rows(x, what)
-    return np.array(x, dtype=np.float64)
+    try:
+        return np.array(x, dtype=np.float64)
+    except OverflowError as exc:  # a Python int above about 1.8e308
+        raise MalformedMatrixError(
+            f"{what} entries must be within float64 range: {exc}") from exc
 
 
 def _closest_pair(d):
@@ -583,9 +588,13 @@ def space_from_json(text: str, tol_triangle: float | None = None) -> FiniteMetri
 
 
 def load_space(path, tol_triangle: float | None = None) -> FiniteMetricSpace:
-    """Read a space from its JSON file; validation errors carry field context."""
+    """Read a space from its JSON file; validation errors carry field context.
+    A file that is not UTF-8 text raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = _json_object(fh.read())  # the text is freed once parsed
+        try:
+            obj = _json_object(fh.read())  # the text is freed once parsed
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
     return _scanned(*_parsed_space(obj, tol_triangle))
 
 

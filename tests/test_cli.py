@@ -219,6 +219,37 @@ class TestExitCodes:
         assert err.startswith("validation error: matrix row ")
         assert "Traceback" not in err
 
+    def test_integer_beyond_float_range_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        big = "1" + "0" * 400
+        bad.write_text('{"matrix": [[0, %s], [%s, 0]]}' % (big, big))
+        code, out, err = run_cli(capsys, "mconstant", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: matrix entries must be "
+                              "within float64 range")
+
+    def test_undecodable_file_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run_cli(capsys, "classify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: not UTF-8 text")
+
+    @pytest.mark.parametrize("args", [
+        ["classify", "{dir}"], ["mconstant", "{dir}"], ["invariant", "{dir}"],
+        ["glue", "{dir}", "{file}", "2"], ["glue", "{file}", "{dir}", "2"],
+    ])
+    def test_directory_is_a_usage_error(self, capsys, tmp_path, args):
+        path = tmp_path / "x.json"
+        save_space(interval_grid(0, 1, 4), path)
+        argv = [a.format(dir=tmp_path, file=path) for a in args]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "is a directory" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exit_2(self, capsys, tol):
         code, _, err = run_cli(capsys, "--tol", tol, "classify", "--fixture",

@@ -4,9 +4,12 @@ matches a one-step-at-a-time loop, the blocked triangular solves match a
 dense solve, and the Perron bound brackets the spectral radius from above."""
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhm import (GlueSpec, _kernels, energy_bilinear, euclidean_cloud, fixture,
                  glue, interval_grid, measure, random_metric,
@@ -125,6 +128,10 @@ def test_triangle_deficit_stays_within_tile():
 
 # -- the screened scan against the slab loop and brute force ------------------
 
+# A size the screen takes, of 26 row blocks.
+SCREENED = 208
+
+
 @pytest.fixture
 def small_screen(monkeypatch):
     """The screen on every size, in blocks of 3 rows and slabs of a few
@@ -205,14 +212,16 @@ def _scan_passes(dist, monkeypatch):
 
 
 def test_screen_leaves_loose_metrics_to_the_pair_recheck(monkeypatch):
-    # random entries in [1, 2], and a cloud whose nearly collinear triples
-    # leave a few pairs open: no block reruns the exact loop
+    # random entries in [1, 2], and a cloud in the unit cube whose nearly
+    # collinear triples leave a few pairs open: no block reruns the exact
+    # loop. (A planar cloud of this size leaves most pairs open at 2^-15 of
+    # its diameter, and its blocks rerun.)
     n = SCREEN_MIN + 50
-    cloud = euclidean_cloud(np.random.default_rng(6).uniform(size=(n, 2)))
+    cloud = euclidean_cloud(np.random.default_rng(6).uniform(size=(n, 3)))
     passes = []
     for dist in (random_metric(n, 4).dist, cloud.dist):
         passes += _scan_passes(dist, monkeypatch)[1]
-    assert passes == [np.float32] * (2 * len(range(0, n, TRIANGLE_TILE_ROWS)))
+    assert passes == [np.uint16] * (2 * len(range(0, n, TRIANGLE_TILE_ROWS)))
 
 
 @pytest.mark.parametrize("plants", [
@@ -233,7 +242,7 @@ def test_scan_finds_planted_violations_at_full_size():
         assert _assert_scan_matches(dist, brute=False)[:3] == (3.0,) + min(plants)
 
 
-@pytest.mark.parametrize("n", [SCREEN_MIN, 2 * SCREEN_MIN + 1])
+@pytest.mark.parametrize("n", [SCREENED, 2 * SCREENED + 1])
 def test_scan_on_tight_families(n, monkeypatch):
     # every pair is tight (grids, arcs), so the screen leaves them open and
     # the blocks rerun the exact loop; the "tied" kind has no positive
@@ -244,7 +253,7 @@ def test_scan_on_tight_families(n, monkeypatch):
         assert got[0] == 0.0
         # every block screened, and all but perhaps the last (a corner of
         # few pairs) rerun
-        assert passes.count(np.float32) == blocks
+        assert passes.count(np.uint16) == blocks
         assert passes.count(np.float64) >= blocks - 1
     assert _assert_scan_matches(_symmetric(n, "tied", 1), brute=False)[0] == 0.0
 
@@ -327,10 +336,10 @@ def test_scan_at_extreme_scales_full_size(top):
     _assert_scan_matches(_scaled(grid, top), brute=False)
 
 
-@pytest.mark.parametrize("n", [19, SCREEN_MIN + 2])
+@pytest.mark.parametrize("n", [19, SCREENED + 2])
 def test_scan_with_subnormal_entries_beside_normal_ones(n, monkeypatch):
     # a cluster of points subnormally close together, far from the others:
-    # in the float32 screen their distances flush to 0 and stay open
+    # in the integer screen their distances are 0 and stay open
     if n < SCREEN_MIN:
         monkeypatch.setattr(_kernels, "SCREEN_MIN", 1)
         monkeypatch.setattr(_kernels, "TRIANGLE_TILE_ROWS", 3)
@@ -371,9 +380,9 @@ def _rounds_up_below(v):
 @pytest.mark.parametrize("bits", [21, 22, 23, 24, 25, 26, 30, 40])
 def test_scan_sees_violations_hidden_by_float32_rounding(bits, small_screen):
     # d(i,k) and d(k,j) round up to float32 while d(i,j) is a float32 or
-    # rounds down: the float32 sum can reach d(i,j) although the exact one
-    # is short of it by at least 2^-bits relative. The margin must leave
-    # every such pair open.
+    # rounds down: a float32 sum could reach d(i,j) although the exact one
+    # is short of it by at least 2^-bits relative, below one unit of the
+    # integer screen too. The screen must leave every such pair open.
     rng = np.random.default_rng(bits)
     for trial in range(40):
         if trial % 4 < 2:
@@ -397,6 +406,93 @@ def test_scan_sees_violations_hidden_by_float32_rounding(bits, small_screen):
         dist[k, j] = dist[j, k] = y
         deficit = _assert_scan_matches(dist)[0]
         assert deficit == target - (x + y) > 0.0
+
+
+# Powers of two that become the screen's unit: the adversary's largest entry
+# is below 2^15 units and at least 2^14.
+UNITS = [2.0 ** -1074, 2.0 ** -1022, 1.0, 2.0 ** 1000]
+
+
+def _quantization_adversary(rng, unit, trial):
+    """19 points, every entry an integer number of units in [T, 1.05 T],
+    T = 24576, apart from one planted triple (i, k, j) whose exact deficit
+    is positive and below one unit, or exactly one unit where every entry
+    is an integer number of units; the sub-unit triples put L(i,k) + L(k,j)
+    at L(i,j) or would pass it if entries were rounded to nearest. A
+    cluster of three points 2e-320, 2e-320 and 3e-320 apart shares the rows
+    of the first: subnormal entries beside normal ones from the unit
+    2^-1022 on. Returns the matrix and (i, k, j)."""
+    n, t = 19, 24576
+    a = rng.integers(t, 1.05 * t, (n, n)).astype(np.float64)
+    units = np.triu(a, 1) + np.triu(a, 1).T
+    i, k, j, c0, c1, c2 = (int(v) for v in rng.choice(n, 6, replace=False))
+    top = int(rng.integers(2 ** 14, 2 ** 15 - 1))  # L(i,j)
+    left = int(rng.integers(top // 3, 2 * top // 3))
+    if unit == UNITS[0] or trial % 4 == 0:  # all integers, deficit 1 unit
+        target, x, y = top, left, top - left - 1
+    elif trial % 4 == 1:  # d(i,j) an integer, d(k,j) just below one
+        target, x, y = top, left, top - left - rng.uniform(0.0, 1.0)
+    elif trial % 4 == 2:  # L(i,k) + L(k,j) = L(i,j), deficit below a unit
+        frac = rng.uniform(0.5, 1.0)
+        fx = rng.uniform(0.0, frac)
+        target = top + frac
+        x = left + fx
+        y = top - left + rng.uniform(0.0, frac - fx)
+    else:  # rounded to nearest, L(i,k) + L(k,j) would pass L(i,j)
+        frac = rng.uniform(0.1, 0.5)
+        target = top + frac
+        x = left + 0.5 + rng.uniform(0.01, 0.5) * frac
+        y = top - left - 0.5 + rng.uniform(0.01, 0.5) * frac
+    units[i, j] = units[j, i] = target
+    units[i, k] = units[k, i] = x
+    units[k, j] = units[j, k] = y
+    dist = units * unit
+    for c in (c1, c2):  # the cluster shares the first point's distances
+        dist[c, :] = dist[:, c] = dist[c0, :]
+    for p, q, v in ((c0, c1, 2e-320), (c0, c2, 2e-320), (c1, c2, 3e-320)):
+        dist[p, q] = dist[q, p] = v
+    np.fill_diagonal(dist, 0.0)
+    return dist, (i, k, j)
+
+
+@pytest.mark.parametrize("unit", UNITS)
+def test_scan_sees_violations_below_one_screen_unit(unit, small_screen):
+    # L(i,k) + L(k,j) reaches L(i,j) although the exact sum is short of
+    # d(i,j): the screen must leave the pair open, and the recheck or the
+    # rerun must find its deficit
+    rng = np.random.default_rng(int(np.log2(unit)) + 1074)
+    for trial in range(30):
+        dist, (i, k, j) = _quantization_adversary(rng, unit, trial)
+        deficit = dist[i, j] - (dist[i, k] + dist[k, j])
+        assert deficit > 0.0
+        if unit == UNITS[0] or trial % 4 == 0:
+            assert deficit == unit
+        else:
+            assert deficit < unit
+        got = _assert_scan_matches(dist)
+        assert got[:3] == (deficit, min(i, j), max(i, j))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(-1074, 1000), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_scan_matches_the_slab_loop_on_random_matrices(n, exponent, kind,
+                                                      seed):
+    # small integers (ties and violations), reals, reals of two scales and
+    # entries scaled toward the subnormals or far above 1, in the screen
+    # on every size
+    rng = np.random.default_rng(seed)
+    if kind == 0:
+        a = rng.integers(0, 5, (n, n)).astype(np.float64)
+    elif kind == 1:
+        a = rng.uniform(0.0, 3.0, (n, n))
+    elif kind == 2:
+        a = rng.uniform(1.0, 2.0, (n, n)) * 2.0 ** rng.integers(-60, 1, (n, n))
+    else:
+        a = rng.integers(2 ** 14, 2 ** 15, (n, n)).astype(np.float64)
+    dist = np.ldexp(np.triu(a, 1) + np.triu(a, 1).T, exponent)
+    with mock.patch.object(_kernels, "SCREEN_MIN", 1):
+        assert triangle_scan(dist) == worst_triangle_deficit(dist)
 
 
 def test_worker_count_does_not_change_the_result(monkeypatch):
@@ -457,7 +553,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
         triangle_scan(_symmetric(SCREEN_MIN + 1, "uniform", 0))
 
 
-@pytest.mark.parametrize("n", [SCREEN_MIN + 1, 301])
+@pytest.mark.parametrize("n", [SCREENED + 1, 301])
 def test_validate_metric_at_the_tolerance_edges(n):
     # a single violation of deficit delta: raised exactly when delta > tol,
     # with the triple and the message of the slab loop
@@ -548,17 +644,17 @@ def test_scan_memory_is_the_copy_and_the_scratch(n, cpus, monkeypatch):
     finally:
         tracemalloc.stop()
     rows = TRIANGLE_TILE_ROWS * n
-    scratch = 8 * max(TRIANGLE_TILE, rows, 2 * n) + (4 + 4 + 8 + 1 + 8) * rows
-    # the float32 copy; each worker's scratch, the buffers numpy's ufuncs
+    scratch = 8 * max(TRIANGLE_TILE, rows, 2 * n) + (2 + 2 + 1 + 8 + 8) * rows
+    # the uint16 copy; each worker's scratch, the buffers numpy's ufuncs
     # allocate per call (one or two of np.getbufsize() doubles) and its
     # arrays of open pairs (at most a quarter of a block); a float64 copy of
     # the matrix would add 2.9 MB at 600 points. However many CPUs there
     # are, at most SCREEN_WORKERS workers run, and their scratch stays
-    # within the float32 copy or two workers' worth.
+    # within the uint16 copy or two workers' worth.
     per = np.getbufsize() * 3 * 8 + 8 * rows
     workers = min(cpus, SCREEN_WORKERS)
-    assert peak < 4 * n * n + workers * (scratch + per)
-    assert peak < 4 * n * n + max(4 * n * n, 2 * scratch) + workers * per
+    assert peak < 2 * n * n + workers * (scratch + per)
+    assert peak < 2 * n * n + max(2 * n * n, 2 * scratch) + workers * per
 
 
 # -- blocked ascent against the one-step loop ---------------------------------

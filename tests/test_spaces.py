@@ -702,6 +702,17 @@ class TestMalformedMatrices:
             validate_metric(matrix)
         assert str(exc.value) == "matrix entries must be real numbers"
 
+    def test_validate_rejects_integers_beyond_float_range(self):
+        with pytest.raises(MalformedMatrixError) as exc:
+            validate_metric([[0, 10 ** 400], [10 ** 400, 0]])
+        assert str(exc.value).startswith("matrix entries must be within "
+                                         "float64 range")
+
+    def test_json_reader_rejects_integers_beyond_float_range(self):
+        text = '{"matrix": [[0, 1%s], [1%s, 0]]}' % ("0" * 400, "0" * 400)
+        with pytest.raises(ParseError, match="within float64 range"):
+            space_from_json(text)
+
     def test_validate_ragged(self):
         with pytest.raises(MalformedMatrixError) as exc:
             validate_metric([[0, 1, 2], [1, 0]])
@@ -750,6 +761,12 @@ class TestCoordinateInput:
         with pytest.raises(MalformedMatrixError) as exc:
             euclidean_cloud(coords)
         assert str(exc.value) == message
+
+    def test_integers_beyond_float_range(self):
+        with pytest.raises(MalformedMatrixError) as exc:
+            euclidean_cloud([[0, 0], [10 ** 400, 1]])
+        assert str(exc.value).startswith("coordinate entries must be within "
+                                         "float64 range")
 
     def test_numeric_input_keeps_its_bits(self):
         rng = np.random.default_rng(21)
