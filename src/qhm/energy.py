@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonzeroMassError, ParseError, SpaceMismatchError
-from .spaces import FiniteMetricSpace, diameter
+from .errors import (MalformedMatrixError, NonzeroMassError, ParseError,
+                     SpaceMismatchError)
+from .spaces import FiniteMetricSpace, _float_array, diameter
 from .tolerances import MASS_TOL, NEG_RADICAND_REL
 
 
@@ -160,12 +161,16 @@ def save_measure(mu: SignedMeasure, path) -> None:
 
 
 def load_measure(path, space: FiniteMetricSpace) -> SignedMeasure:
-    """Read a measure from JSON and attach it to `space` (names must agree)."""
+    """Read a measure from JSON and attach it to `space` (names must agree).
+    A file that is not UTF-8 text, or weights that are not real numbers
+    within float64 range (booleans and nulls are not), raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
     if not isinstance(obj, dict) or "weights" not in obj:
         raise ParseError("expected a JSON object with a 'weights' key")
     if not isinstance(obj["weights"], list):
@@ -174,7 +179,11 @@ def load_measure(path, space: FiniteMetricSpace) -> SignedMeasure:
     if declared and space.name and declared != space.name:
         raise SpaceMismatchError(
             f"measure file is for space {declared!r}, not {space.name!r}")
-    return measure(space, obj["weights"])
+    try:
+        weights = _float_array(obj["weights"], "weight")
+    except MalformedMatrixError as exc:  # a non-numeric or huge entry
+        raise ParseError(str(exc)) from exc
+    return measure(space, weights)
 
 
 def parse_weights(text: str) -> np.ndarray:

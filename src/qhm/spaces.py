@@ -1,31 +1,45 @@
 """Finite metric spaces: validation, deterministic builders, subspaces, gluing.
 
-A space is an immutable labeled point set with a validated symmetric distance
-matrix. Every matrix passes the O(n^2) checks (finite, zero diagonal,
-nonnegative, symmetric, positive between distinct points). The O(n^3)
-triangle scan (`qhm._kernels.triangle_scan`) runs only where a matrix comes
-in from outside the package: `validate_metric` and the space JSON readers.
-From SCREEN_MIN points on it screens the pairs in exact 16-bit integers on
-up to four threads, one per CPU of the process's affinity: L = floor(d 2^e)
-with the largest entry in [2^14, 2^15), a uint16 copy of 2 n^2 bytes. A pair
-is certified when every L(i,k) + L(k,j) exceeds L(i,j); since L <= d 2^e <
-L + 1, its float64 deficit is then exactly 0. The open pairs are recomputed
-in float64, and the result is that of the exact slab loop bit for bit.
-Builder outputs are metrics by construction and skip the scan:
+A space is an immutable labeled point set with a symmetric distance matrix:
+finite, zero on the diagonal, positive between distinct points, and obeying
+the triangle inequality. A matrix is checked once, where it comes in from
+outside the package: `validate_metric` and the space JSON readers run the
+O(n^2) checks (finite, zero diagonal, nonnegative, symmetric, positive
+between distinct points) and then the O(n^3) triangle scan
+(`qhm._kernels.triangle_scan`). From SCREEN_MIN points on the scan screens
+the pairs in exact 16-bit integers on up to four threads, one per CPU of the
+process's affinity: L = floor(d 2^e) with the largest entry in
+[2^14, 2^15), a uint16 copy of 2 n^2 bytes. A pair is certified when every
+L(i,k) + L(k,j) exceeds L(i,j); since L <= d 2^e < L + 1, its float64
+deficit is then exactly 0. The open pairs are recomputed in float64, and the
+result is that of the exact slab loop bit for bit.
 
-- interval grids and polygon arcs are exact integer multiples of a step whose
-  low mantissa bits are cleared, so the triangle inequality holds exactly;
-- `random_metric` draws entries from [1, 2], where any two sum to at least
-  the largest;
-- `glue` copies validated blocks and sets every cross distance to c with
-  2c >= both diameters (checked exactly by `GlueSpec`);
-- `euclidean_cloud` (and the ball builders on top of it) computes distances
-  of points in R^k, which satisfy the triangle inequality up to a few ulps of
-  the diameter, far inside the default tolerance;
-- `subspace` restricts an already validated matrix.
+The builders check their parameters, which are their outside input, and
+not their output: each one makes a matrix that passes every check by
+construction.
 
-Scanning these outputs anyway still passes (tests check it at the builders'
-own tolerances).
+- `interval_grid` and `regular_polygon_arc` take |i - j| (or the shorter
+  way round the circle) times a step h, finite and positive, whose low
+  mantissa bits are cleared: every entry is an exact multiple of h, so the
+  matrix is exactly symmetric with a zero diagonal, positive off it, and
+  the triangle inequality holds exactly. The grid's largest entry,
+  (n - 1) h, is at most (b - a)(1 + 2^-53), a finite double when h is;
+- `random_metric` draws the upper triangle from [1, 2] and mirrors it, with
+  zeros on the diagonal: any two entries sum to at least the largest;
+- `glue` copies two spaces' blocks and sets every cross distance to c,
+  finite and positive with 2c >= both diameters (checked exactly by
+  `GlueSpec`);
+- `euclidean_cloud` (and the ball builders on top of it) rejects
+  non-finite coordinates, a distance that overflows and points within
+  1e-12 of the diameter of each other, and sets the diagonal to 0. Entry
+  (j, i) sums the squares of the negated differences of entry (i, j) in the
+  same order, so the two are equal bit for bit. Distances of points in R^k
+  satisfy the triangle inequality up to a few ulps of the diameter, far
+  inside the default tolerance;
+- `subspace` restricts an already checked matrix.
+
+Tests run every check and the scan on these outputs, at the builders' own
+tolerances.
 
 Construction and the O(n^2) checks run at memory speed, a few contiguous
 passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries
@@ -40,11 +54,11 @@ passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries
   upper triangle against the transposed tiles below it. Repairing a small
   asymmetry builds the averaged n x n matrix and rereads its zeros, and an
   error recomputes its (i, j) from the whole matrix; both allocate n x n;
-- builder outputs are checked in place; `validate_metric` builds its own
-  array, so a caller's array is never aliased; the JSON readers convert the
-  parsed rows into their own array and drop the rows and the text (when they
-  read the file) before the checks and the scan, which run on that array
-  without a second copy;
+- the checks run in place on a fresh float64 array of their own:
+  `validate_metric` copies the caller's matrix, so a caller's array is
+  never aliased; the JSON readers convert the parsed rows into their own
+  array and drop the rows and the text (when they read the file) before the
+  checks and the scan, which run on that array without a second copy;
 - `subspace` of every point in order shares the parent's read-only matrix.
 """
 
@@ -122,23 +136,23 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(n))
 
 
-def _checked_matrix(matrix, tol_triangle, owned=False):
-    """The O(n^2) checks shared by every way in: a finite square matrix with
-    zero diagonal, nonnegative and (up to `tol_triangle`) symmetric entries,
-    positive between distinct points. Returns the symmetrized matrix and the
-    absolute triangle tolerance.
+def _checked_matrix(d, tol_triangle):
+    """The O(n^2) checks of an untrusted matrix, shared by `validate_metric`
+    and the JSON readers: a finite square matrix with zero diagonal,
+    nonnegative and (up to `tol_triangle`) symmetric entries, positive
+    between distinct points. Returns the symmetrized matrix and the absolute
+    triangle tolerance.
 
-    `owned` says `matrix` is a fresh float64 array that the caller hands
-    over (a builder's output): it is checked in place instead of copied.
-    The checks read one min, one max and one tiled pass over the upper
-    triangle (`_asymmetry`). Only the asymmetry repair and the error paths
-    allocate n x n: the averaged matrix, or the detail of an error."""
+    `d` is a fresh float64 array that the caller hands over (`_float_array`
+    of the input): it is checked in place. The checks read one min, one max
+    and one tiled pass over the upper triangle (`_asymmetry`). Only the
+    asymmetry repair and the error paths allocate n x n: the averaged
+    matrix, or the detail of an error."""
     if tol_triangle is not None:
         tol_triangle = float(tol_triangle)
         if not (math.isfinite(tol_triangle) and tol_triangle >= 0.0):
             raise InvalidInputError(
                 f"tol_triangle must be a finite number >= 0, got {tol_triangle!r}")
-    d = matrix if owned else _float_array(matrix)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
         raise NonSquareError(f"expected a nonempty square matrix, got shape {d.shape}")
     n = d.shape[0]
@@ -285,7 +299,7 @@ def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
     real numbers: ragged rows, strings, booleans and other objects raise
     MalformedMatrixError. The matrix is copied, never aliased.
     """
-    d, tol = _checked_matrix(matrix, tol_triangle)
+    d, tol = _checked_matrix(_float_array(matrix), tol_triangle)
     return _scanned(d, tol, labels, name)
 
 
@@ -298,16 +312,6 @@ def _scanned(d, tol, labels, name) -> FiniteMetricSpace:
             raise TriangleViolationError(
                 f"d({i},{j}) exceeds d({i},{k}) + d({k},{j}) by {deficit} > {tol}",
                 triple=(i, j, k), deficit=deficit)
-    return _space(d, labels, name)
-
-
-def _metric_by_construction(d, labels=None, tol_triangle: float | None = None,
-                            name: str = "") -> FiniteMetricSpace:
-    """Builder exit: every O(n^2) check of validate_metric, but no triangle
-    scan, for matrices that are metrics by the way they were built. `d` is
-    the builder's own fresh float64 array; it is checked in place, not
-    copied."""
-    d, _ = _checked_matrix(d, tol_triangle, owned=True)
     return _space(d, labels, name)
 
 
@@ -352,7 +356,7 @@ def glue(spec: GlueSpec) -> FiniteMetricSpace:
     d[nx:, nx:] = spec.y.dist
     labels = tuple(f"x{i}" for i in range(nx)) + tuple(f"y{j}" for j in range(ny))
     name = f"glue({spec.x.name or 'x'},{spec.y.name or 'y'},c={spec.c})"
-    return _metric_by_construction(d, labels=labels, name=name)
+    return _space(d, labels, name)
 
 
 def _clear_low_bits(x: float, t: int) -> float:
@@ -377,13 +381,14 @@ def interval_grid(a: float, b: float, n: int) -> FiniteMetricSpace:
     if n < 2:
         raise TooFewPointsError(f"need at least 2 grid points, got {n}")
     h = _clear_low_bits((b - a) / (n - 1), (n - 1).bit_length())
+    if not math.isfinite(h):
+        raise DegenerateIntervalError(
+            f"interval length b - a overflows, a={a}, b={b}")
     if h <= 0.0:
         raise DegenerateIntervalError("interval too short to resolve n points")
     k = np.arange(n, dtype=np.float64)
     d = np.abs(k[:, None] - k[None, :]) * h
-    return _metric_by_construction(d, labels=[f"t{i}" for i in range(n)],
-                                   tol_triangle=0.0,
-                                   name=f"interval({a},{b},{n})")
+    return _space(d, [f"t{i}" for i in range(n)], f"interval({a},{b},{n})")
 
 
 def regular_polygon_arc(n: int) -> FiniteMetricSpace:
@@ -400,8 +405,7 @@ def regular_polygon_arc(n: int) -> FiniteMetricSpace:
     steps = np.abs(k[:, None] - k[None, :])
     steps = np.minimum(steps, n - steps)
     d = steps * h
-    return _metric_by_construction(d, labels=[f"a{i}" for i in range(n)],
-                                   tol_triangle=0.0, name=f"circle({n})")
+    return _space(d, [f"a{i}" for i in range(n)], f"circle({n})")
 
 
 # Clouds with n^2 k at most this many coordinate differences take the
@@ -485,7 +489,7 @@ def euclidean_cloud(coords, labels=None, name: str = "") -> FiniteMetricSpace:
         i, j = _closest_pair(d)
         raise DuplicatePointError(
             f"points {i} and {j} coincide within tolerance {dup_tol}")
-    return _metric_by_construction(d, labels=labels, name=name or f"cloud({n})")
+    return _space(d, labels, name or f"cloud({n})")
 
 
 def _add_squared_differences(block, cols, i0, tmp):
@@ -547,7 +551,7 @@ def random_metric(n: int, seed: int) -> FiniteMetricSpace:
     vals = rng.uniform(1.0, 2.0, size=len(iu[0]))
     d[iu] = vals
     d.T[iu] = vals
-    return _metric_by_construction(d, tol_triangle=0.0, name=f"random({n},{seed})")
+    return _space(d, None, f"random({n},{seed})")
 
 
 # -- space JSON format --------------------------------------------------------
@@ -630,5 +634,5 @@ def _parsed_space(obj, tol_triangle):
     except MalformedMatrixError as exc:  # a ragged or non-numeric row
         raise ParseError(str(exc)) from exc
     del matrix  # the rows go before the checks
-    d, tol = _checked_matrix(d, tol_triangle, owned=True)
+    d, tol = _checked_matrix(d, tol_triangle)
     return d, tol, labels, name

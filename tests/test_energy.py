@@ -204,6 +204,32 @@ class TestMeasureJson:
         with pytest.raises(SpaceMismatchError):
             load_measure(path, x)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "mu.json"
+        path.write_bytes(b'\xff\xfe{"weights": [1, 0, 0]}')
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_measure(path, random_metric(3, 0))
+
+    @pytest.mark.parametrize("weights, message", [
+        ('["a", 1, 2]', "weight entries must be real numbers"),
+        ("[1" + "0" * 400 + ", 0, 0]",
+         "weight entries must be within float64 range"),
+        ("[true, false, false]", "weight entries must be real numbers"),
+        ("[null, 0, 1]", "weight entries must be real numbers"),
+    ], ids=["string", "huge-integer", "booleans", "null"])
+    def test_weights_must_be_real_numbers(self, tmp_path, weights, message):
+        path = tmp_path / "mu.json"
+        path.write_text('{"space": "", "weights": %s}' % weights)
+        with pytest.raises(ParseError, match=message):
+            load_measure(path, random_metric(3, 0))
+
+    def test_integer_weights_parse(self, tmp_path):
+        path = tmp_path / "mu.json"
+        path.write_text('{"space": "", "weights": [2, -1, 0]}')
+        mu = load_measure(path, random_metric(3, 0))
+        assert mu.weights.dtype == np.float64
+        assert np.array_equal(mu.weights, [2.0, -1.0, 0.0])
+
     def test_parse_weights_inline(self):
         assert np.array_equal(parse_weights("0.5, 0.5, 0"), [0.5, 0.5, 0.0])
         assert np.array_equal(parse_weights("1 -1"), [1.0, -1.0])

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhm import (
@@ -336,10 +336,76 @@ class TestBuilderValidationInvariants:
         x = builder()
         validate_metric(x.dist, tol_triangle=1e-12 * diameter(x))
 
+    @staticmethod
+    def _passes_checks_unchanged(x):
+        """The output is exactly symmetric and passes the O(n^2) checks at
+        zero tolerance with nothing to repair."""
+        d = x.dist
+        assert np.array_equal(d, d.T)
+        checked, tol = qhm.spaces._checked_matrix(d.copy(), 0.0)
+        assert tol == 0.0 and np.array_equal(checked, d)
+
+    @given(st.integers(2, 64),
+           st.floats(-8e307, 8e307, allow_nan=False),
+           st.floats(-8e307, 8e307, allow_nan=False))
+    @settings(max_examples=150, deadline=None)
+    def test_interval_grid_passes_checks_at_any_scale(self, n, a, b):
+        assume(a < b)
+        try:
+            x = interval_grid(a, b, n)
+        except DegenerateIntervalError:  # too short for n points
+            assume(False)
+        self._passes_checks_unchanged(x)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 96])
+    def test_polygon_and_random_pass_checks(self, n):
+        self._passes_checks_unchanged(regular_polygon_arc(n))
+        self._passes_checks_unchanged(random_metric(n, n))
+
+    # up to 2^500 no squared difference overflows, so every cloud here is
+    # built; the scaled path starts below 2^-400
+    CLOUD_EXPONENTS = [-1000, -700, -401, -400, -300, -1, 0, 1, 300, 500]
+    CLOUD_SHAPES = [(2, 1), (5, 2), (9, 3), (40, 3), (30, 8), (120, 2)]
+
+    @pytest.mark.parametrize("e", CLOUD_EXPONENTS)
+    @pytest.mark.parametrize("shape", CLOUD_SHAPES)
+    def test_euclidean_passes_checks_at_any_scale(self, e, shape):
+        pts = np.random.default_rng(shape[0] + 1).uniform(-1, 1, shape) * 2.0 ** e
+        self._passes_checks_unchanged(euclidean_cloud(pts))
+
+    def test_ball_builders_pass_checks(self):
+        self._passes_checks_unchanged(ball_discretization(3, 20))
+        for x in ball_chain([21, 51, 121])[2]:
+            self._passes_checks_unchanged(x)
+
+    @pytest.mark.parametrize("e, f", [(-1000, 500), (-401, -1000), (0, 500),
+                                      (500, 500)])
+    def test_glues_pass_checks_at_any_scale(self, e, f):
+        rng = np.random.default_rng(9)
+        parts = [euclidean_cloud(rng.uniform(-1, 1, (7, 3)) * 2.0 ** e),
+                 euclidean_cloud(rng.uniform(-1, 1, (6, 2)) * 2.0 ** f),
+                 interval_grid(-8e307, 8e307, 5),
+                 interval_grid(-3.0, 2.5, 4),
+                 regular_polygon_arc(7)]
+        for x in parts:
+            for y in parts:
+                c = max(diameter(x), diameter(y)) / 2.0
+                for cross in (c, 2.0 * c):
+                    self._passes_checks_unchanged(glue(GlueSpec(x, y, cross)))
+
+    def test_interval_overflow_is_rejected_before_building(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in [(-1.7e308, 1.7e308), (-1e308, 1e308)]:
+                with pytest.raises(DegenerateIntervalError,
+                                   match="interval length b - a overflows"):
+                    interval_grid(a, b, 3)
+
 
 class TestTrustBoundary:
-    """The O(n^3) triangle scan runs once per untrusted matrix and never on
-    builder outputs, which are metrics by construction."""
+    """The O(n^2) checks and the O(n^3) triangle scan run once per untrusted
+    matrix and never on builder outputs, which are metrics by
+    construction."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
@@ -353,7 +419,19 @@ class TestTrustBoundary:
         monkeypatch.setattr(qhm.spaces, "triangle_scan", counted)
         return sizes
 
-    def test_builders_do_not_scan(self, scans):
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        sizes = []
+        check = qhm.spaces._checked_matrix
+
+        def counted(d, tol_triangle):
+            sizes.append(d.shape[0])
+            return check(d, tol_triangle)
+
+        monkeypatch.setattr(qhm.spaces, "_checked_matrix", counted)
+        return sizes
+
+    def test_builders_do_not_scan(self, scans, checks):
         grid = interval_grid(0.0, 4.0, 9)
         arc = regular_polygon_arc(12)
         glue(GlueSpec(grid, arc, diameter(grid) / 2.0))  # 2c = diameter
@@ -362,18 +440,19 @@ class TestTrustBoundary:
         _, _, chain = ball_chain([51, 201])
         random_metric(30, 4)
         subspace(chain[-1], range(0, 201, 3))
-        assert scans == []
+        ball_discretization(2, 8)
+        assert scans == [] and checks == []
 
-    def test_untrusted_matrices_scan_once(self, scans, tmp_path):
+    def test_untrusted_matrices_scan_once(self, scans, checks, tmp_path):
         x = random_metric(6, 2)
         validate_metric(x.dist)
-        assert scans == [6]
+        assert scans == checks == [6]
         space_from_json(space_to_json(x))
-        assert scans == [6, 6]
+        assert scans == checks == [6, 6]
         path = tmp_path / "x.json"
         save_space(x, path)
         load_space(path)
-        assert scans == [6, 6, 6]
+        assert scans == checks == [6, 6, 6]
 
     def test_large_untrusted_matrix_scans_once(self, scans, tmp_path):
         # above the screen's crossover: still one scan per matrix, none
@@ -570,7 +649,7 @@ class TestSubspaceSharing:
 
 class TestCheckMessages:
     """Each O(n^2) check keeps its message and reported indices, on the
-    validate path and on the builder exit, with the offending entry in
+    validate path and on the JSON reader, with the offending entry in
     several tiles of a 300-point matrix."""
 
     N = 300
@@ -581,8 +660,8 @@ class TestCheckMessages:
     def _raises(self, d, error, message, tol_triangle=None):
         for check in (
                 lambda: validate_metric(d, tol_triangle=tol_triangle),
-                lambda: qhm.spaces._metric_by_construction(
-                    d.copy(), tol_triangle=tol_triangle)):
+                lambda: space_from_json(json.dumps({"matrix": d.tolist()}),
+                                        tol_triangle=tol_triangle)):
             with pytest.raises(error) as exc:
                 check()
             assert type(exc.value) is error
