@@ -9,7 +9,9 @@ screens the pairs in exact 16-bit integers on up to four threads,
 recomputes in float64 the pairs the screen cannot certify and runs the
 exact loop on the blocks it leaves mostly open, with the same result bit
 for bit. The ascent advances its linear recurrence a block of iterates at
-a time; the triangular solves go a block of rows at a time.
+a time, each block a few matrix products with powers of its step matrix
+stored once per call; the triangular solves go a block of rows at a
+time.
 """
 
 import math
@@ -63,7 +65,8 @@ def _worst(dist, found):
     d(i,k) + d(k,j). A block with no positive deficit reports (0.0, i0, i0),
     so a metric gives (0.0, 0, 0, 0)."""
     worst, i, j = max(found, key=lambda f: f[0])
-    return worst, i, j, int(np.argmin(dist[i, :] + dist[:, j]))
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        return worst, i, j, int(np.argmin(dist[i, :] + dist[:, j]))
 
 
 def _block_minima(x, i0, i1, buf, least, tmp):
@@ -78,15 +81,16 @@ def _block_minima(x, i0, i1, buf, least, tmp):
     least = least[:rows * width].reshape(rows, width)
     tmp = tmp[:rows * width].reshape(rows, width)
     pivots = max(1, buf.size // (rows * width))
-    for k0 in range(0, n, pivots):
-        k1 = min(n, k0 + pivots)
-        slab = buf[:rows * (k1 - k0) * width].reshape(rows, k1 - k0, width)
-        np.add(x[i0:i1, k0:k1, None], x[None, k0:k1, i0:], out=slab)
-        if k0 == 0:
-            np.minimum.reduce(slab, axis=1, out=least)
-        else:
-            np.minimum.reduce(slab, axis=1, out=tmp)
-            np.minimum(least, tmp, out=least)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        for k0 in range(0, n, pivots):
+            k1 = min(n, k0 + pivots)
+            slab = buf[:rows * (k1 - k0) * width].reshape(rows, k1 - k0, width)
+            np.add(x[i0:i1, k0:k1, None], x[None, k0:k1, i0:], out=slab)
+            if k0 == 0:
+                np.minimum.reduce(slab, axis=1, out=least)
+            else:
+                np.minimum.reduce(slab, axis=1, out=tmp)
+                np.minimum(least, tmp, out=least)
     return least
 
 
@@ -278,14 +282,15 @@ def _scan_block(dist, screen, i0, i1, slab64, least16, tmp16, is_open,
     j += i0
     deficit = tmp64[:count]
     per = slab64.size // (2 * n)
-    for a in range(0, count, per):
-        m = min(per, count - a)
-        left = slab64[:m * n].reshape(m, n)
-        right = slab64[m * n:2 * m * n].reshape(m, n)
-        np.take(dist, i[a:a + m], axis=0, out=left, mode="clip")
-        np.take(dist, j[a:a + m], axis=0, out=right, mode="clip")
-        np.minimum.reduce(np.add(left, right, out=left), axis=1,
-                          out=deficit[a:a + m])
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        for a in range(0, count, per):
+            m = min(per, count - a)
+            left = slab64[:m * n].reshape(m, n)
+            right = slab64[m * n:2 * m * n].reshape(m, n)
+            np.take(dist, i[a:a + m], axis=0, out=left, mode="clip")
+            np.take(dist, j[a:a + m], axis=0, out=right, mode="clip")
+            np.minimum.reduce(np.add(left, right, out=left), axis=1,
+                              out=deficit[a:a + m])
     np.subtract(dist[i, j], deficit, out=deficit)
     best = int(np.argmax(deficit))
     if deficit[best] <= 0.0:
@@ -293,37 +298,66 @@ def _scan_block(dist, screen, i0, i1, slab64, least16, tmp16, is_open,
     return float(deficit[best]), int(i[best]), int(j[best])
 
 
-# Element budget of the ascent's stack of matrices dist @ A^k (4 MB); a block
-# holds as many iterates as the stack has matrices, at most 1024.
+# Element budget of the ascent (4 MB): the p stored powers of its step
+# matrix, p n^2 elements, and 4 b n for a block of b iterates (at most
+# 1024): the iterates and their potentials, and as much again for the
+# records of a block taken at every iteration.
 ASCENT_TILE = 1 << 19
+
+
+def _ascent_plan(n, iterations):
+    """(p, b): the powers A^(2^j), j < p, that the ascent on n points
+    stores, and its iterates per block.
+
+    p is the most powers a block of b iterates uses, 2^(p-1) < b, that
+    leave room for max(64, 2^p) iterates; b then fills the budget. Where not
+    even A and two iterates fit, p = 0 and b = 1. Measured on a 2-vCPU
+    machine (euclidean clouds, 5000 iterations, medians of 5 in two runs),
+    this gave (7, 300) at 201 points in 25-31 ms against 32-33 ms for
+    (8, 128), 41 for (9, 64) and 46-55 for (10, 40); (2, 126) at 401 points
+    in 136-156 ms against 173-177 ms for (3, 26), whose blocks are too
+    short for their fixed cost; and (1, 67) at 601 points, 3000 iterations,
+    in 423-475 ms against 540-618 ms for (0, 1)."""
+    b = min(1024, iterations + 1)
+    if b == 1 or n * n + 8 * n > ASCENT_TILE:
+        return 0, 1
+    p = (b - 1).bit_length()
+    while p > 1 and p * n * n + 4 * max(64, 1 << p) * n > ASCENT_TILE:
+        p -= 1
+    return p, min(b, (ASCENT_TILE - p * n * n) // (4 * n))
 
 
 def ascent_block(n: int, iterations: int) -> int:
     """Iterates per block of the ascent on n points."""
-    return max(1, min(1024, ASCENT_TILE // (n * n), iterations + 1))
+    return _ascent_plan(n, iterations)[1]
 
 
-def _ascent_stack(dist, step, b):
-    """The (b*n, n) stack of Q_k = dist @ A^k, k < b, for the ascent step
-    A = I + 2 step (I - 11'/n) dist, by doubling: Q_{m..2m-1} = Q_{0..m-1}
-    @ A^m is one matmul per doubling, plus the n x n square of A^m. With
-    b = 1 the stack is `dist` itself."""
+def _ascent_powers(dist, step, p):
+    """[A^(2^j) for j < p] for the ascent step
+    A = I + 2 step (I - 11'/n) dist, by repeated squaring."""
+    if p == 0:
+        return []
     n = dist.shape[0]
-    if b == 1:
-        return dist
-    stack = np.empty((b, n, n))
-    stack[0] = dist
-    power = 2.0 * step * (dist - dist.mean(axis=0))
+    power = dist - dist.mean(axis=0)
+    power *= 2.0 * step
     power[np.diag_indices(n)] += 1.0
+    powers = [power]
+    for _ in range(p - 1):
+        powers.append(powers[-1] @ powers[-1])
+    return powers
+
+
+def _ascent_iterates(ws, powers):
+    """Fill columns 1.. of `ws` from column 0: columns [m, 2m) are
+    A^(2^j) times columns [0, m) while the stored powers reach, then columns
+    come in chunks of c = 2^(p-1), each from the columns c earlier."""
     m = 1
-    while m < b:
-        k = min(m, b - m)
-        np.matmul(stack[:k].reshape(k * n, n), power,
-                  out=stack[m:m + k].reshape(k * n, n))
+    while m < ws.shape[1]:
+        j = min(m.bit_length(), len(powers)) - 1
+        c = 1 << j
+        k = min(c, ws.shape[1] - m)
+        np.matmul(powers[j], ws[:, m - c:m - c + k], out=ws[:, m:m + k])
         m += k
-        if m < b:
-            power = power @ power
-    return stack.reshape(b * n, n)
 
 
 def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
@@ -338,17 +372,28 @@ def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
     the exit. Returns (rec_it, rec_val, rec_w, best, best_w, status,
     last_it).
 
-    The step is linear, w <- A w, so the potentials of a block of b
-    iterates from w are Q_k @ w with Q_k = dist @ A^k: one matvec against
-    a stack built once per call. The iterates are w plus the running sum of
-    step g, added in the order of a one-step-at-a-time loop, and the next
-    block starts from one plain step off the block's last iterate, so
-    rounding does not compound across blocks. The best value moves only on
-    a strict improvement, so a NaN energy never becomes the best.
+    The step is linear, w <- A w, so a block of b iterates comes from its
+    first by matrix powers: once per call the kernel stores A^(2^j) for
+    j < p (`_ascent_plan` picks p and b), and the block, one iterate per
+    column of an n x b array, doubles from its first column through the
+    stored powers, then goes on in chunks from the columns 2^(p-1) earlier
+    (`_ascent_iterates`): a few matrix products per block over matrices that
+    stay in cache. The potentials of the whole block are one product with
+    dist, and the energies are those of the iterates as computed. Columns
+    make the block's reductions (means, energies, max |g|) run along rows
+    of b elements: on a block of 1024 iterates of five points they took
+    15 us, against 165 us along rows of n. The next block starts from one
+    plain step off the block's last iterate, so rounding does not compound
+    across blocks. The best value moves only on a strict improvement, so a
+    NaN energy never becomes the best. Where not even A and two iterates
+    fit in ASCENT_TILE (from 721 points), p = 0 and b = 1: one product with
+    dist per iteration and no copy of it.
     """
     n = w0.shape[0]
-    b = ascent_block(n, iterations)
+    p, b = _ascent_plan(n, iterations)
     index = np.arange(b)
+    block = np.empty((n, b))
+    pots = np.empty((n, b))
     w = w0.copy()
     best, best_w = -np.inf, w.copy()
     max_rec = iterations // stride + 2
@@ -357,49 +402,50 @@ def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
     rec_w = np.empty((max_rec, n))
     n_rec = 0
     it0 = 0
-    # in a divergent run the rows of a block past its exit may overflow;
-    # they are computed with the block but never used
+    # in a divergent run the iterates of a block past its exit may
+    # overflow; they are computed with the block but never used
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = _ascent_stack(dist, step, b)
+        powers = _ascent_powers(dist, step, p)
         while True:
             m = min(b, iterations + 1 - it0)
-            d = (stack[:m * n] @ w).reshape(m, n)
-            g = d - d.sum(axis=1, keepdims=True) / n
-            g *= 2.0
-            ws = np.empty((m, n))
-            ws[0] = w
-            np.multiply(g[:-1], step, out=ws[1:])
-            np.add.accumulate(ws, axis=0, out=ws)
-            vals = np.einsum("ij,ij->i", ws, d)
+            ws = block[:, :m]
+            ws[:, 0] = w
+            _ascent_iterates(ws, powers)
+            d = np.matmul(dist, ws, out=pots[:, :m])
+            mean = d.sum(axis=0) / n
+            vals = np.einsum("ij,ij->j", ws, d)
             bests = np.fmax.accumulate(np.concatenate(([best], vals)))
             improved = vals > bests[:-1]
             bests = bests[1:]
             blown = bests > blowup
-            flat = np.abs(g).max(axis=1) < grad_tol
+            # max |g| without g: d - mean rounds monotonically in d
+            flat = 2.0 * np.maximum(d.max(axis=0) - mean,
+                                    mean - d.min(axis=0)) < grad_tol
             exits = np.flatnonzero(blown | flat)
             last = int(exits[0]) if exits.size else m - 1
             done = exits.size > 0 or it0 + last == iterations
-            # row of the best measure so far; -1 is the one carried in
+            # column of the best measure so far; -1 is the one carried in
             source = np.maximum.accumulate(np.where(improved, index[:m], -1))
-            rows = np.arange((-it0) % stride, last + 1, stride)
+            recs = np.arange((-it0) % stride, last + 1, stride)
             if done and (it0 + last) % stride:
-                rows = np.append(rows, last)
-            if rows.size:
-                at = source[rows]
-                end = n_rec + rows.size
-                rec_it[n_rec:end] = it0 + rows
-                rec_val[n_rec:end] = bests[rows]
-                rec_w[n_rec:end] = np.where(at[:, None] >= 0, ws[at], best_w)
+                recs = np.append(recs, last)
+            if recs.size:
+                at = source[recs]
+                end = n_rec + recs.size
+                rec_it[n_rec:end] = it0 + recs
+                rec_val[n_rec:end] = bests[recs]
+                rec_w[n_rec:end] = np.where(at[:, None] >= 0, ws[:, at].T,
+                                            best_w)
                 n_rec = end
             best = float(bests[last])
             if source[last] >= 0:
-                best_w = ws[source[last]].copy()
+                best_w = ws[:, source[last]].copy()
             if done:
                 status = (ASCENT_BLOWUP if blown[last] else
                           ASCENT_CONVERGED if flat[last] else ASCENT_MAXITER)
                 return (rec_it[:n_rec], rec_val[:n_rec], rec_w[:n_rec], best,
                         best_w, status, it0 + last)
-            w = ws[-1] + step * g[-1]
+            w = ws[:, -1] + step * (2.0 * (d[:, -1] - mean[-1]))
             it0 += m
 
 

@@ -53,6 +53,14 @@ class TestMconstantVerb:
         assert payload["value"] == pytest.approx(0.5, abs=1e-9)
         assert payload["oracle"]["best_value"] == pytest.approx(0.5, abs=1e-4)
 
+    def test_infinite_with_oracle(self, capsys):
+        code, out, _ = run_cli(capsys, "mconstant", "--fixture", "nw-thm2.9a",
+                               "--oracle-iters", "20000")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "infinite"
+        assert payload["oracle"]["status"] == "blowup"
+
     def test_infinite_with_check_measure(self, capsys):
         code, out, _ = run_cli(capsys, "mconstant", "--fixture", "nw-thm2.9",
                                "--check-measure",

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhm import (GlueSpec, _kernels, energy_bilinear, euclidean_cloud, fixture,
-                 glue, interval_grid, measure, random_metric,
-                 regular_polygon_arc, validate_metric)
+from qhm import (GlueSpec, _kernels, diameter, energy_bilinear,
+                 euclidean_cloud, fixture, glue, interval_grid, measure,
+                 random_metric, regular_polygon_arc, validate_metric)
 from qhm._kernels import (
     ASCENT_BLOWUP,
     ASCENT_CONVERGED,
@@ -311,7 +311,6 @@ def _scaled(dist, top):
 SCALES = [5e-324, 1e-300, 1e300, 1.7e308]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("top", SCALES)
 @pytest.mark.parametrize("kind", ["violating", "tied", "uniform"])
 def test_scan_at_extreme_scales(kind, top, small_screen):
@@ -323,7 +322,6 @@ def test_scan_at_extreme_scales(kind, top, small_screen):
             _assert_scan_matches(_scaled(dist, top))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("top", SCALES)
 def test_scan_at_extreme_scales_full_size(top):
     n = SCREEN_MIN + 3
@@ -334,6 +332,24 @@ def test_scan_at_extreme_scales_full_size(top):
         _assert_scan_matches(_scaled(dist, top), brute=False)
     grid = interval_grid(0.0, 1.0, n).dist
     _assert_scan_matches(_scaled(grid, top), brute=False)
+
+
+@pytest.mark.parametrize("n", [9, 200])
+def test_validate_metric_near_the_float_limit(n):
+    # sums of two entries past the float range are inf, which shows no
+    # violation: no overflow warning escapes, in the slab loop, in the
+    # screen's pair recheck or in the choice of k, and a violation among
+    # such entries is found with the triple of the unwarned scan
+    grid = interval_grid(-8e307, 8e307, n).dist
+    validate_metric(grid)
+    cloud = euclidean_cloud(np.random.default_rng(0).uniform(0.0, 1.0, (n, 3)))
+    validate_metric(cloud.dist * 1e308)
+    dist = grid.copy()
+    dist[0, n - 1] = dist[n - 1, 0] = 1.79e308
+    with pytest.raises(TriangleViolationError) as exc:
+        validate_metric(dist)
+    assert exc.value.triple == (0, n - 1, 1)
+    assert exc.value.deficit == 1.79e308 - (dist[0, 1] + dist[1, n - 1])
 
 
 @pytest.mark.parametrize("n", [19, SCREENED + 2])
@@ -790,19 +806,46 @@ def test_ascent_record_strides(stride):
     _matches_brute(4 * B + 5, stride, _blowup_at(2 * B + 3, _divergent()))
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
-def test_ascent_with_tiny_blocks(blocks, monkeypatch):
-    monkeypatch.setattr(_kernels, "ASCENT_TILE", blocks * 25)
-    assert ascent_block(5, 100) == blocks
+# ASCENT_TILE on five and on nine points, with the plan (powers, iterates
+# per block) it gives for 200 iterations: one iterate per block, two, and
+# more iterates than doubling through the stored powers reaches, so that the
+# block goes on in chunks of 4 and ends on a shorter one
+TINY_PLANS = [(64, 152, (0, 1), (0, 1)), (65, 153, (1, 2), (1, 2)),
+              (1379, 2627, (3, 65), (3, 66))]
+
+
+@pytest.mark.parametrize("tile5, tile9, plan5, plan9", TINY_PLANS)
+def test_ascent_with_tiny_blocks(tile5, tile9, plan5, plan9, monkeypatch):
+    monkeypatch.setattr(_kernels, "ASCENT_TILE", tile5)
+    assert _kernels._ascent_plan(5, 200) == plan5
     for stride in (1, 3):
-        assert _matches_brute(60, stride, _divergent()) == (ASCENT_MAXITER, 60)
-        for t in (0, 1, 2, 7):
+        assert _matches_brute(200, stride, _divergent()) == (ASCENT_MAXITER,
+                                                             200)
+        for t in (0, 1, 2, 7, 40, 70):
             args = _blowup_at(t, _divergent())
-            assert _matches_brute(60, stride, args) == (ASCENT_BLOWUP, t)
-    monkeypatch.setattr(_kernels, "ASCENT_TILE", blocks * 81)
-    for t in (0, 1, 2, 7):
+            assert _matches_brute(200, stride, args) == (ASCENT_BLOWUP, t)
+    monkeypatch.setattr(_kernels, "ASCENT_TILE", tile9)
+    assert _kernels._ascent_plan(9, 200) == plan9
+    for t in (0, 1, 2, 7, 40, 70):
         args = _grad_tol_at(t, _convergent())
-        assert _matches_brute(60, 2, args) == (ASCENT_CONVERGED, t)
+        assert _matches_brute(200, 2, args) == (ASCENT_CONVERGED, t)
+
+
+@pytest.mark.parametrize("space", [fixture("nw-thm2.9a").space,
+                                   random_metric(40, 0),
+                                   random_metric(150, 0)],
+                         ids=["nw-thm2.9a", "random-40", "random-150"])
+@pytest.mark.parametrize("blowup", ["1e6 diam", "1e300"])
+def test_ascent_diverges_inside_a_block(space, blowup):
+    # not quasihypermetric: the run blows up part way through a block. At
+    # 1e300 the energies of the block's later iterates can pass the float
+    # range (they do on random-40); no warning escapes
+    args = _start(space)
+    if blowup == "1e6 diam":
+        args["blowup"] = 1e6 * diameter(space)
+    status, last = _matches_brute(20_000, 100, args)
+    assert status == ASCENT_BLOWUP
+    assert last % ascent_block(space.n, 20_000) != 0
 
 
 def test_ascent_nan_energy_never_becomes_best():
@@ -816,24 +859,36 @@ def test_ascent_nan_energy_never_becomes_best():
 
 
 @pytest.mark.parametrize("n", [201, 801])
-def test_ascent_stack_is_the_only_large_allocation(n):
+def test_ascent_powers_and_block_are_the_only_large_allocations(n):
     import tracemalloc
 
     space = euclidean_cloud(np.random.default_rng(n).uniform(0.0, 1.0, (n, 3)))
     args = _start(space)
-    b = ascent_block(n, 10**6)
-    if b > 1:
-        assert b * n * n <= ASCENT_TILE  # at most 4 MB
-    stack = b * n * n if b > 1 else 0  # with b = 1 the stack is dist itself
+    p, b = _kernels._ascent_plan(n, 10**6)
     tracemalloc.start()
     try:
-        ascent(args["dist"], args["w0"], 3 * b, args["step"], 1e6, 0.0, 1)
+        # three blocks, recorded once a block: the records are the output
+        ascent(args["dist"], args["w0"], 3 * b, args["step"], 1e6, 0.0, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # besides the stack: A and its square while it is built, and a few
-    # vectors of the block (potentials, gradients, iterates, records)
-    assert peak < 8 * (stack + 3 * n * n * (b > 1) + 16 * b * n + 8 * n)
+    # the powers and the block's iterates and potentials, within
+    # ASCENT_TILE; besides them a few vectors of the block and of n points
+    # (energies, bests, records, iterates). With p = 0, from 721 points,
+    # there is no copy of dist
+    assert (p, b) == ((7, 300) if n == 201 else (0, 1))
+    assert peak < 8 * (p * n * n + 2 * b * n + 16 * b + 16 * n)
+
+
+def test_ascent_plan_stays_within_the_budget():
+    for n in range(1, 1001):
+        for iterations in (1, 100, 10**6):
+            p, b = _kernels._ascent_plan(n, iterations)
+            assert 1 <= b <= min(1024, iterations + 1)
+            assert (p == 0) == (b == 1)
+            assert (p * n * n + 4 * b * n <= ASCENT_TILE) or (p, b) == (0, 1)
+            assert p == 0 or 1 << (p - 1) < b  # every stored power is used
+            assert (p == 0) == (n * n + 8 * n > ASCENT_TILE)
 
 
 # one row, one block minus one / exactly / plus one, two blocks plus three
