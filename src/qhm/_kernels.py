@@ -10,7 +10,8 @@ recomputes in float64 the pairs the screen cannot certify and runs the
 exact loop on the blocks it leaves mostly open, with the same result bit
 for bit. The ascent advances its linear recurrence a block of iterates at
 a time, each block a few matrix products with powers of its step matrix
-stored once per call; the triangular solves go a block of rows at a
+stored once per call, and keeps the best value at each record and the best
+measure only at its exit; the triangular solves go a block of rows at a
 time.
 """
 
@@ -21,12 +22,6 @@ import threading
 import numpy as np
 
 from .tolerances import PERRON_RTOL
-
-# ascent loop exit status codes
-ASCENT_MAXITER = 0
-ASCENT_CONVERGED = 1
-ASCENT_BLOWUP = 2
-
 
 # Element budget of one triangle-scan slab (rows x pivots x columns) of
 # float64, and rows per block. The screen reads the same 512 KB slab as
@@ -300,8 +295,8 @@ def _scan_block(dist, screen, i0, i1, slab64, least16, tmp16, is_open,
 
 # Element budget of the ascent (4 MB): the p stored powers of its step
 # matrix, p n^2 elements, and 4 b n for a block of b iterates (at most
-# 1024): the iterates and their potentials, and as much again for the
-# records of a block taken at every iteration.
+# 1024), twice what the iterates and their potentials take. The plans of
+# `_ascent_plan` were measured at this budget.
 ASCENT_TILE = 1 << 19
 
 
@@ -325,11 +320,6 @@ def _ascent_plan(n, iterations):
     while p > 1 and p * n * n + 4 * max(64, 1 << p) * n > ASCENT_TILE:
         p -= 1
     return p, min(b, (ASCENT_TILE - p * n * n) // (4 * n))
-
-
-def ascent_block(n: int, iterations: int) -> int:
-    """Iterates per block of the ascent on n points."""
-    return _ascent_plan(n, iterations)[1]
 
 
 def _ascent_powers(dist, step, p):
@@ -366,11 +356,10 @@ def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
     Iterate `it` has potential d = dist @ w, energy w @ d and projected
     gradient g = 2 (d - mean d); the next iterate is w + step g. The run
     exits at the first iteration whose best energy so far exceeds `blowup`
-    (ASCENT_BLOWUP), else whose max |g| is below `grad_tol`
-    (ASCENT_CONVERGED), else at `iterations` (ASCENT_MAXITER). It records
-    (iteration, best value, best measure) every `stride` iterations and at
-    the exit. Returns (rec_it, rec_val, rec_w, best, best_w, status,
-    last_it).
+    ("blowup"), else whose max |g| is below `grad_tol` ("converged"), else
+    at `iterations` ("maxiter"). It records (iteration, best value) every
+    `stride` iterations and at the exit. Returns (rec_it, rec_val, best,
+    best_w, status, last_it).
 
     The step is linear, w <- A w, so a block of b iterates comes from its
     first by matrix powers: once per call the kernel stores A^(2^j) for
@@ -385,13 +374,13 @@ def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
     15 us, against 165 us along rows of n. The next block starts from one
     plain step off the block's last iterate, so rounding does not compound
     across blocks. The best value moves only on a strict improvement, so a
-    NaN energy never becomes the best. Where not even A and two iterates
-    fit in ASCENT_TILE (from 721 points), p = 0 and b = 1: one product with
-    dist per iteration and no copy of it.
+    NaN energy never becomes the best, and the best measure is the iterate
+    of the last strict improvement up to the exit. Where not even A and two
+    iterates fit in ASCENT_TILE (from 721 points), p = 0 and b = 1: one
+    product with dist per iteration and no copy of it.
     """
     n = w0.shape[0]
     p, b = _ascent_plan(n, iterations)
-    index = np.arange(b)
     block = np.empty((n, b))
     pots = np.empty((n, b))
     w = w0.copy()
@@ -399,7 +388,6 @@ def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
     max_rec = iterations // stride + 2
     rec_it = np.empty(max_rec, dtype=np.int64)
     rec_val = np.empty(max_rec)
-    rec_w = np.empty((max_rec, n))
     n_rec = 0
     it0 = 0
     # in a divergent run the iterates of a block past its exit may
@@ -424,27 +412,21 @@ def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
             exits = np.flatnonzero(blown | flat)
             last = int(exits[0]) if exits.size else m - 1
             done = exits.size > 0 or it0 + last == iterations
-            # column of the best measure so far; -1 is the one carried in
-            source = np.maximum.accumulate(np.where(improved, index[:m], -1))
             recs = np.arange((-it0) % stride, last + 1, stride)
             if done and (it0 + last) % stride:
                 recs = np.append(recs, last)
-            if recs.size:
-                at = source[recs]
-                end = n_rec + recs.size
-                rec_it[n_rec:end] = it0 + recs
-                rec_val[n_rec:end] = bests[recs]
-                rec_w[n_rec:end] = np.where(at[:, None] >= 0, ws[:, at].T,
-                                            best_w)
-                n_rec = end
+            rec_it[n_rec:n_rec + recs.size] = it0 + recs
+            rec_val[n_rec:n_rec + recs.size] = bests[recs]
+            n_rec += recs.size
             best = float(bests[last])
-            if source[last] >= 0:
-                best_w = ws[:, source[last]].copy()
+            up = np.flatnonzero(improved[:last + 1])
+            if up.size:
+                best_w = ws[:, up[-1]].copy()
             if done:
-                status = (ASCENT_BLOWUP if blown[last] else
-                          ASCENT_CONVERGED if flat[last] else ASCENT_MAXITER)
-                return (rec_it[:n_rec], rec_val[:n_rec], rec_w[:n_rec], best,
-                        best_w, status, it0 + last)
+                status = ("blowup" if blown[last] else
+                          "converged" if flat[last] else "maxiter")
+                return (rec_it[:n_rec], rec_val[:n_rec], best, best_w, status,
+                        it0 + last)
             w = ws[:, -1] + step * (2.0 * (d[:, -1] - mean[-1]))
             it0 += m
 

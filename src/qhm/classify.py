@@ -296,19 +296,19 @@ class KernelFlatValue:
     deviation: float
 
 
-def kernel_flat_values(space: FiniteMetricSpace, cls: Classification,
-                       flatness_tol: float | None = None) -> list[KernelFlatValue]:
+def kernel_flat_values(space: FiniteMetricSpace,
+                       cls: Classification) -> list[KernelFlatValue]:
     """Constant potential values of the degenerate directions.
 
     On a genuinely quasihypermetric space the potential of every seminorm-zero
-    mass-zero measure is constant; a deviation above `flatness_tol` means the
-    classification tolerance was too loose for this space.
+    mass-zero measure is constant; a deviation above
+    `default_flatness_tol(space)` means the classification tolerance was too
+    loose for this space.
     """
     if cls.verdict is not Verdict.NON_STRICT:
         raise NotApplicableError(
             f"kernel flat values require a NonStrict verdict, got {cls.verdict.value}")
-    if flatness_tol is None:
-        flatness_tol = default_flatness_tol(space)
+    flatness_tol = default_flatness_tol(space)
     out = []
     for f in cls.kernel_basis:
         pot = potential(space, f)

@@ -51,12 +51,12 @@ def cli(ctx, tol, seed, out, fmt):
     ctx.obj = {"tol": tol, "seed": seed, "out": out, "fmt": fmt}
 
 
-def _load(space_path, fixture_key, tol_triangle=None):
+def _load(space_path, fixture_key):
     if (space_path is None) == (fixture_key is None):
         raise click.UsageError("give exactly one of SPACE_FILE or --fixture KEY")
     if fixture_key is not None:
         return fixture(fixture_key).space
-    return load_space(space_path, tol_triangle=tol_triangle)
+    return load_space(space_path)
 
 
 def _emit_text(ctx, text: str) -> None:

@@ -98,23 +98,21 @@ def _require_mass_zero(mu: SignedMeasure, mass_tol: float, what: str) -> None:
 
 
 def seminorm_zero(space: FiniteMetricSpace, mu: SignedMeasure,
-                  mass_tol: float = MASS_TOL, neg_tol: float | None = None,
+                  mass_tol: float = MASS_TOL,
                   diagnostics: dict | None = None) -> float:
     """Seminorm sqrt(-I(mu)) of a mass-zero measure.
 
     Meaningful when the space is quasihypermetric, where -I(mu) >= 0. Tiny
     negative radicands are clamped to zero; pass a `diagnostics` dict to
     receive the raw radicand and a flag when it is below -neg_tol (which
-    signals genuinely non-quasihypermetric input rather than roundoff).
-    `neg_tol` defaults to NEG_RADICAND_REL * diameter * ||mu||_1^2, the
-    scale of I(mu).
+    signals genuinely non-quasihypermetric input rather than roundoff), for
+    neg_tol = NEG_RADICAND_REL * diameter * ||mu||_1^2, the scale of I(mu).
     """
     _require_mass_zero(mu, mass_tol, "seminorm argument")
     radicand = -energy(space, mu)
     if diagnostics is not None:
-        if neg_tol is None:
-            l1 = float(np.abs(mu.weights).sum())
-            neg_tol = NEG_RADICAND_REL * diameter(space) * l1 * l1
+        l1 = float(np.abs(mu.weights).sum())
+        neg_tol = NEG_RADICAND_REL * diameter(space) * l1 * l1
         diagnostics["radicand"] = radicand
         diagnostics["negative_squared_norm"] = radicand < -neg_tol
     return float(np.sqrt(max(0.0, radicand)))

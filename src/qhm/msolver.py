@@ -33,12 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import (
-    ASCENT_BLOWUP,
-    ASCENT_CONVERGED,
-    ascent,
-    perron_upper_bound,
-)
+from ._kernels import ascent, perron_upper_bound
 from .classify import (
     StrictCertificate,
     Verdict,
@@ -154,8 +149,8 @@ def invariant_measure(space: FiniteMetricSpace,
     return _invariant_solve(space, _classify_form(space, b, tol), tol)
 
 
-def m_constant(space: FiniteMetricSpace, tol: float = DEFAULT_TOL,
-               flatness_tol: float | None = None) -> MDecision:
+def m_constant(space: FiniteMetricSpace,
+               tol: float = DEFAULT_TOL) -> MDecision:
     """Decide whether the energy supremum constant is finite; compute it if so.
 
     Procedure: (a) a Cholesky certificate of a Strict verdict with a
@@ -171,10 +166,11 @@ def m_constant(space: FiniteMetricSpace, tol: float = DEFAULT_TOL,
     (the certified lower bound tau_hi on the eigenvalues of B, or the
     smallest |eigenvalue|), "classify_tol" (the tolerance the verdict was
     tested against), and on finite decisions "flatness", "unique" and
-    "mass_error".
+    "mass_error". The flatness of a finite answer and the constant
+    potential of a degenerate direction are judged against
+    `default_flatness_tol(space)`.
     """
-    if flatness_tol is None:
-        flatness_tol = default_flatness_tol(space)
+    flatness_tol = default_flatness_tol(space)
     b, cert, solve = _certified_solve(space, tol)
     if solve is not None:
         diagnostics = {"certificate": "cholesky", "margin": cert.margin,
@@ -192,7 +188,7 @@ def m_constant(space: FiniteMetricSpace, tol: float = DEFAULT_TOL,
                          witness=cls.witness, diagnostics=diagnostics)
 
     if cls.verdict is Verdict.NON_STRICT:
-        flats = kernel_flat_values(space, cls, flatness_tol=flatness_tol)
+        flats = kernel_flat_values(space, cls)
         diagnostics["kernel_flat_values"] = [f.value for f in flats]
         for f in flats:
             if abs(f.value) > flatness_tol:
@@ -265,16 +261,17 @@ def glued_m_predict(m_x: float, m_y: float, c: float,
 
 
 def glued_invariant(mu1: SignedMeasure, mu2: SignedMeasure, m_x: float,
-                    m_y: float, c: float,
-                    flatness_tol: float | None = None) -> SignedMeasure:
+                    m_y: float, c: float) -> SignedMeasure:
     """Combine component invariant measures into one on the glued space.
 
     Given mass-1 measures with constant potentials m_x, m_y on their spaces,
     the weighted concatenation (m_y - c) mu1 ++ (m_x - c) mu2 has constant
-    potential m_x m_y - c^2 on the glued space and mass m_x + m_y - 2c.
+    potential m_x m_y - c^2 on the glued space and mass m_x + m_y - 2c. An
+    input whose potential deviates from its constant by more than
+    `default_flatness_tol` of its space raises NotInvariantInputError.
     """
     for mu, m, what in ((mu1, m_x, "first"), (mu2, m_y, "second")):
-        ft = default_flatness_tol(mu.space) if flatness_tol is None else flatness_tol
+        ft = default_flatness_tol(mu.space)
         dev = float(np.abs(potential(mu.space, mu) - m).max())
         if dev > ft:
             raise NotInvariantInputError(
@@ -289,15 +286,15 @@ def glued_invariant(mu1: SignedMeasure, mu2: SignedMeasure, m_x: float,
 class AscentTrace:
     """Monotone-best trace of the projected gradient ascent.
 
-    Rows are (iteration, best value so far, best measure so far) sampled at a
-    fixed stride plus the final iteration. status is "converged" (projected
-    gradient below grad_tol), "blowup" (best value crossed the divergence
-    threshold), or "maxiter".
+    iterations and best_values are (iteration, best value so far) sampled
+    every max(1, iterations // 256) iterations and at the exit iteration;
+    best_measure is the iterate that reached best_value. status is
+    "converged" (projected gradient below GRAD_TOL_REL times the diameter),
+    "blowup" (best value crossed the divergence threshold), or "maxiter".
     """
 
     iterations: np.ndarray
     best_values: np.ndarray
-    best_measures: np.ndarray
     best_value: float
     best_measure: SignedMeasure
     status: str
@@ -331,56 +328,52 @@ def ascent_step_default(space: FiniteMetricSpace) -> float:
 
 
 def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
-                  step: float | None = None, seed: int = 0,
-                  blowup: float | None = None, grad_tol: float | None = None,
-                  record_stride: int | None = None) -> AscentTrace:
+                  seed: int = 0, blowup: float | None = None) -> AscentTrace:
     """Projected gradient ascent on I(mu) over the mass-1 affine slice.
 
     Starts from the uniform measure plus a seeded mass-zero perturbation and
-    iterates mu += step * P(2 potential(mu)). For quasihypermetric spaces
-    with a finite constant the best value climbs to it (the restricted
-    problem is concave); when the constant is infinite the trace grows
-    without bound, reported via the blowup threshold. Both thresholds scale
-    with the space: `blowup` defaults to BLOWUP_REL (1e6) times the
-    diameter and `grad_tol` to GRAD_TOL_REL (1e-10) times the diameter. A
-    one-point space has no scale and takes 1 and 1e-10. Purely iterative:
+    iterates mu += s P(2 potential(mu)) with the step s of
+    `ascent_step_default`, 1/(2 r) for r >= rho(dist). That step keeps the
+    iteration an ascent; a longer one does not (twenty times it leaves
+    `fixture("nw-thm2.9a")`, whose constant is infinite, at "maxiter" near
+    1027 after 20,000 iterations). For quasihypermetric spaces with a
+    finite constant the best value climbs to it (the restricted problem is
+    concave) and the run stops once the projected gradient is below
+    GRAD_TOL_REL (1e-10) times the diameter. When the constant is infinite
+    the best value grows without bound, and the run stops once it passes
+    `blowup`, by default BLOWUP_REL (1e6) times the diameter; a one-point
+    space has no scale and takes 1 and 1e-10. The trace records the best
+    value every max(1, iterations // 256) iterations and at the exit.
+
+    The threshold can be set because the growth need not be fast. On a
+    NonStrict space with a nonzero flat value (NonzeroFlatKernel) the best
+    value grows only linearly: `fixture("nw-thm2.9")` ends at "maxiter"
+    with a best value of 26.15 after 10^5 iterations, so a divergence test
+    on such a space lowers `blowup` (or checks that the status is not
+    "converged" and the best values never decrease). Purely iterative:
     shares nothing with the eigenpair solve, so it serves as an independent
     check.
     """
     if iterations < 1:
         raise InvalidInputError(f"need at least 1 iteration, got {iterations}")
-    n = space.n
-    if step is None:
-        step = ascent_step_default(space)
     diam = diameter(space)
     if blowup is None:
         blowup = BLOWUP_REL * diam if diam > 0.0 else 1.0
-    if grad_tol is None:
-        grad_tol = GRAD_TOL_REL * diam if diam > 0.0 else GRAD_TOL_REL
-    if record_stride is None:
-        record_stride = max(1, iterations // 256)
-    if record_stride < 1:
-        raise InvalidInputError(f"record_stride must be >= 1, got {record_stride}")
-    if not (math.isfinite(step) and step > 0.0):
-        raise InvalidInputError(f"step must be finite and > 0, got {step!r}")
-    if not grad_tol >= 0.0:
-        raise InvalidInputError(f"grad_tol must be >= 0, got {grad_tol!r}")
     if not (math.isfinite(blowup) and blowup > 0.0):
         raise InvalidInputError(f"blowup must be finite and > 0, got {blowup!r}")
+    n = space.n
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     z -= z.mean()
     w0 = np.full(n, 1.0 / n) + 1e-3 * z
 
-    rec_it, rec_val, rec_w, best, best_w, status_code, last_it = ascent(
-        np.ascontiguousarray(space.dist), w0, int(iterations), float(step),
-        float(blowup), float(grad_tol), int(record_stride))
-    status = {ASCENT_CONVERGED: "converged", ASCENT_BLOWUP: "blowup"}.get(
-        int(status_code), "maxiter")
+    rec_it, rec_val, best, best_w, status, last_it = ascent(
+        space.dist, w0, iterations, ascent_step_default(space), blowup,
+        GRAD_TOL_REL * diam if diam > 0.0 else GRAD_TOL_REL,
+        max(1, iterations // 256))
     return AscentTrace(iterations=rec_it, best_values=rec_val,
-                       best_measures=rec_w, best_value=float(best),
-                       best_measure=measure(space, best_w), status=status,
-                       iterations_run=int(last_it))
+                       best_value=best, best_measure=measure(space, best_w),
+                       status=status, iterations_run=last_it)
 
 
 @dataclass(frozen=True)

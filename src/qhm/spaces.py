@@ -3,20 +3,21 @@
 A space is an immutable labeled point set with a symmetric distance matrix:
 finite, zero on the diagonal, positive between distinct points, and obeying
 the triangle inequality. A matrix is checked once, where it comes in from
-outside the package: `validate_metric` and the space JSON readers run the
-O(n^2) checks (finite, zero diagonal, nonnegative, symmetric, positive
-between distinct points) and then the O(n^3) triangle scan
-(`qhm._kernels.triangle_scan`). From SCREEN_MIN points on the scan screens
-the pairs in exact 16-bit integers on up to four threads, one per CPU of the
-process's affinity: L = floor(d 2^e) with the largest entry in
-[2^14, 2^15), a uint16 copy of 2 n^2 bytes. A pair is certified when every
-L(i,k) + L(k,j) exceeds L(i,j); since L <= d 2^e < L + 1, its float64
-deficit is then exactly 0. The open pairs are recomputed in float64, and the
-result is that of the exact slab loop bit for bit.
+outside the package: `validate_metric`, the space JSON readers and a direct
+`FiniteMetricSpace(labels, dist)` run the O(n^2) checks (finite, zero
+diagonal, nonnegative, symmetric, positive between distinct points) and then
+the O(n^3) triangle scan (`qhm._kernels.triangle_scan`). From SCREEN_MIN
+points on the scan screens the pairs in exact 16-bit integers on up to four
+threads, one per CPU of the process's affinity: L = floor(d 2^e) with the
+largest entry in [2^14, 2^15), a uint16 copy of 2 n^2 bytes. A pair is
+certified when every L(i,k) + L(k,j) exceeds L(i,j); since
+L <= d 2^e < L + 1, its float64 deficit is then exactly 0. The open pairs
+are recomputed in float64, and the result is that of the exact slab loop
+bit for bit.
 
 The builders check their parameters, which are their outside input, and
 not their output: each one makes a matrix that passes every check by
-construction.
+construction, and wraps it through `_trusted`, which runs no check.
 
 - `interval_grid` and `regular_polygon_arc` take |i - j| (or the shorter
   way round the circle) times a step h, finite and positive, whose low
@@ -55,10 +56,11 @@ passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries
   asymmetry builds the averaged n x n matrix and rereads its zeros, and an
   error recomputes its (i, j) from the whole matrix; both allocate n x n;
 - the checks run in place on a fresh float64 array of their own:
-  `validate_metric` copies the caller's matrix, so a caller's array is
-  never aliased; the JSON readers convert the parsed rows into their own
-  array and drop the rows and the text (when they read the file) before the
-  checks and the scan, which run on that array without a second copy;
+  `validate_metric` and a direct construction copy the caller's matrix, so
+  a caller's array is never aliased nor made read-only; the JSON readers
+  convert the parsed rows into their own array and drop the rows and the
+  text (when they read the file) before the checks and the scan, which run
+  on that array without a second copy;
 - `subspace` of every point in order shares the parent's read-only matrix.
 """
 
@@ -92,14 +94,22 @@ from .tolerances import DUPLICATE_POINT_REL, TRIANGLE_TOL_REL
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """n labeled points with a symmetric distance matrix (shared length unit)."""
+    """n labeled points with a symmetric distance matrix (shared length unit).
+
+    Constructing a space checks its matrix and labels as
+    `validate_metric(dist, labels, name=name)` does, with the same errors,
+    and keeps a checked read-only copy: the caller's array is neither
+    aliased nor made read-only. The builders, `validate_metric`, the JSON
+    readers and `subspace` make their spaces through `_trusted`, which runs
+    no check."""
 
     labels: tuple[str, ...]
     dist: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        self.dist.setflags(write=False)
+        checked = validate_metric(self.dist, self.labels, name=self.name)
+        self.__dict__.update(labels=checked.labels, dist=checked.dist)
 
     @property
     def n(self) -> int:
@@ -275,6 +285,15 @@ def _closest_pair(d):
     return int(i), int(j)
 
 
+def _trusted(labels, d, name) -> FiniteMetricSpace:
+    """A space around a matrix that is a metric already and labels that fit
+    it, with no check: the matrix is made read-only, not copied."""
+    d.setflags(write=False)
+    space = object.__new__(FiniteMetricSpace)
+    space.__dict__.update(labels=labels, dist=d, name=name)
+    return space
+
+
 def _space(d, labels, name) -> FiniteMetricSpace:
     n = d.shape[0]
     if labels is None:
@@ -283,7 +302,7 @@ def _space(d, labels, name) -> FiniteMetricSpace:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
             raise ValidationError(f"got {len(labels)} labels for {n} points")
-    return FiniteMetricSpace(labels=labels, dist=np.ascontiguousarray(d), name=name)
+    return _trusted(labels, np.ascontiguousarray(d), name)
 
 
 def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
@@ -335,12 +354,10 @@ def subspace(space: FiniteMetricSpace, indices) -> FiniteMetricSpace:
             raise DuplicateIndexError(f"index {i} selected twice")
         seen.add(i)
     if idx == list(range(space.n)):  # the whole space: share its matrix
-        return FiniteMetricSpace(labels=space.labels, dist=space.dist,
-                                 name=space.name)
+        return _trusted(space.labels, space.dist, space.name)
     ia = np.asarray(idx, dtype=np.intp)
     d = np.ascontiguousarray(space.dist[np.ix_(ia, ia)])
-    return FiniteMetricSpace(labels=tuple(space.labels[i] for i in idx),
-                             dist=d, name=space.name)
+    return _trusted(tuple(space.labels[i] for i in idx), d, space.name)
 
 
 def glue(spec: GlueSpec) -> FiniteMetricSpace:

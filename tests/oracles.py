@@ -10,7 +10,6 @@ import json
 import numpy as np
 
 from qhm import InvariantSolve, diameter, measure, potential
-from qhm._kernels import ASCENT_BLOWUP, ASCENT_CONVERGED, ASCENT_MAXITER
 
 
 def brute_energy_bilinear(dist, w1, w2):
@@ -62,20 +61,18 @@ def brute_ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
     """Projected gradient ascent on the energy over the mass-1 affine slice,
     one matvec per iteration: the reference for the blocked kernel.
 
-    Records (iteration, best value, best measure) every `stride` iterations
-    and at exit. Returns (rec_it, rec_val, rec_w, best, best_w, status,
-    last_it) with status one of the ASCENT_* codes.
+    Records (iteration, best value) every `stride` iterations and at exit.
+    Returns (rec_it, rec_val, best, best_w, status, last_it) with status
+    "blowup", "converged" or "maxiter".
     """
-    n = w0.shape[0]
     w = w0.copy()
     max_rec = iterations // stride + 3
     rec_it = np.empty(max_rec, dtype=np.int64)
     rec_val = np.empty(max_rec, dtype=np.float64)
-    rec_w = np.empty((max_rec, n), dtype=np.float64)
     best = -np.inf
     best_w = w.copy()
     n_rec = 0
-    status = ASCENT_MAXITER
+    status = "maxiter"
     last_it = 0
     for it in range(iterations + 1):
         last_it = it
@@ -87,24 +84,22 @@ def brute_ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
         g = 2.0 * (d - d.mean())
         done = False
         if best > blowup:
-            status = ASCENT_BLOWUP
+            status = "blowup"
             done = True
         elif np.abs(g).max() < grad_tol:
-            status = ASCENT_CONVERGED
+            status = "converged"
             done = True
         elif it == iterations:
-            status = ASCENT_MAXITER
+            status = "maxiter"
             done = True
         if it % stride == 0 or done:
             rec_it[n_rec] = it
             rec_val[n_rec] = best
-            rec_w[n_rec] = best_w
             n_rec += 1
         if done:
             break
         w = w + step * g
-    return (rec_it[:n_rec], rec_val[:n_rec], rec_w[:n_rec], best, best_w,
-            status, last_it)
+    return rec_it[:n_rec], rec_val[:n_rec], best, best_w, status, last_it
 
 
 def bordered_invariant_measure(space, tol=1e-9):

@@ -15,9 +15,6 @@ from qhm import (GlueSpec, _kernels, diameter, energy_bilinear,
                  euclidean_cloud, fixture, glue, interval_grid, measure,
                  random_metric, regular_polygon_arc, validate_metric)
 from qhm._kernels import (
-    ASCENT_BLOWUP,
-    ASCENT_CONVERGED,
-    ASCENT_MAXITER,
     ASCENT_TILE,
     SCREEN_MIN,
     SCREEN_WORKERS,
@@ -25,7 +22,6 @@ from qhm._kernels import (
     TRIANGLE_TILE,
     TRIANGLE_TILE_ROWS,
     ascent,
-    ascent_block,
     cholesky_solver,
     perron_upper_bound,
     triangle_scan,
@@ -707,13 +703,12 @@ def _matches_brute(iterations, stride, args):
 
     call = (args["dist"], args["w0"], iterations, args["step"],
             args["blowup"], args["grad_tol"], stride)
-    it_a, val_a, w_a, best_a, bw_a, st_a, last_a = ascent(*call)
-    it_b, val_b, w_b, best_b, bw_b, st_b, last_b = brute_ascent(*call)
+    it_a, val_a, best_a, bw_a, st_a, last_a = ascent(*call)
+    it_b, val_b, best_b, bw_b, st_b, last_b = brute_ascent(*call)
     assert (st_a, last_a) == (st_b, last_b)
     assert np.array_equal(it_a, it_b)
     assert val_a == pytest.approx(val_b, rel=1e-9)
     assert best_a == pytest.approx(best_b, rel=1e-9)
-    assert np.allclose(w_a, w_b, rtol=1e-7, atol=1e-7)
     assert np.allclose(bw_a, bw_b, rtol=1e-7, atol=1e-7)
     return st_a, last_a
 
@@ -749,54 +744,56 @@ def _grad_tol_at(t, args):
 def test_ascent_single_point():
     args = {"dist": np.zeros((1, 1)), "w0": np.ones(1), "step": 1.0,
             "blowup": 1e6, "grad_tol": 1e-10}
-    assert _matches_brute(10, 3, args) == (ASCENT_CONVERGED, 0)
-    assert _matches_brute(10, 3, dict(args, grad_tol=0.0)) == (ASCENT_MAXITER, 10)
+    assert _matches_brute(10, 3, args) == ("converged", 0)
+    assert _matches_brute(10, 3, dict(args, grad_tol=0.0)) == ("maxiter", 10)
     # both exits at once: blowup takes precedence
-    assert _matches_brute(10, 3, dict(args, blowup=-1.0)) == (ASCENT_BLOWUP, 0)
+    assert _matches_brute(10, 3, dict(args, blowup=-1.0)) == ("blowup", 0)
 
 
 def test_ascent_fewer_iterations_than_a_block():
-    assert ascent_block(5, 100) == 101 < ascent_block(5, 10**6)
-    assert _matches_brute(100, 7, _divergent()) == (ASCENT_MAXITER, 100)
+    plan = _kernels._ascent_plan
+    assert plan(5, 100)[1] == 101 < plan(5, 10**6)[1]
+    assert _matches_brute(100, 7, _divergent()) == ("maxiter", 100)
 
 
-B = ascent_block(5, 10**6)  # the full block on five and on nine points
+# the full block on five and on nine points
+B = _kernels._ascent_plan(5, 10**6)[1]
 EXITS = [0, B - 1, B, B + 1]
 
 
 @pytest.mark.parametrize("t", EXITS)
 def test_ascent_maxiter_at_block_edges(t):
     # iterations = B - 1 and above all run blocks of B iterates
-    assert _matches_brute(t, 100, _divergent()) == (ASCENT_MAXITER, t)
+    assert _matches_brute(t, 100, _divergent()) == ("maxiter", t)
 
 
 @pytest.mark.parametrize("t", EXITS + [B + B // 2])
 def test_ascent_blowup_at_block_edges(t):
     args = _blowup_at(t, _divergent())
-    assert _matches_brute(3 * B, 100, args) == (ASCENT_BLOWUP, t)
+    assert _matches_brute(3 * B, 100, args) == ("blowup", t)
 
 
 @pytest.mark.parametrize("t", EXITS + [B // 2 + 1])
 def test_ascent_converges_at_block_edges(t):
-    assert ascent_block(9, 10**6) == B
+    assert _kernels._ascent_plan(9, 10**6)[1] == B
     args = _grad_tol_at(t, _convergent())
-    assert _matches_brute(3 * B, 100, args) == (ASCENT_CONVERGED, t)
+    assert _matches_brute(3 * B, 100, args) == ("converged", t)
 
 
 def test_ascent_default_tolerance_converges_inside_a_block():
     args = dict(_start(euclidean_cloud(
         np.random.default_rng(3).uniform(0.0, 1.0, (5, 3)))), grad_tol=1e-10)
     status, last = _matches_brute(100_000, 390, args)
-    assert status == ASCENT_CONVERGED and 0 < last < B
+    assert status == "converged" and 0 < last < B
 
 
 def test_ascent_best_carried_across_blocks():
     # an overshooting step makes the iterates oscillate and grow, below the
-    # best value reached early, so later blocks record the best measure
-    # carried in from the first
+    # best value reached early, so later blocks carry the best measure of
+    # the first to the exit
     args = _convergent()
     args["step"] *= 3.5
-    assert _matches_brute(B + 300, 100, args) == (ASCENT_MAXITER, B + 300)
+    assert _matches_brute(B + 300, 100, args) == ("maxiter", B + 300)
 
 
 @pytest.mark.parametrize("stride", [1, 7, 1000, B, B + 1, 3000])
@@ -819,16 +816,16 @@ def test_ascent_with_tiny_blocks(tile5, tile9, plan5, plan9, monkeypatch):
     monkeypatch.setattr(_kernels, "ASCENT_TILE", tile5)
     assert _kernels._ascent_plan(5, 200) == plan5
     for stride in (1, 3):
-        assert _matches_brute(200, stride, _divergent()) == (ASCENT_MAXITER,
+        assert _matches_brute(200, stride, _divergent()) == ("maxiter",
                                                              200)
         for t in (0, 1, 2, 7, 40, 70):
             args = _blowup_at(t, _divergent())
-            assert _matches_brute(200, stride, args) == (ASCENT_BLOWUP, t)
+            assert _matches_brute(200, stride, args) == ("blowup", t)
     monkeypatch.setattr(_kernels, "ASCENT_TILE", tile9)
     assert _kernels._ascent_plan(9, 200) == plan9
     for t in (0, 1, 2, 7, 40, 70):
         args = _grad_tol_at(t, _convergent())
-        assert _matches_brute(200, 2, args) == (ASCENT_CONVERGED, t)
+        assert _matches_brute(200, 2, args) == ("converged", t)
 
 
 @pytest.mark.parametrize("space", [fixture("nw-thm2.9a").space,
@@ -844,17 +841,17 @@ def test_ascent_diverges_inside_a_block(space, blowup):
     if blowup == "1e6 diam":
         args["blowup"] = 1e6 * diameter(space)
     status, last = _matches_brute(20_000, 100, args)
-    assert status == ASCENT_BLOWUP
-    assert last % ascent_block(space.n, 20_000) != 0
+    assert status == "blowup"
+    assert last % _kernels._ascent_plan(space.n, 20_000)[1] != 0
 
 
 def test_ascent_nan_energy_never_becomes_best():
     args = _divergent()
     w0 = args["w0"].copy()
     w0[0] = np.nan
-    it, vals, _, best, _, status, last = ascent(
+    it, vals, best, _, status, last = ascent(
         args["dist"], w0, 2 * B, args["step"], 1e6, 1e-10, 500)
-    assert (status, last) == (ASCENT_MAXITER, 2 * B)
+    assert (status, last) == ("maxiter", 2 * B)
     assert best == -np.inf and (vals == -np.inf).all()
 
 

@@ -583,10 +583,23 @@ class TestAscentOracle:
         assert a.best_value == b.best_value
         assert np.array_equal(a.best_measure.weights, b.best_measure.weights)
 
+    def test_flat_kernel_grows_without_converging(self, five_point_boundary):
+        # NonzeroFlatKernel: the best value grows only linearly, so at the
+        # default threshold the run ends at "maxiter", not at "blowup"
+        trace = ascent_oracle(five_point_boundary, iterations=20_000)
+        assert trace.status != "converged"
+        assert (np.diff(trace.best_values) >= 0).all()
+
+    @pytest.mark.parametrize("space", [fixture("nw-thm2.9a").space,
+                                       random_metric(40, 0)],
+                             ids=["nw-thm2.9a", "random-40"])
+    def test_not_quasihypermetric_blows_up(self, space):
+        # the fixed step 1/(2 rho) keeps the iteration an ascent, which a
+        # longer one is not: twenty times it leaves nw-thm2.9a at "maxiter"
+        # near 1027
+        assert ascent_oracle(space, iterations=20_000).status == "blowup"
+
     @pytest.mark.parametrize("bad", [
-        {"record_stride": 0}, {"record_stride": -3},
-        {"step": math.nan}, {"step": 0.0}, {"step": -0.1}, {"step": math.inf},
-        {"grad_tol": math.nan}, {"grad_tol": -1e-10},
         {"blowup": -1.0}, {"blowup": 0.0}, {"blowup": math.nan},
         {"blowup": math.inf},
     ])

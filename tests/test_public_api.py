@@ -1,0 +1,107 @@
+"""The public surface of the package, pinned: each callable in
+`qhm.__all__` with its parameter names, each exported dataclass with its
+field names, the Verdict members and the arguments of the exceptions that
+take their own. A parameter, field or export added or removed shows up
+here as a deliberate change of this file."""
+
+import dataclasses
+import enum
+import inspect
+
+import qhm
+
+CONSTANTS = {"DEFAULT_TOL", "HAS_NUMBA", "MASS_TOL"}
+
+SURFACE = {
+    "AscentTrace": (
+        "iterations", "best_values", "best_value", "best_measure", "status",
+        "iterations_run"),
+    "Classification": (
+        "verdict", "eigenvalues", "margin", "tol_used", "restricted_values",
+        "restricted_vectors", "witness", "kernel_basis"),
+    "Expected": (
+        "verdict", "m_status", "m_value", "reason", "measure", "measure_value",
+        "note"),
+    "ExperimentResult": ("name", "metadata", "columns", "rows"),
+    "FiniteMetricSpace": ("labels", "dist", "name"),
+    "Fixture": ("key", "space", "expected"),
+    "GluePrediction": ("kind", "value"),
+    "GlueSpec": ("x", "y", "c"),
+    "InconsistencyError": ("msg", "diagnostics"),
+    "InvariantSolve": ("measure", "value", "residual", "unique"),
+    "KernelFlatValue": ("vector", "value", "deviation"),
+    "MDecision": (
+        "status", "value", "maximal_measure", "reason", "witness",
+        "diagnostics"),
+    "MaximalityReport": (
+        "flatness", "dominance_violations", "worst_excess", "norm_squared",
+        "identity_gap", "trials"),
+    "QhmError": (),
+    "SequenceRow": ("k", "n_k", "i_mu", "flatness", "seminorm_step"),
+    "SignedMeasure": ("space", "weights"),
+    "SolverError": (),
+    "ValidationError": (),
+    "Verdict": ("NOT_QUASIHYPERMETRIC", "STRICT", "NON_STRICT"),
+    "ascent_oracle": ("space", "iterations", "seed", "blowup"),
+    "atomic": ("space", "i"),
+    "ball_chain": ("sizes", "shells"),
+    "ball_discretization": ("shells", "points_per_shell"),
+    "centered_form": ("space",),
+    "classify": ("space", "tol"),
+    "default_flatness_tol": ("space",),
+    "diameter": ("space",),
+    "energy": ("space", "mu"),
+    "energy_bilinear": ("space", "mu", "nu"),
+    "euclidean_cloud": ("coords", "labels", "name"),
+    "fixture": ("key",),
+    "fixture_keys": (),
+    "glue": ("spec",),
+    "glued_invariant": ("mu1", "mu2", "m_x", "m_y", "c"),
+    "glued_m_predict": ("m_x", "m_y", "c", "tol"),
+    "inner_extended": ("space", "m_value", "mu", "nu"),
+    "inner_zero": ("space", "mu", "nu", "mass_tol"),
+    "interval_grid": ("a", "b", "n"),
+    "invariant_measure": ("space", "tol"),
+    "kernel_flat_values": ("space", "cls"),
+    "load_measure": ("path", "space"),
+    "load_space": ("path", "tol_triangle"),
+    "m_constant": ("space", "tol"),
+    "measure": ("space", "weights"),
+    "potential": ("space", "mu"),
+    "random_metric": ("n", "seed"),
+    "regular_polygon_arc": ("n",),
+    "run_converge": ("family", "sizes", "seed", "out", "tol"),
+    "run_equal_glue_demo": ("n_polygon", "out", "tol"),
+    "run_glue_diverge": ("sizes", "seed", "out", "tol"),
+    "save_measure": ("mu", "path"),
+    "save_space": ("space", "path"),
+    "seminorm_zero": ("space", "mu", "mass_tol", "diagnostics"),
+    "sequence_diagnostics": (
+        "full_space", "index_chain", "measures", "mass_tol"),
+    "sequence_rows_csv": ("rows",),
+    "subspace": ("space", "indices"),
+    "uniform": ("space",),
+    "validate_metric": ("matrix", "labels", "tol_triangle", "name"),
+    "verify_maximal": ("space", "mu", "m_value", "trials", "seed", "tol"),
+}
+
+
+def _shape(obj):
+    if dataclasses.is_dataclass(obj):
+        return tuple(f.name for f in dataclasses.fields(obj))
+    if isinstance(obj, type) and issubclass(obj, enum.Enum):
+        return tuple(m.name for m in obj)
+    if isinstance(obj, type):  # an exception: its own arguments, if any
+        if "__init__" not in vars(obj):
+            return ()
+        return tuple(inspect.signature(obj.__init__).parameters)[1:]
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_exports():
+    assert set(qhm.__all__) == set(SURFACE) | CONSTANTS
+    assert not any(callable(getattr(qhm, name)) for name in CONSTANTS)
+
+
+def test_parameters_and_fields():
+    assert {name: _shape(getattr(qhm, name)) for name in SURFACE} == SURFACE

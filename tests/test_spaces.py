@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhm import (
+    FiniteMetricSpace,
     GlueSpec,
     ball_chain,
     ball_discretization,
@@ -468,6 +469,40 @@ class TestTrustBoundary:
         assert scans == [n, n]
         glue(GlueSpec(x, y, 1.0))
         assert scans == [n, n]
+
+    def test_direct_construction_scans(self, scans, checks):
+        # d(0,2) = 5 > d(0,1) + d(1,2) = 2: not a metric, so no verdict
+        bad = np.array([[0, 1, 5.0], [1, 0, 1], [5, 1, 0]])
+        with pytest.raises(TriangleViolationError) as exc:
+            FiniteMetricSpace(("a", "b", "c"), bad)
+        assert exc.value.triple == (0, 2, 1)
+        assert scans == checks == [3]
+        assert bad.flags.writeable
+
+    def test_direct_construction_is_validate_metric(self):
+        good = np.array([[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]])
+        x = FiniteMetricSpace(["a", "b", "c"], good, "x")
+        y = validate_metric(good, ["a", "b", "c"], name="x")
+        assert (x.labels, x.name) == (y.labels, y.name) == (("a", "b", "c"),
+                                                            "x")
+        assert np.array_equal(x.dist, y.dist)
+        assert not x.dist.flags.writeable and good.flags.writeable
+        assert not np.shares_memory(x.dist, good)
+        assert FiniteMetricSpace(None, good).labels == ("p0", "p1", "p2")
+        for d, labels in [([[0, np.nan], [np.nan, 0]], None),
+                          ([[0, -1.0], [-1.0, 0]], None),
+                          ([[1.0, 1], [1, 0]], None),
+                          ([[0, 1.5], [1, 0]], None),
+                          ([[0, 0.0], [0.0, 0]], None),
+                          ([[0, 1], [1]], None),
+                          (np.zeros((2, 3)), None),
+                          ([[0, 1], [1, 0]], ["only"])]:
+            with pytest.raises(ValidationError) as want:
+                validate_metric(d, labels)
+            with pytest.raises(ValidationError) as got:
+                FiniteMetricSpace(labels, d)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
 
     def test_glue_at_boundary_validates(self):
         grid = interval_grid(0.0, 4.0, 9)
