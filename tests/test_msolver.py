@@ -601,12 +601,12 @@ class TestAscentOracle:
 
     @pytest.mark.parametrize("bad", [
         {"blowup": -1.0}, {"blowup": 0.0}, {"blowup": math.nan},
-        {"blowup": math.inf},
+        {"blowup": math.inf}, {"iterations": 0}, {"iterations": -1},
     ])
     def test_rejects_bad_parameters(self, bad):
         # blowup=-1 used to report a divergence on a space whose M is 0.5
         with pytest.raises(InvalidInputError):
-            ascent_oracle(interval_grid(0, 1, 5), iterations=100, **bad)
+            ascent_oracle(interval_grid(0, 1, 5), **{"iterations": 100, **bad})
 
 
 class TestVerifyMaximal:
