@@ -118,11 +118,11 @@ def seminorm_zero(space: FiniteMetricSpace, mu: SignedMeasure,
     return float(np.sqrt(max(0.0, radicand)))
 
 
-def inner_zero(space: FiniteMetricSpace, mu: SignedMeasure, nu: SignedMeasure,
-               mass_tol: float = MASS_TOL) -> float:
-    """Semi-inner product -I(mu, nu) on mass-zero measures."""
-    _require_mass_zero(mu, mass_tol, "first argument")
-    _require_mass_zero(nu, mass_tol, "second argument")
+def inner_zero(space: FiniteMetricSpace, mu: SignedMeasure,
+               nu: SignedMeasure) -> float:
+    """Semi-inner product -I(mu, nu) on measures of mass 0 within MASS_TOL."""
+    _require_mass_zero(mu, MASS_TOL, "first argument")
+    _require_mass_zero(nu, MASS_TOL, "second argument")
     return -energy_bilinear(space, mu, nu)
 
 

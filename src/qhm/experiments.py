@@ -1,10 +1,10 @@
 """Experiment harness: refinement sweeps, glue-divergence, equal-glue demo.
 
 Each experiment returns an ExperimentResult whose rows serialize to a fixed
-CSV schema (header row, UTF-8, '.' decimal). Runs are deterministic given
-(sizes, seed): repeated runs produce identical CSV bytes apart from the
-elapsed-time column. Failed rows are recorded with an error message and the
-run continues.
+CSV schema (header row, UTF-8, '.' decimal); the caller writes them with
+`write_csv`. Runs are deterministic given (sizes, seed): repeated runs
+produce identical CSV bytes apart from the elapsed-time column. Failed rows
+are recorded with an error message and the run continues.
 """
 
 import csv
@@ -17,13 +17,8 @@ import numpy as np
 
 from .classify import Verdict, classify
 from .energy import energy, uniform
-from .errors import PredictionMismatchError, QhmError
-from .msolver import (
-    glued_m_predict,
-    m_constant,
-    sequence_diagnostics,
-    sequence_rows_csv,
-)
+from .errors import InvalidInputError, PredictionMismatchError, QhmError
+from .msolver import glued_m_predict, m_constant, sequence_diagnostics
 from .spaces import (
     FiniteMetricSpace,
     GlueSpec,
@@ -86,23 +81,43 @@ def _golden_order(count: int) -> np.ndarray:
     return np.argsort(frac, kind="stable")
 
 
+def _check_ascending(sizes) -> None:
+    if not sizes:
+        raise InvalidInputError("no sizes given")
+    if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
+        raise InvalidInputError("sizes must be strictly ascending")
+
+
 def ball_chain(sizes, shells: int = BALL_SHELLS):
     """Nested subspace chain of one master ball discretization.
 
     Fibonacci lattices at different counts are not subsets of each other, so
     refinement is realized per shell: prefixes of a fixed golden-ratio
     ordering of each shell's points (quasi-uniform at every size, nested by
-    construction). Returns (master space, index lists, per-size subspaces).
+    construction). A size n keeps the origin and round((n - 1) / shells)
+    points per shell. Returns (master space, index lists, per-size
+    subspaces).
+
+    Sizes must be strictly ascending and at least shells + 1, and no two may
+    round to the same count per shell (InvalidInputError): the chain would
+    repeat a subspace.
     """
     sizes = list(sizes)
-    if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
-        raise QhmError("sizes must be strictly ascending")
-    pps = max(4, math.ceil((max(sizes) - 1) / shells))
+    _check_ascending(sizes)
+    if sizes[0] < shells + 1:
+        raise InvalidInputError(
+            f"size {sizes[0]} is below {shells + 1}, the origin and one point "
+            f"on each of {shells} shells")
+    counts = [round((size - 1) / shells) for size in sizes]
+    for a, b, count, after in zip(sizes, sizes[1:], counts, counts[1:]):
+        if count == after:
+            raise InvalidInputError(
+                f"sizes {a} and {b} give the same subspace: {count} per shell")
+    pps = max(4, math.ceil((sizes[-1] - 1) / shells))
     master = ball_discretization(shells, pps)
     order = _golden_order(pps)
     chains = []
-    for size in sizes:
-        per_shell = min(pps, max(1, round((size - 1) / shells)))
+    for per_shell in counts:
         picked = np.sort(order[:per_shell])
         idx = [0]
         for k in range(shells):
@@ -131,13 +146,22 @@ CONVERGE_COLUMNS = ["k", "n", "status", "m_value", "i_uniform",
                     "elapsed_s", "error"]
 
 
-def run_converge(family: str, sizes, seed: int = 0, out=None,
+def run_converge(family: str, sizes, seed: int = 0,
                  tol: float = DEFAULT_TOL) -> ExperimentResult:
-    """Sweep one space family over ascending sizes, solving the constant at
-    each, and attach nested-refinement diagnostics where the family nests."""
+    """Sweep one space family over strictly ascending sizes, solving the
+    constant at each.
+
+    Where the sizes nest (every ball3 chain; interval and circle sizes that
+    divide the largest) and every constant is finite, the rows also carry
+    the `sequence_diagnostics` of the maximal measures on the largest space:
+    `chain_flatness`, the spread of each measure's potential there, and
+    `chain_step`, the seminorm of the step from the previous measure
+    (blank on the first row). The third column of that table, each
+    measure's energy on the largest space, is `m_value` up to rounding.
+    `seed` is only recorded in the metadata: every family is
+    deterministic."""
     sizes = list(sizes)
-    if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
-        raise QhmError("sizes must be strictly ascending")
+    _check_ascending(sizes)
     result = ExperimentResult(
         name=f"converge-{family}",
         metadata={"experiment": f"converge-{family}", "sizes": sizes,
@@ -181,14 +205,6 @@ def run_converge(family: str, sizes, seed: int = 0, out=None,
         for row, drow in zip(result.rows, diag):
             row["chain_flatness"] = drow.flatness
             row["chain_step"] = drow.seminorm_step
-        if out is not None:
-            diag_path = str(out) + ".diag.csv"
-            with open(diag_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(sequence_rows_csv(diag))
-            result.metadata["diagnostics_csv"] = diag_path
-
-    if out is not None:
-        result.write_csv(out)
     return result
 
 
@@ -196,7 +212,7 @@ GLUE_DIVERGE_COLUMNS = ["k", "n", "m_component", "m_glued", "predicted",
                         "rel_err", "verdict", "elapsed_s", "error"]
 
 
-def run_glue_diverge(sizes, seed: int = 0, out=None,
+def run_glue_diverge(sizes, seed: int = 0,
                      tol: float = DEFAULT_TOL) -> ExperimentResult:
     """Glue the nested ball chain to a fixed 2-point block of distance 2 at
     cross-distance 3/2 and compare each solved constant with the closed form
@@ -207,9 +223,10 @@ def run_glue_diverge(sizes, seed: int = 0, out=None,
     BALL_SHELLS fixed shells and refines only the points on each, so its
     limit is the origin and five spheres, not the ball; the component
     constant tends to about 1.885, not the ball's 2, and the glued constant
-    to about 3.2. Raises PredictionMismatchError (after recording and
-    writing all rows) if any solved value misses the prediction by more than
-    1e-6 relative.
+    to about 3.2. Raises PredictionMismatchError (after recording all
+    rows) if any solved value misses the prediction by more than 1e-6
+    relative. `seed` is only recorded in the metadata: the chain is
+    deterministic.
     """
     result = ExperimentResult(
         name="glue-diverge",
@@ -240,8 +257,6 @@ def run_glue_diverge(sizes, seed: int = 0, out=None,
             row["error"] = str(exc)
         row["elapsed_s"] = time.perf_counter() - t0
         result.rows.append(row)
-    if out is not None:
-        result.write_csv(out)
     if mismatch is not None:
         raise PredictionMismatchError(
             f"row {mismatch[0]}: solved constant misses the closed form by "
@@ -259,7 +274,7 @@ def _polygon_cloud(n: int) -> FiniteMetricSpace:
     return euclidean_cloud(pts, name=f"ngon({n})")
 
 
-def run_equal_glue_demo(n_polygon: int, out=None,
+def run_equal_glue_demo(n_polygon: int,
                         tol: float = DEFAULT_TOL) -> ExperimentResult:
     """Glue two copies of a regular polygon (chord metric) exactly on the
     equal-constant boundary 2c = m + m.
@@ -328,7 +343,4 @@ def run_equal_glue_demo(n_polygon: int, out=None,
     for i in range(n):
         add_row(f"glued-del{i}", glued_del(i))
     add_row("glued", glued)
-
-    if out is not None:
-        result.write_csv(out)
     return result

@@ -60,7 +60,7 @@ from .errors import (
     InvalidInputError,
     NotInvariantInputError,
 )
-from .spaces import FiniteMetricSpace, GlueSpec, diameter, glue
+from .spaces import FiniteMetricSpace, GlueSpec, _all_indices, diameter, glue
 from .tolerances import (
     BLOWUP_REL,
     DEFAULT_TOL,
@@ -229,8 +229,7 @@ class GluePrediction:
     value: float | None = None
 
 
-def glued_m_predict(m_x: float, m_y: float, c: float,
-                    tol: float = DEFAULT_TOL) -> GluePrediction:
+def glued_m_predict(m_x: float, m_y: float, c: float) -> GluePrediction:
     """Predict the glued-space constant from component constants and c.
 
     2c > m_x + m_y gives a finite value (c^2 - m_x m_y)/(2c - m_x - m_y);
@@ -238,9 +237,9 @@ def glued_m_predict(m_x: float, m_y: float, c: float,
     On the boundary 2c = m_x + m_y the constant stays finite (equal to the
     shared component value) only when m_x = m_y; otherwise a mass-zero
     measure with nonzero constant potential exists and the constant is
-    infinite. Boundary detection uses `tol` relative to max(m_x + m_y, 2c).
+    infinite. The boundary is 2c = m_x + m_y within DEFAULT_TOL times
+    max(m_x + m_y, 2c).
     """
-    check_tol(tol)
     for v, what in ((m_x, "m_x"), (m_y, "m_y"), (c, "c")):
         if not math.isfinite(v):
             raise InvalidInputError(f"{what} must be finite, got {v!r}")
@@ -250,7 +249,7 @@ def glued_m_predict(m_x: float, m_y: float, c: float,
         raise InvalidInputError(f"cross-distance must be positive, got {c}")
     s = m_x + m_y
     gap = 2.0 * c - s
-    eps = tol * max(s, 2.0 * c)
+    eps = DEFAULT_TOL * max(s, 2.0 * c)
     if gap > eps:
         return GluePrediction(kind="finite", value=(c * c - m_x * m_y) / gap)
     if gap < -eps:
@@ -400,8 +399,10 @@ def verify_maximal(space: FiniteMetricSpace, mu: SignedMeasure, m_value: float,
                    tol: float = DEFAULT_TOL) -> MaximalityReport:
     """Check flatness, random dominance, and the norm identity for a
     candidate maximal measure. A trial's energy dominates m_value when it
-    exceeds it by more than tol * diameter."""
+    exceeds it by more than tol * diameter; `trials` must be at least 1."""
     check_tol(tol)
+    if trials < 1:
+        raise InvalidInputError(f"need at least 1 trial, got {trials}")
     if abs(mu.mass - 1.0) > MASS_TOL:
         raise InvalidInputError(f"candidate must have mass 1, got {mu.mass}")
     flatness = float(np.abs(potential(space, mu) - m_value).max())
@@ -436,28 +437,21 @@ class SequenceRow:
     seminorm_step: float | None
 
 
-def sequence_rows_csv(rows) -> str:
-    """Fixed CSV rendering of a diagnostic table (header k,n_k,i_mu,flatness,
-    seminorm_step; blank step on the first row)."""
-    lines = ["k,n_k,i_mu,flatness,seminorm_step"]
-    for r in rows:
-        step = "" if r.seminorm_step is None else format(r.seminorm_step, ".17g")
-        lines.append(f"{r.k},{r.n_k},{format(r.i_mu, '.17g')},"
-                     f"{format(r.flatness, '.17g')},{step}")
-    return "\n".join(lines) + "\n"
-
-
 def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
-                         measures, mass_tol: float = MASS_TOL) -> list[SequenceRow]:
+                         measures) -> list[SequenceRow]:
     """Trend table for mass-1 measures on a nested chain of subspaces.
 
-    index_chain[k] lists the points of the k-th subspace inside `full_space`
-    (each list must be contained in the next); measures[k] is the mass-1
-    measure on that subspace, given as a SignedMeasure or raw weights. Each
-    measure is extended by zeros to the full space; the table reports its
-    energy, the sup-inf spread of its potential over all full-space points,
-    and the seminorm of the step from the previous chain element. The caller
-    asserts monotonicity or boundedness; no rates are claimed.
+    index_chain[k] lists the integer indices of the points of the k-th
+    subspace inside `full_space` (each list must be contained in the next);
+    measures[k] is the measure on that subspace, given as a SignedMeasure
+    or raw weights, of mass 1 within MASS_TOL. Each measure is extended by
+    zeros to the full space; the table reports its energy, the sup-inf
+    spread of its potential over all full-space points, and the seminorm of
+    the step from the previous chain element, whose mass is 0 within
+    2 MASS_TOL. A chain that breaks these rules, an index that is not an
+    integer included, raises ChainMismatchError. The caller asserts
+    monotonicity or boundedness; no rates are claimed. `run_converge`
+    reports these columns on its rows.
     """
     chains = [list(ix) for ix in index_chain]
     if len(chains) != len(measures):
@@ -471,6 +465,9 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
     for k, (ix, mu) in enumerate(zip(chains, measures)):
         if not ix:
             raise ChainMismatchError(f"chain element {k} selects no points")
+        if not _all_indices(ix):
+            raise ChainMismatchError(
+                f"chain element {k} has an index that is not an integer")
         s = set(ix)
         if len(s) != len(ix):
             raise ChainMismatchError(f"chain element {k} repeats an index")
@@ -484,7 +481,7 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
         if w.shape != (len(ix),):
             raise ChainMismatchError(
                 f"measure {k} has {w.shape} weights for {len(ix)} points")
-        if abs(float(w.sum()) - 1.0) > mass_tol:
+        if abs(float(w.sum()) - 1.0) > MASS_TOL:
             raise ChainMismatchError(f"measure {k} has mass {w.sum()}, need 1")
         full = np.zeros(n)
         full[np.asarray(ix, dtype=np.intp)] = w
@@ -496,7 +493,7 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
         step = None
         if k > 0:
             dmu = measure(full_space, mu.weights - extended[k - 1].weights)
-            step = seminorm_zero(full_space, dmu, mass_tol=2 * mass_tol)
+            step = seminorm_zero(full_space, dmu, mass_tol=2 * MASS_TOL)
         rows.append(SequenceRow(k=k, n_k=len(chains[k]),
                                 i_mu=energy(full_space, mu),
                                 flatness=float(pot.max() - pot.min()),

@@ -39,8 +39,9 @@ construction, and wraps it through `_trusted`, which runs no check.
   inside the default tolerance;
 - `subspace` restricts an already checked matrix.
 
-Tests run every check and the scan on these outputs, at the builders' own
-tolerances.
+Tests check these outputs for exact symmetry and scan them for a deficit
+within each builder's own bound (zero for the exact ones, 1e-12 of the
+diameter for the clouds), besides validating them at the default tolerance.
 
 Construction and the O(n^2) checks run at memory speed, a few contiguous
 passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries
@@ -146,23 +147,18 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(n))
 
 
-def _checked_matrix(d, tol_triangle):
+def _checked_matrix(d):
     """The O(n^2) checks of an untrusted matrix, shared by `validate_metric`
     and the JSON readers: a finite square matrix with zero diagonal,
-    nonnegative and (up to `tol_triangle`) symmetric entries, positive
-    between distinct points. Returns the symmetrized matrix and the absolute
-    triangle tolerance.
+    nonnegative and symmetric entries, positive between distinct points.
+    Returns the symmetrized matrix and the absolute triangle and symmetry
+    tolerance, TRIANGLE_TOL_REL times the largest entry.
 
     `d` is a fresh float64 array that the caller hands over (`_float_array`
     of the input): it is checked in place. The checks read one min, one max
     and one tiled pass over the upper triangle (`_asymmetry`). Only the
     asymmetry repair and the error paths allocate n x n: the averaged
     matrix, or the detail of an error."""
-    if tol_triangle is not None:
-        tol_triangle = float(tol_triangle)
-        if not (math.isfinite(tol_triangle) and tol_triangle >= 0.0):
-            raise InvalidInputError(
-                f"tol_triangle must be a finite number >= 0, got {tol_triangle!r}")
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
         raise NonSquareError(f"expected a nonempty square matrix, got shape {d.shape}")
     n = d.shape[0]
@@ -176,8 +172,7 @@ def _checked_matrix(d, tol_triangle):
         i, j = np.unravel_index(int(np.argmin(d)), d.shape)
         raise NegativeEntryError(f"entry ({i},{j}) = {d[i, j]} is negative")
 
-    scale = hi if n > 1 else 0.0
-    tol = TRIANGLE_TOL_REL * scale if tol_triangle is None else tol_triangle
+    tol = TRIANGLE_TOL_REL * hi  # 0 on one point, whose entry is 0
 
     worst_asym, zero_off_diagonal = _asymmetry(d)
     if worst_asym > tol:
@@ -228,6 +223,13 @@ def _asymmetry(d):
 def _is_real_type(t) -> bool:
     return (issubclass(t, (int, float, np.integer, np.floating))
             and not issubclass(t, (bool, np.bool_)))
+
+
+def _all_indices(seq) -> bool:
+    """Whether every entry is an int or a numpy integer: booleans, floats
+    and anything else are not point indices. Each type is checked once."""
+    return all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+               for t in set(map(type, seq)))
 
 
 def _check_rows(rows, what):
@@ -305,20 +307,19 @@ def _space(d, labels, name) -> FiniteMetricSpace:
     return _trusted(labels, np.ascontiguousarray(d), name)
 
 
-def validate_metric(matrix, labels=None, tol_triangle: float | None = None,
-                    name: str = "") -> FiniteMetricSpace:
+def validate_metric(matrix, labels=None, name: str = "") -> FiniteMetricSpace:
     """Validate a square distance matrix and wrap it as a space.
 
     This is the entry point for matrices from outside the package; with the
     space JSON readers, which share its checks, it is the only place the
-    O(n^3) triangle scan runs. Small asymmetries (within `tol_triangle`) are
-    repaired by averaging the (i, j) and (j, i) entries before the scan. `tol_triangle` defaults to
-    1e-9 relative to the diameter; it exists only to absorb floating
-    construction error, and must be finite and nonnegative. Entries must be
+    O(n^3) triangle scan runs. Triangle and symmetry defects are forgiven
+    up to TRIANGLE_TOL_REL (1e-9) times the largest entry, to absorb
+    floating construction error; asymmetries within it are repaired by
+    averaging the (i, j) and (j, i) entries before the scan. Entries must be
     real numbers: ragged rows, strings, booleans and other objects raise
     MalformedMatrixError. The matrix is copied, never aliased.
     """
-    d, tol = _checked_matrix(_float_array(matrix), tol_triangle)
+    d, tol = _checked_matrix(_float_array(matrix))
     return _scanned(d, tol, labels, name)
 
 
@@ -342,10 +343,14 @@ def diameter(space: FiniteMetricSpace) -> float:
 def subspace(space: FiniteMetricSpace, indices) -> FiniteMetricSpace:
     """Restriction to the selected points; labels carried over. Selecting
     every point in order shares the parent's read-only matrix; any other
-    selection copies."""
+    selection copies. An index that is not an integer (a float or a
+    boolean) raises IndexOutOfRangeError, as one outside the space does."""
     idx = list(indices)
     if not idx:
         raise EmptySelectionError("no indices selected")
+    if not _all_indices(idx):
+        raise IndexOutOfRangeError(
+            "selection holds an index that is not an integer")
     seen = set()
     for i in idx:
         if not (0 <= i < space.n):
@@ -604,19 +609,20 @@ def save_space(space: FiniteMetricSpace, path) -> None:
         fh.writelines(_json_chunks(space))
 
 
-def space_from_json(text: str, tol_triangle: float | None = None) -> FiniteMetricSpace:
-    return _scanned(*_parsed_space(_json_object(text), tol_triangle))
+def space_from_json(text: str) -> FiniteMetricSpace:
+    return _scanned(*_parsed_space(_json_object(text)))
 
 
-def load_space(path, tol_triangle: float | None = None) -> FiniteMetricSpace:
-    """Read a space from its JSON file; validation errors carry field context.
+def load_space(path) -> FiniteMetricSpace:
+    """Read a space from its JSON file, checked as `validate_metric` checks
+    a matrix (at the same tolerance); validation errors carry field context.
     A file that is not UTF-8 text raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = _json_object(fh.read())  # the text is freed once parsed
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc}") from exc
-    return _scanned(*_parsed_space(obj, tol_triangle))
+    return _scanned(*_parsed_space(obj))
 
 
 def _json_object(text):
@@ -629,7 +635,7 @@ def _json_object(text):
     return obj
 
 
-def _parsed_space(obj, tol_triangle):
+def _parsed_space(obj):
     """(matrix, absolute triangle tolerance, labels, name) of a parsed space
     file, with the O(n^2) checks done. The rows are taken out of `obj` and
     converted, so that they are freed before the caller's O(n^3) scan."""
@@ -651,5 +657,5 @@ def _parsed_space(obj, tol_triangle):
     except MalformedMatrixError as exc:  # a ragged or non-numeric row
         raise ParseError(str(exc)) from exc
     del matrix  # the rows go before the checks
-    d, tol = _checked_matrix(d, tol_triangle)
+    d, tol = _checked_matrix(d)
     return d, tol, labels, name

@@ -49,7 +49,9 @@ GRAD_TOL_REL = 1e-10
 BLOWUP_REL = 1e6
 
 # Triangle and symmetry defects of an untrusted matrix are forgiven up to
-# TRIANGLE_TOL_REL times its largest entry.
+# TRIANGLE_TOL_REL times its largest entry. This is the only triangle and
+# symmetry tolerance: `validate_metric`, the space JSON readers and a direct
+# FiniteMetricSpace construction all use it, and none takes another.
 TRIANGLE_TOL_REL = 1e-9
 
 # Two cloud points closer than DUPLICATE_POINT_REL times the largest

@@ -183,6 +183,17 @@ class TestExperimentVerbs:
                                "--sizes", "abc")
         assert code == 1
 
+    @pytest.mark.parametrize("verb, sizes", [
+        (["converge", "--family", "ball3"], "-5,3"),
+        (["converge", "--family", "ball3"], "7,8"),
+        (["glue-diverge"], "7,8"),
+        (["converge", "--family", "interval"], "5,3")])
+    def test_collapsing_sizes_exit_2(self, capsys, verb, sizes):
+        # "-5,3" on ball3 used to print two 6-point rows and exit 0
+        code, out, err = run_cli(capsys, *verb, "--sizes", sizes)
+        assert code == 2 and out == ""
+        assert err.startswith("validation error: ")
+
     @pytest.mark.parametrize("verb,first_col", [
         ("converge", "k,n,status"), ("glue-diverge", "k,n,m_component"),
         ("equal-glue-demo", "k,kind,n")])

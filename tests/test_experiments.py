@@ -2,8 +2,15 @@ import math
 
 import pytest
 
-from qhm import ball_chain, run_converge, run_equal_glue_demo, run_glue_diverge
-from qhm.errors import QhmError
+from qhm import (
+    ball_chain,
+    m_constant,
+    run_converge,
+    run_equal_glue_demo,
+    run_glue_diverge,
+    sequence_diagnostics,
+)
+from qhm.errors import InvalidInputError, QhmError
 
 
 def _strip_elapsed(csv_text: str) -> list[str]:
@@ -17,18 +24,36 @@ def _strip_elapsed(csv_text: str) -> list[str]:
 class TestConverge:
     def test_interval_family(self, tmp_path):
         out = tmp_path / "rows.csv"
-        res = run_converge("interval", [2, 3, 5, 9], seed=0, out=out)
+        res = run_converge("interval", [2, 3, 5, 9], seed=0)
+        res.write_csv(out)
         assert [r["n"] for r in res.rows] == [2, 3, 5, 9]
         for r in res.rows:
             assert r["status"] == "finite"
             assert r["m_value"] == pytest.approx(0.5, abs=1e-9)
         # nested family carries chain diagnostics
         assert res.rows[1]["chain_step"] <= 1e-6
-        assert out.exists()
         assert out.read_text().startswith("k,n,status")
-        diag = tmp_path / "rows.csv.diag.csv"
-        assert res.metadata["diagnostics_csv"] == str(diag)
-        assert diag.read_text().startswith("k,n_k,i_mu,flatness,seminorm_step")
+        assert "diagnostics_csv" not in res.metadata
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+    def test_rows_carry_the_chain_diagnostics(self):
+        # every column of a sequence_diagnostics table is on the rows: n_k
+        # is n, flatness and seminorm_step are chain_flatness and
+        # chain_step, and i_mu, the energy of the measure on the largest
+        # space, is m_value
+        sizes = [51, 101, 201]
+        res = run_converge("ball3", sizes, seed=0)
+        full, chains, spaces = ball_chain(sizes)
+        table = sequence_diagnostics(
+            full, chains,
+            [m_constant(x).maximal_measure.weights for x in spaces])
+        assert [r["k"] for r in res.rows] == [t.k for t in table] == [0, 1, 2]
+        for row, t in zip(res.rows, table):
+            assert row["n"] == t.n_k
+            assert row["chain_flatness"] == t.flatness
+            assert row["chain_step"] == t.seminorm_step
+            assert t.i_mu == pytest.approx(row["m_value"], rel=1e-12)
+        assert res.rows[0]["chain_step"] is None
 
     def test_circle_family(self):
         res = run_converge("circle", [4, 8, 16], seed=0)
@@ -51,13 +76,19 @@ class TestConverge:
         with pytest.raises(QhmError):
             run_converge("interval", [3, 3], seed=0)
 
+    @pytest.mark.parametrize("family", ["interval", "circle", "ball3"])
+    @pytest.mark.parametrize("sizes", [[5, 3], [3, 3], []])
+    def test_bad_sizes_are_invalid_input(self, family, sizes):
+        with pytest.raises(InvalidInputError):
+            run_converge(family, sizes, seed=0)
+
     def test_unknown_family(self):
         with pytest.raises(QhmError):
             run_converge("torus", [3], seed=0)
 
     def test_deterministic_bytes(self, tmp_path):
-        a = run_converge("circle", [4, 8], seed=1, out=tmp_path / "a.csv")
-        b = run_converge("circle", [4, 8], seed=1, out=tmp_path / "b.csv")
+        run_converge("circle", [4, 8], seed=1).write_csv(tmp_path / "a.csv")
+        run_converge("circle", [4, 8], seed=1).write_csv(tmp_path / "b.csv")
         assert (_strip_elapsed((tmp_path / "a.csv").read_text())
                 == _strip_elapsed((tmp_path / "b.csv").read_text()))
 
@@ -74,16 +105,40 @@ class TestBallChain:
             assert 0 in s  # origin always included
         assert spaces[-1].n <= master.n
 
+    @pytest.mark.parametrize("sizes, message", [
+        ([7, 8], "sizes 7 and 8 give the same subspace: 1 per shell"),
+        ([51, 53], "sizes 51 and 53 give the same subspace: 10 per shell"),
+        ([-5, 3], "size -5 is below 6"),
+        ([5, 51], "size 5 is below 6"),
+        ([0], "size 0 is below 6"),
+    ])
+    def test_rejects_sizes_that_collapse(self, sizes, message):
+        # [7, 8] and [-5, 3] used to give two identical 6-point subspaces
+        with pytest.raises(InvalidInputError, match=message):
+            ball_chain(sizes)
+
+    @pytest.mark.parametrize("sizes", [[51, 11], [11, 11], []])
+    def test_rejects_sizes_out_of_order(self, sizes):
+        with pytest.raises(InvalidInputError):
+            ball_chain(sizes)
+
+    def test_smallest_sizes(self):
+        _, chains, spaces = ball_chain([6, 11, 16])
+        assert [x.n for x in spaces] == [6, 11, 16]
+        _, _, (x,) = ball_chain([4], shells=3)
+        assert x.n == 4
+
 
 class TestGlueDiverge:
     def test_predictions_match_and_grow(self, tmp_path):
         out = tmp_path / "rows.csv"
-        res = run_glue_diverge([11, 26, 51], seed=0, out=out)
+        res = run_glue_diverge([11, 26, 51], seed=0)
+        res.write_csv(out)
         glued = [r["m_glued"] for r in res.rows]
         assert all(r["verdict"] == "Strict" for r in res.rows)
         assert all(r["rel_err"] <= 1e-6 for r in res.rows)
         assert all(b > a for a, b in zip(glued, glued[1:]))
-        assert out.exists()
+        assert out.read_text().startswith("k,n,m_component")
 
     def test_prediction_formula_column(self):
         res = run_glue_diverge([11, 21], seed=0)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qhm import (GlueSpec, _kernels, diameter, energy_bilinear,
                  euclidean_cloud, fixture, glue, interval_grid, measure,
                  random_metric, regular_polygon_arc, validate_metric)
+import qhm.spaces
 from qhm._kernels import (
     ASCENT_TILE,
     SCREEN_MIN,
@@ -566,20 +567,24 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [SCREENED + 1, 301])
-def test_validate_metric_at_the_tolerance_edges(n):
+def test_validate_metric_at_the_tolerance_edges(n, monkeypatch):
     # a single violation of deficit delta: raised exactly when delta > tol,
-    # with the triple and the message of the slab loop
+    # with the triple and the message of the slab loop. The largest entry
+    # is 4, a power of two, so tol = TRIANGLE_TOL_REL * 4 is exact and
+    # TRIANGLE_TOL_REL = tol / 4 sets every edge
     dist = random_metric(n, 8).dist.copy()  # entries in [1, 2]
     a, b = n // 3, n - 2
-    dist[a, b] = dist[b, a] = 2.5
+    dist[a, b] = dist[b, a] = 4.0
     delta, i, j, k = worst_triangle_deficit(dist)
     assert delta > 0.0 and (i, j) == (a, b)
     assert triangle_scan(dist) == (delta, i, j, k)
     for tol in (delta, float(np.nextafter(delta, np.inf))):
-        validate_metric(dist, tol_triangle=tol)
+        monkeypatch.setattr(qhm.spaces, "TRIANGLE_TOL_REL", tol / 4.0)
+        validate_metric(dist)
     tol = float(np.nextafter(delta, 0.0))
+    monkeypatch.setattr(qhm.spaces, "TRIANGLE_TOL_REL", tol / 4.0)
     with pytest.raises(TriangleViolationError) as exc:
-        validate_metric(dist, tol_triangle=tol)
+        validate_metric(dist)
     assert str(exc.value) == (f"d({i},{j}) exceeds d({i},{k}) + d({k},{j}) "
                               f"by {delta} > {tol}")
     assert exc.value.triple == (i, j, k) and exc.value.deficit == delta

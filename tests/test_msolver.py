@@ -27,7 +27,6 @@ from qhm import (
     regular_polygon_arc,
     run_glue_diverge,
     sequence_diagnostics,
-    sequence_rows_csv,
     subspace,
     uniform,
     validate_metric,
@@ -361,12 +360,11 @@ class TestToleranceChecked:
         lambda tol: m_constant(interval_grid(0, 1, 5), tol),
         lambda tol: invariant_measure(interval_grid(0, 1, 5), tol),
         lambda tol: classify(validate_metric([[0.0]]), tol),
-        lambda tol: glued_m_predict(1.0, 1.0, 2.0, tol),
         lambda tol: verify_maximal(interval_grid(0, 1, 3),
                                    measure(interval_grid(0, 1, 3),
                                            [0.5, 0.0, 0.5]), 0.5, tol=tol),
     ], ids=["classify", "m_constant", "invariant_measure", "classify-1pt",
-            "glued_m_predict", "verify_maximal"])
+            "verify_maximal"])
     def test_rejects_bad_tol(self, call, tol):
         # a NaN tol used to call nw-thm2.9a Strict and a negative one made
         # the constant of [0, 1] infinite
@@ -635,6 +633,13 @@ class TestVerifyMaximal:
         with pytest.raises(InvalidInputError):
             verify_maximal(x, measure(x, [1.0, 1.0, 1.0]), 0.5)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, trials):
+        # trials=0 used to pass with worst_excess -inf, having tested nothing
+        x = interval_grid(0, 1, 3)
+        with pytest.raises(InvalidInputError, match="at least 1 trial"):
+            verify_maximal(x, measure(x, [0.5, 0.0, 0.5]), 0.5, trials=trials)
+
 
 class TestSequenceDiagnostics:
     def test_interval_chain_is_stationary(self):
@@ -677,16 +682,21 @@ class TestSequenceDiagnostics:
         with pytest.raises(ChainMismatchError):
             sequence_diagnostics(x, [[0, 2]], [[1.0]])
 
-    def test_csv_rendering(self):
-        x = interval_grid(0, 1, 3)
-        rows = sequence_diagnostics(x, [[0, 2], [0, 1, 2]],
-                                    [[0.5, 0.5], [0.5, 0.0, 0.5]])
-        text = sequence_rows_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "k,n_k,i_mu,flatness,seminorm_step"
-        assert lines[1].startswith("0,2,0.5,")
-        assert lines[1].endswith(",")  # first row has no step
-        assert len(lines) == 3
+    @pytest.mark.parametrize("chain", [[[0, 4.9]], [[0, 4.0]], [[True, 4]],
+                                       [[0, np.bool_(True)]],
+                                       [[0, 4], [0, 2.5, 4]]])
+    def test_chain_mismatch_non_integer_index(self, chain):
+        # 4.9 used to be truncated to 4 and True read as 1
+        x = interval_grid(0, 1, 5)
+        measures = [np.full(len(ix), 1.0 / len(ix)) for ix in chain]
+        with pytest.raises(ChainMismatchError, match="not an integer"):
+            sequence_diagnostics(x, chain, measures)
+
+    def test_numpy_integer_indices(self):
+        x = interval_grid(0, 1, 5)
+        got = sequence_diagnostics(x, [np.array([0, 4])], [[0.5, 0.5]])
+        want = sequence_diagnostics(x, [[0, 4]], [[0.5, 0.5]])
+        assert got == want
 
 
 class TestInconsistencyGuard:

@@ -57,31 +57,29 @@ SURFACE = {
     "fixture_keys": (),
     "glue": ("spec",),
     "glued_invariant": ("mu1", "mu2", "m_x", "m_y", "c"),
-    "glued_m_predict": ("m_x", "m_y", "c", "tol"),
+    "glued_m_predict": ("m_x", "m_y", "c"),
     "inner_extended": ("space", "m_value", "mu", "nu"),
-    "inner_zero": ("space", "mu", "nu", "mass_tol"),
+    "inner_zero": ("space", "mu", "nu"),
     "interval_grid": ("a", "b", "n"),
     "invariant_measure": ("space", "tol"),
     "kernel_flat_values": ("space", "cls"),
     "load_measure": ("path", "space"),
-    "load_space": ("path", "tol_triangle"),
+    "load_space": ("path",),
     "m_constant": ("space", "tol"),
     "measure": ("space", "weights"),
     "potential": ("space", "mu"),
     "random_metric": ("n", "seed"),
     "regular_polygon_arc": ("n",),
-    "run_converge": ("family", "sizes", "seed", "out", "tol"),
-    "run_equal_glue_demo": ("n_polygon", "out", "tol"),
-    "run_glue_diverge": ("sizes", "seed", "out", "tol"),
+    "run_converge": ("family", "sizes", "seed", "tol"),
+    "run_equal_glue_demo": ("n_polygon", "tol"),
+    "run_glue_diverge": ("sizes", "seed", "tol"),
     "save_measure": ("mu", "path"),
     "save_space": ("space", "path"),
     "seminorm_zero": ("space", "mu", "mass_tol", "diagnostics"),
-    "sequence_diagnostics": (
-        "full_space", "index_chain", "measures", "mass_tol"),
-    "sequence_rows_csv": ("rows",),
+    "sequence_diagnostics": ("full_space", "index_chain", "measures"),
     "subspace": ("space", "indices"),
     "uniform": ("space",),
-    "validate_metric": ("matrix", "labels", "tol_triangle", "name"),
+    "validate_metric": ("matrix", "labels", "name"),
     "verify_maximal": ("space", "mu", "m_value", "trials", "seed", "tol"),
 }
 

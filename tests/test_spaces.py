@@ -43,7 +43,7 @@ from qhm.errors import (
     ValidationError,
 )
 from qhm.spaces import space_from_json, space_to_json
-from qhm._kernels import TRIANGLE_TILE
+from qhm._kernels import TRIANGLE_TILE, triangle_scan
 from qhm.fixtures import fixture
 
 from oracles import reference_space_to_json
@@ -80,26 +80,27 @@ class TestValidateMetric:
 
     def test_asymmetry_above_tolerance(self):
         with pytest.raises(AsymmetryExceedsToleranceError):
-            validate_metric([[0, 1.1], [1, 0]], tol_triangle=1e-3)
+            validate_metric([[0, 1.1], [1, 0]])
 
     def test_asymmetry_within_tolerance_averaged(self):
-        x = validate_metric([[0, 1.0 + 1e-12], [1.0, 0]], tol_triangle=1e-9)
+        x = validate_metric([[0, 1.0 + 1e-12], [1.0, 0]])
         assert x.dist[0, 1] == x.dist[1, 0]
         assert x.dist[0, 1] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
-    def test_invalid_tolerance_rejected(self, tol):
-        # a NaN tolerance used to accept this violation; a negative one
-        # used to report a bogus asymmetry on a valid metric
-        for matrix in ([[0, 1, 3], [1, 0, 1], [3, 1, 0]],
-                       [[0, 1, 1], [1, 0, 1], [1, 1, 0]]):
-            with pytest.raises(InvalidInputError):
-                validate_metric(matrix, tol_triangle=tol)
-
-    def test_invalid_tolerance_rejected_from_json(self):
-        with pytest.raises(InvalidInputError):
-            space_from_json('{"matrix": [[0, 1], [1, 0]]}',
-                            tol_triangle=float("nan"))
+    def test_tolerance_is_not_a_parameter(self):
+        # the triangle tolerance is TRIANGLE_TOL_REL times the largest
+        # entry on every reader: the violation is caught and the metric
+        # passes, and no caller can pass a NaN or negative tolerance
+        bad = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]
+        good = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        for read in (validate_metric,
+                     lambda m: space_from_json(json.dumps({"matrix": m}))):
+            with pytest.raises(TriangleViolationError):
+                read(bad)
+            assert np.array_equal(read(good).dist, good)
+        for read in (validate_metric, space_from_json, load_space):
+            with pytest.raises(TypeError):
+                read(good, tol_triangle=float("nan"))
 
     def test_zero_off_diagonal_rejected(self):
         with pytest.raises(ValidationError):
@@ -274,6 +275,13 @@ class TestSubspace:
         with pytest.raises(DuplicateIndexError):
             subspace(x, [1, 1])
 
+    @pytest.mark.parametrize("indices", [[0, 3.5], [0, 2.0], [True, 0],
+                                         [np.bool_(True), 0], [0, "1"]])
+    def test_non_integer_index(self, indices):
+        # 3.5 used to raise a bare TypeError and True to select point 1
+        with pytest.raises(IndexOutOfRangeError, match="is not an integer"):
+            subspace(interval_grid(0, 1, 5), indices)
+
 
 class TestGlue:
     def test_five_point_nonqhm_shape(self):
@@ -309,25 +317,32 @@ class TestGlue:
             GlueSpec(one, one, 0.0)
 
 
+def _validates_within(x, tol):
+    """The builder output is exactly symmetric, its worst triangle deficit
+    is at most `tol`, and it passes `validate_metric` at the default
+    tolerance."""
+    d = x.dist
+    assert np.array_equal(d, d.T)
+    assert triangle_scan(d)[0] <= tol
+    validate_metric(d)
+
+
 class TestBuilderValidationInvariants:
     @given(st.integers(2, 64),
            st.floats(-1e6, 1e6, allow_nan=False),
            st.floats(1e-6, 1e6, allow_nan=False))
     @settings(max_examples=150, deadline=None)
     def test_interval_grid_validates_at_zero_tolerance(self, n, a, width):
-        x = interval_grid(a, a + width, n)
-        validate_metric(x.dist, tol_triangle=0.0)
+        _validates_within(interval_grid(a, a + width, n), 0.0)
 
     @given(st.integers(2, 96))
     @settings(max_examples=95, deadline=None)
     def test_polygon_validates_at_zero_tolerance(self, n):
-        x = regular_polygon_arc(n)
-        validate_metric(x.dist, tol_triangle=0.0)
+        _validates_within(regular_polygon_arc(n), 0.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_metric_exact_triangle(self, seed):
-        x = random_metric(7, seed)
-        validate_metric(x.dist, tol_triangle=0.0)
+        _validates_within(random_metric(7, seed), 0.0)
 
     @pytest.mark.parametrize("builder", [
         lambda: euclidean_cloud(np.random.default_rng(5).uniform(0, 3, (9, 3))),
@@ -335,16 +350,16 @@ class TestBuilderValidationInvariants:
     ])
     def test_euclidean_validates_at_relative_tolerance(self, builder):
         x = builder()
-        validate_metric(x.dist, tol_triangle=1e-12 * diameter(x))
+        _validates_within(x, 1e-12 * diameter(x))
 
     @staticmethod
     def _passes_checks_unchanged(x):
-        """The output is exactly symmetric and passes the O(n^2) checks at
-        zero tolerance with nothing to repair."""
+        """The output is exactly symmetric (so within any tolerance) and
+        passes the O(n^2) checks with nothing to repair."""
         d = x.dist
         assert np.array_equal(d, d.T)
-        checked, tol = qhm.spaces._checked_matrix(d.copy(), 0.0)
-        assert tol == 0.0 and np.array_equal(checked, d)
+        checked, _ = qhm.spaces._checked_matrix(d.copy())
+        assert np.array_equal(checked, d)
 
     @given(st.integers(2, 64),
            st.floats(-8e307, 8e307, allow_nan=False),
@@ -425,9 +440,9 @@ class TestTrustBoundary:
         sizes = []
         check = qhm.spaces._checked_matrix
 
-        def counted(d, tol_triangle):
+        def counted(d):
             sizes.append(d.shape[0])
-            return check(d, tol_triangle)
+            return check(d)
 
         monkeypatch.setattr(qhm.spaces, "_checked_matrix", counted)
         return sizes
@@ -508,15 +523,15 @@ class TestTrustBoundary:
         grid = interval_grid(0.0, 4.0, 9)
         arc = regular_polygon_arc(12)
         z = glue(GlueSpec(grid, arc, diameter(grid) / 2.0))
-        validate_metric(z.dist, tol_triangle=0.0)
+        _validates_within(z, 0.0)
         cloud = euclidean_cloud(np.random.default_rng(5).uniform(0, 3, (9, 3)))
         z = glue(GlueSpec(cloud, arc, diameter(cloud) / 2.0))
-        validate_metric(z.dist, tol_triangle=1e-12 * diameter(z))
+        _validates_within(z, 1e-12 * diameter(z))
 
     def test_ball_chain_validates(self):
         master, _, chain = ball_chain([51, 201])
         for x in chain:
-            validate_metric(x.dist, tol_triangle=1e-12 * diameter(x))
+            _validates_within(x, 1e-12 * diameter(x))
 
 
 class TestSpaceJson:
@@ -666,7 +681,7 @@ class TestSubspaceSharing:
 
     @pytest.mark.parametrize("sel", [
         list(range(29)), list(range(1, 30)), list(range(29, -1, -1)),
-        [1, 0] + list(range(2, 30)), [0, 2, 4],
+        [1, 0] + list(range(2, 30)), [0, 2, 4], np.arange(0, 30, 3),
     ])
     def test_other_selections_copy(self, sel):
         x = euclidean_cloud(np.random.default_rng(4).uniform(size=(30, 3)))
@@ -692,11 +707,10 @@ class TestCheckMessages:
     def _base(self):
         return random_metric(self.N, 11).dist.copy()
 
-    def _raises(self, d, error, message, tol_triangle=None):
+    def _raises(self, d, error, message):
         for check in (
-                lambda: validate_metric(d, tol_triangle=tol_triangle),
-                lambda: space_from_json(json.dumps({"matrix": d.tolist()}),
-                                        tol_triangle=tol_triangle)):
+                lambda: validate_metric(d),
+                lambda: space_from_json(json.dumps({"matrix": d.tolist()}))):
             with pytest.raises(error) as exc:
                 check()
             assert type(exc.value) is error
@@ -725,14 +739,17 @@ class TestCheckMessages:
         self._raises(d, NegativeEntryError, "entry (290,3) = -0.5 is negative")
 
     @pytest.mark.parametrize("i, j", [(10, 280), (280, 10), (257, 299)])
-    def test_asymmetry_reports_upper_entry(self, i, j):
+    def test_asymmetry_reports_upper_entry(self, i, j, monkeypatch):
+        # the tolerance, about 1e-3, forgives the smaller asymmetry
+        monkeypatch.setattr(qhm.spaces, "TRIANGLE_TOL_REL", 5e-4)
         d = self._base()
         d[i, j], d[j, i] = 1.75, 1.5
         d[5, 6] += 1e-4  # a smaller asymmetry elsewhere
         lo, hi = min(i, j), max(i, j)
+        tol = 5e-4 * float(d.max())
+        assert 1e-4 < tol < 0.25
         self._raises(d, AsymmetryExceedsToleranceError,
-                     f"entries ({lo},{hi}) and ({hi},{lo}) differ by 0.25 > 0.001",
-                     tol_triangle=1e-3)
+                     f"entries ({lo},{hi}) and ({hi},{lo}) differ by 0.25 > {tol}")
 
     def test_asymmetry_default_tolerance(self):
         d = self._base()
@@ -753,10 +770,9 @@ class TestCheckMessages:
         d = self._base()
         d[4, 280], d[280, 4] = 0.0, 5e-324  # averages to 0
         self._raises(d, ValidationError,
-                     "distance (4,280) between distinct points must be positive",
-                     tol_triangle=1e-9)
+                     "distance (4,280) between distinct points must be positive")
         d[280, 4] = 1e-12  # averages to 5e-13: positive, and repaired
-        repaired, _ = qhm.spaces._checked_matrix(d, 1e-9)
+        repaired, _ = qhm.spaces._checked_matrix(d)
         assert repaired[4, 280] == repaired[280, 4] == 5e-13
 
 
