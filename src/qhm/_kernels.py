@@ -1,5 +1,6 @@
 """Numeric kernels: the triangle scan, the projected-ascent oracle, the
-triangular solves of a Cholesky factor and the Perron root bound.
+blocked Cholesky factorization of a Strict certificate with its solves, and
+the Perron root bound.
 
 All are plain numpy. The triangle scan has one exact loop, `_exact_block`,
 which scans a block of rows in slabs of a fixed element budget, and one
@@ -11,13 +12,15 @@ exact loop on the blocks it leaves mostly open, with the same result bit
 for bit. The ascent advances its linear recurrence a block of iterates at
 a time, each block a few matrix products with powers of its step matrix
 stored once per call, and keeps the best value at each record and the best
-measure only at its exit; the triangular solves go a block of rows at a
-time.
+measure only at its exit. The Cholesky factorization goes a block of rows
+at a time, inverting each diagonal block once, and its solves reuse those
+inverses.
 """
 
 import math
 import os
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -431,35 +434,119 @@ def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
             it0 += m
 
 
-# Rows of one diagonal block of the blocked triangular substitution.
-TRI_BLOCK = 128
+# Rows per block of `blocked_cholesky`, and the largest order of a Strict
+# certificate that is one `np.linalg.cholesky` and is solved by one LU solve
+# (`qhm.classify`). Measured on a 2-vCPU machine (OpenBLAS, `m_constant` on
+# balls, medians of 31 interleaved rounds): blocks of 32, 48, 64, 96 and 128
+# rows took 1.65, 1.68, 1.64, 2.00 and 2.39 ms at 201 points, 4.43, 4.63,
+# 4.84, 5.00 and 6.40 ms at 401, 14.6, 14.9, 15.2, 16.3 and 19.0 ms at 801,
+# and 69, 68, 67, 69 and 73 ms at 1601. Of the three within noise, 64 keeps
+# the most orders on the one-block path, where the LU solve costs less than
+# inverting the block and refining: on clouds of 3-16 points refinement at
+# every order read small-batch decision_p50_s 104 -> 157 us and wall_s
+# 0.27 -> 0.41 s.
+CHOLESKY_BLOCK = 64
+EPS = float(np.finfo(np.float64).eps)
 
 
-def cholesky_solver(lower: np.ndarray):
-    """The map x -> (L L')^-1 x for a lower-triangular L with nonzero
-    diagonal, O(m^2) per call.
+@dataclass(frozen=True, eq=False)
+class BlockedCholesky:
+    """R'R = C + E for the matrix C that `blocked_cholesky` factored.
 
-    Forward and back substitution go a block of TRI_BLOCK rows at a time,
-    with the inverses of the diagonal blocks computed once here: each block
-    step is then two matrix-vector products, which keeps the Python loop to
-    m / TRI_BLOCK steps without a triangular solver from outside numpy.
+    upper: R, upper triangular. inverses: W_K, the computed inverse of each
+    diagonal block L_KK = R_KK', in block order. panel_error: a bound on the
+    2-norm of the part of E that the explicit inverses add (see
+    `blocked_cholesky`).
     """
-    m = lower.shape[0]
-    starts = range(0, m, TRI_BLOCK)
-    blocks = [(a, min(m, a + TRI_BLOCK),
-               np.linalg.inv(lower[a:a + TRI_BLOCK, a:a + TRI_BLOCK]))
-              for a in starts]
 
-    def solve(x):
+    upper: np.ndarray
+    inverses: list
+    panel_error: float
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """(R'R)^-1 x with each diagonal block inverted by its W_K, O(m^2):
+        forward and back substitution a block of rows at a time, each block
+        step two matrix-vector products."""
+        r = self.upper
+        starts = range(0, x.shape[0], CHOLESKY_BLOCK)
         z = np.empty_like(x)
-        for a, e, inv in blocks:
-            z[a:e] = inv @ (x[a:e] - lower[a:e, :a] @ z[:a])
+        for a, inv in zip(starts, self.inverses):
+            e = a + CHOLESKY_BLOCK
+            z[a:e] = inv @ (x[a:e] - r[:a, a:e].T @ z[:a])
         y = np.empty_like(x)
-        for a, e, inv in reversed(blocks):
-            y[a:e] = inv.T @ (z[a:e] - lower[e:, a:e].T @ y[e:])
+        for a, inv in zip(reversed(starts), reversed(self.inverses)):
+            e = a + CHOLESKY_BLOCK
+            y[a:e] = inv.T @ (z[a:e] - r[a:e, e:] @ y[e:])
         return y
 
-    return solve
+
+def blocked_cholesky(a: np.ndarray, shift: float) -> BlockedCholesky:
+    """Factor C = a - shift I, for a symmetric `a`, into R'R with R upper
+    triangular, or raise `np.linalg.LinAlgError` when a diagonal block is
+    not positive definite. `a` is left as it is.
+
+    Left-looking, over blocks K of CHOLESKY_BLOCK rows: the block's rows are
+    updated from the rows of R above, C^_K = C_K - R_aK' R_a (one matmul);
+    the diagonal block is factored, C^_KK = L_KK L_KK' (`np.linalg.cholesky`),
+    and inverted, W_K = L_KK^-1 (`np.linalg.inv`); the panel right of it is
+    R_K = W_K C^_K (one matmul), and R_KK = L_KK'. R is written a block of
+    rows at a time into zeros, whose pages below the diagonal are never
+    touched; C is never formed, since the shift only enters the diagonal
+    blocks.
+
+    An explicit inverse has no componentwise backward error bound, so the
+    residual it leaves is measured: G_K = L_KK R_K - C^_K, one more matmul.
+    With E_panel the symmetric matrix whose blocks right of the diagonal are
+    the G_K, ||E_panel||_2 <= ||E_panel||_F = sqrt(2) ||G||_F. The computed
+    G~_K = fl(fl(L_KK R_K) - C^_K) is within |G~_K| u / (1 - u) +
+    gamma_nb |L_KK| |R_K| of G_K entrywise (u = eps / 2, nb the block
+    rows, gamma_nb = nb u / (1 - nb u)), so
+
+        panel_error = sqrt(2) (1 + m^2 eps) (||G~||_F / (1 - u)
+                      + gamma_nb sum_K ||L_KK||_F ||R_K||_F)
+
+    bounds ||E_panel||_2; the factor 1 + m^2 eps covers the rounding of the
+    computed norms. With one block there is no panel, and panel_error is 0.
+    """
+    m = a.shape[0]
+    nb = CHOLESKY_BLOCK
+    r = np.zeros((m, m))
+    updated = np.empty((min(m, nb), m))
+    residual = np.empty((min(m, nb), m))
+    inverses = []
+    g_squares = 0.0
+    products = 0.0
+    for k0 in range(0, m, nb):
+        k1 = min(m, k0 + nb)
+        w = k1 - k0
+        if k0:
+            hat = np.matmul(r[:k0, k0:k1].T, r[:k0, k0:],
+                            out=updated[:w, :m - k0])
+            np.subtract(a[k0:k1, k0:], hat, out=hat)
+        else:
+            hat = a[:k1]
+        lower = np.linalg.cholesky(hat[:, :w] - shift * np.eye(w))
+        inv = np.linalg.inv(lower)
+        inverses.append(inv)
+        r[k0:k1, k0:k1] = lower.T
+        if k1 == m:
+            break
+        panel = np.matmul(inv, hat[:, w:], out=r[k0:k1, k1:])
+        g = np.matmul(lower, panel, out=residual[:w, :m - k1])
+        g -= hat[:, w:]
+        g_squares += _squares(g)
+        products += math.sqrt(_squares(lower) * _squares(panel))
+    u = 0.5 * EPS
+    gamma = nb * u / (1.0 - nb * u)
+    panel_error = (math.sqrt(2.0) * (1.0 + m * m * EPS)
+                   * (math.sqrt(g_squares) / (1.0 - u) + gamma * products))
+    return BlockedCholesky(upper=r, inverses=inverses, panel_error=panel_error)
+
+
+def _squares(a: np.ndarray) -> float:
+    """The sum of squares of a 2-D array, a view included (`np.linalg.norm`
+    copies a strided view first)."""
+    return float(np.einsum("ij,ij->", a, a))
 
 
 # The most iterations the Perron root iteration runs; it stops earlier once

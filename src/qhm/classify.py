@@ -20,12 +20,15 @@ are applied to vectors in closed form, O(n) each.
 
 `classify` always takes the full `eigh` of B, since its verdict carries the
 spectrum. A Strict verdict alone needs less: `certify_strict` factors
-B - (tau_hi + r) I by Cholesky, with tau_hi = tol * ||B||_F >= tau and r
-a bound on the factorization's backward error. Success proves every
-eigenvalue of B exceeds tau_hi, so `eigh` would also answer Strict; the
-factor then solves with B by iterative refinement (a plain LU solve when B
-is small). `m_constant` and `invariant_measure` try that certificate first
-and fall back to `eigh`, on the same B, when it fails.
+C = B - (tau_hi + 2 r) I, with tau_hi = tol * ||B||_F >= tau and r a bound
+on the factorization's rounding. Success proves every eigenvalue of B
+exceeds tau_hi, so `eigh` would also answer Strict. Up to CHOLESKY_BLOCK
+rows the factorization is one `np.linalg.cholesky` and the solve with B one
+LU solve. Above, it is `qhm._kernels.blocked_cholesky`, whose explicit
+diagonal-block inverses form its panels, are checked by a measured
+residual, and then drive the triangular solves of an iterative refinement
+with B. `m_constant` and `invariant_measure` try that certificate first and
+fall back to `eigh`, on the same B, when it fails.
 """
 
 import math
@@ -34,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import cholesky_solver
+from ._kernels import CHOLESKY_BLOCK, EPS, BlockedCholesky, blocked_cholesky
 from .energy import SignedMeasure, potential
 from .errors import (
     EigendecompositionFailure,
@@ -44,16 +47,6 @@ from .errors import (
 )
 from .spaces import FiniteMetricSpace, diameter
 from .tolerances import DEFAULT_TOL, FLATNESS_REL
-
-EPS = float(np.finfo(np.float64).eps)
-# Up to this order of B a dense LU solve with B costs less than setting up
-# the blocked triangular solves of its certificate and refining, although it
-# is a second factorization of the decision. Refinement took 4-6 triangular
-# solves per decision on clouds of 3-16 points. With refinement at every
-# order, 10 s runs of the small-batch benchmark (seed 61, 2-vCPU machine)
-# read decision_p50_s 104 -> 157 us and wall_s 0.27 -> 0.41 s, and again
-# 111 -> 161 us and 0.31 -> 0.41 s.
-DIRECT_SOLVE_MAX = 64
 
 
 def check_tol(tol: float) -> None:
@@ -96,14 +89,6 @@ class Classification:
     restricted_vectors: np.ndarray
     witness: SignedMeasure | None = None
     kernel_basis: tuple[SignedMeasure, ...] = ()
-
-
-def centered_form(space: FiniteMetricSpace) -> np.ndarray:
-    """The matrix A = -P dist P with P = I - ones/n; A @ 1 = 0 and
-    alpha' A alpha = -energy(alpha) for mass-zero alpha."""
-    n = space.n
-    p = np.eye(n) - np.full((n, n), 1.0 / n)
-    return -(p @ space.dist @ p)
 
 
 # The mass-zero basis Q is the last n - 1 columns of the Householder
@@ -163,28 +148,50 @@ class StrictCertificate:
     """Proof of a Strict verdict without the spectrum.
 
     margin: tau_hi, a certified lower bound on every eigenvalue of B, at
-    least classify's tau. form: B. lower: the Cholesky factor of
-    B - (tau_hi + rounding) I that proved it. rounding: (m + 1) eps trace(B),
-    a bound on the 2-norm backward error of that factorization and of a
-    backward-stable solve with B.
+    least classify's tau. form: B. rounding: r = (m + 1) eps trace(B), a
+    bound on the 2-norm of the rounding error of the factorization and of a
+    backward-stable solve with B. factor: the blocked factorization of
+    B - (tau_hi + 2 r) I that proved it, or None up to CHOLESKY_BLOCK rows,
+    where the solve is one LU solve with B.
     """
 
     margin: float
     form: np.ndarray
-    lower: np.ndarray
     rounding: float
+    factor: BlockedCholesky | None
 
 
 def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
     """Certify that every eigenvalue of the restricted form `b` exceeds
     tau_hi = tol * ||b||_F, or return None.
 
-    ||b||_F >= spectral radius, so tau_hi >= classify's tau. Cholesky's
-    computed factor of C is exact for C + E with ||E||_2 <= gamma_{m+1}
-    trace(C) <= r = (m + 1) eps trace(b); factoring C = b - (tau_hi + r) I
-    therefore proves lambda_min(b) > tau_hi. When tau_hi <= r (tol = 0
-    among them) the certificate cannot resolve the margin and is not tried.
-    `b` is shifted in place and restored before returning.
+    ||b||_F >= spectral radius, so tau_hi >= classify's tau. The
+    certificate factors C = b - (tau_hi + 2 r) I with r = (m + 1) eps
+    trace(b); when tau_hi <= r (tol = 0 among them) it cannot resolve the
+    margin and is not tried. The computed upper factor R satisfies
+
+        R'R = C + E_std + E_panel.
+
+    E_std is the rounding of a Cholesky factorization: of the matmul
+    updates C^_K = C_K - R_aK' R_a (inner dimension below m, then one
+    subtraction), of the shift on the diagonal and of each diagonal block's
+    `np.linalg.cholesky`. Taken against the results, |E_std| <=
+    gamma_{m+3} |R|'|R| entrywise to first order (gamma_{m+2} with one
+    block, which has no update). || |R|'|R| ||_2 <= ||R||_F^2 = trace(R'R)
+    = trace(C + E_std) (E_panel has a zero diagonal) < trace(b) +
+    m ||E_std||_2, so ||E_std||_2 <= (m + 3) u trace(b) / (1 - (m + 3) m u)
+    <= r, u = eps / 2, for every m below 10^7.
+    E_panel is what the explicit inverses of the diagonal blocks add to the
+    panels of R, and `blocked_cholesky` bounds ||E_panel||_2 by its measured
+    residual, `panel_error`; the certificate is refused unless that bound
+    is at most r (with one block there are no panels and E_panel = 0). Then
+    ||E_std + E_panel||_2 <= 2 r, and R is triangular with a positive
+    diagonal, so C + E_std + E_panel is positive definite and
+    lambda_min(b) > tau_hi + 2 r - 2 r = tau_hi.
+
+    Up to CHOLESKY_BLOCK rows `b` is shifted in place for one
+    `np.linalg.cholesky` and restored before returning; above, the blocked
+    factorization reads `b` and writes its factor to a new array.
     """
     m = b.shape[0]
     if m == 0:
@@ -193,24 +200,34 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
     rounding = (m + 1) * EPS * float(b.trace())
     if not margin > rounding:
         return None
-    diagonal = b.reshape(-1)[::m + 1]
-    saved = diagonal.copy()
-    diagonal -= margin + rounding
-    try:
-        lower = np.linalg.cholesky(b)
-    except np.linalg.LinAlgError:
-        return None
-    finally:
-        diagonal[:] = saved
-    return StrictCertificate(margin=margin, form=b, lower=lower,
-                             rounding=rounding)
+    shift = margin + 2.0 * rounding
+    if m <= CHOLESKY_BLOCK:
+        diagonal = b.reshape(-1)[::m + 1]
+        saved = diagonal.copy()
+        diagonal -= shift
+        try:
+            np.linalg.cholesky(b)
+        except np.linalg.LinAlgError:
+            return None
+        finally:
+            diagonal[:] = saved
+        factor = None
+    else:
+        try:
+            factor = blocked_cholesky(b, shift)
+        except np.linalg.LinAlgError:
+            return None
+        if not factor.panel_error <= rounding:
+            return None
+    return StrictCertificate(margin=margin, form=b, rounding=rounding,
+                             factor=factor)
 
 
 def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray | None:
     """Q B^-1 Q' x for a certified B, or None when the solve does not reach
     backward stability.
 
-    Up to DIRECT_SOLVE_MAX rows this is one LU solve with B. Above, it is
+    Up to CHOLESKY_BLOCK rows this is one LU solve with B. Above, it is
     iterative refinement on the certificate's factor: y <- y + C^-1 (r - B y)
     with C = B - shift I multiplies the error by -shift C^-1, so it
     contracts when lambda_min > 2 shift, and it stops when a correction no
@@ -219,9 +236,9 @@ def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray |
     """
     b = cert.form
     r = _to_mass_zero(x)
-    if r.shape[0] <= DIRECT_SOLVE_MAX:
+    if cert.factor is None:
         return _from_mass_zero(np.linalg.solve(b, r))
-    solve = cholesky_solver(cert.lower)
+    solve = cert.factor.solve
     y = solve(r)
     last = math.inf
     while True:

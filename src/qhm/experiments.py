@@ -22,6 +22,7 @@ from .msolver import glued_m_predict, m_constant, sequence_diagnostics
 from .spaces import (
     FiniteMetricSpace,
     GlueSpec,
+    _all_indices,
     ball_discretization,
     euclidean_cloud,
     glue,
@@ -81,9 +82,11 @@ def _golden_order(count: int) -> np.ndarray:
     return np.argsort(frac, kind="stable")
 
 
-def _check_ascending(sizes) -> None:
+def _check_sizes(sizes) -> None:
     if not sizes:
         raise InvalidInputError("no sizes given")
+    if not _all_indices(sizes):
+        raise InvalidInputError(f"sizes must be integers, got {sizes!r}")
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
         raise InvalidInputError("sizes must be strictly ascending")
 
@@ -98,12 +101,16 @@ def ball_chain(sizes, shells: int = BALL_SHELLS):
     points per shell. Returns (master space, index lists, per-size
     subspaces).
 
-    Sizes must be strictly ascending and at least shells + 1, and no two may
-    round to the same count per shell (InvalidInputError): the chain would
-    repeat a subspace.
+    Sizes must be strictly ascending integers of at least shells + 1, no
+    two may round to the same count per shell (the chain would repeat a
+    subspace), and shells must be an integer of at least 1; anything else
+    raises InvalidInputError.
     """
     sizes = list(sizes)
-    _check_ascending(sizes)
+    _check_sizes(sizes)
+    if not (_all_indices([shells]) and shells >= 1):
+        raise InvalidInputError(
+            f"need at least 1 shell, as an integer, got {shells!r}")
     if sizes[0] < shells + 1:
         raise InvalidInputError(
             f"size {sizes[0]} is below {shells + 1}, the origin and one point "
@@ -161,7 +168,7 @@ def run_converge(family: str, sizes, seed: int = 0,
     `seed` is only recorded in the metadata: every family is
     deterministic."""
     sizes = list(sizes)
-    _check_ascending(sizes)
+    _check_sizes(sizes)
     result = ExperimentResult(
         name=f"converge-{family}",
         metadata={"experiment": f"converge-{family}", "sizes": sizes,

@@ -399,10 +399,12 @@ def verify_maximal(space: FiniteMetricSpace, mu: SignedMeasure, m_value: float,
                    tol: float = DEFAULT_TOL) -> MaximalityReport:
     """Check flatness, random dominance, and the norm identity for a
     candidate maximal measure. A trial's energy dominates m_value when it
-    exceeds it by more than tol * diameter; `trials` must be at least 1."""
+    exceeds it by more than tol * diameter; `trials` must be an integer of
+    at least 1."""
     check_tol(tol)
-    if trials < 1:
-        raise InvalidInputError(f"need at least 1 trial, got {trials}")
+    if not (_all_indices([trials]) and trials >= 1):
+        raise InvalidInputError(
+            f"need at least 1 trial, as an integer, got {trials!r}")
     if abs(mu.mass - 1.0) > MASS_TOL:
         raise InvalidInputError(f"candidate must have mass 1, got {mu.mass}")
     flatness = float(np.abs(potential(space, mu) - m_value).max())

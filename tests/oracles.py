@@ -42,6 +42,14 @@ def brute_max_mass_zero_energy(dist, samples, seed):
     return float(vals.max())
 
 
+def householder_basis(n):
+    """The mass-zero basis Q formed explicitly: columns 1.. of
+    H = I - 2 v v' / v'v with v = e1 - ones/sqrt(n)."""
+    v = np.full(n, -1.0 / np.sqrt(n))
+    v[0] += 1.0
+    return (np.eye(n) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
+
+
 def brute_worst_triangle_deficit(dist):
     """Largest d(i,j) - (d(i,k) + d(k,j)) over all triples and the first
     triple (in i, j, k order) that attains it."""

@@ -3,7 +3,6 @@ import pytest
 
 from qhm import (
     Verdict,
-    centered_form,
     classify,
     energy,
     euclidean_cloud,
@@ -20,54 +19,46 @@ from qhm.classify import _from_mass_zero, _restricted_form, _to_mass_zero
 from qhm.errors import NotApplicableError
 
 from conftest import random_cloud
-from oracles import brute_max_mass_zero_energy
+from oracles import brute_max_mass_zero_energy, householder_basis
 
 
-class TestCenteredForm:
+class TestRestrictedForm:
     def test_two_point_hand_value(self):
         x = validate_metric([[0, 1], [1, 0]])
-        assert np.allclose(centered_form(x), 0.5 * np.array([[1, -1], [-1, 1]]),
-                           atol=1e-15)
+        assert np.allclose(_restricted_form(x.dist), [[1.0]], atol=1e-15)
 
-    def test_annihilates_ones(self):
+    def test_basis_annihilates_ones(self):
         rng = np.random.default_rng(2)
         for seed in range(10):
             x = random_metric(int(rng.integers(2, 9)), seed)
-            assert np.abs(centered_form(x) @ np.ones(x.n)).max() < 1e-12
-
-    def test_single_point(self):
-        assert np.array_equal(centered_form(validate_metric([[0.0]])), [[0.0]])
+            assert np.abs(_to_mass_zero(np.ones(x.n))).max() < 1e-12
 
     def test_quadratic_form_is_negative_energy(self):
+        # for mass-zero alpha, (Q' alpha)' B (Q' alpha) = -energy(alpha)
         rng = np.random.default_rng(7)
         for _ in range(100):
             x = random_cloud(rng)
             a = rng.standard_normal(x.n)
             a -= a.mean()
-            lhs = float(a @ centered_form(x) @ a)
+            y = _to_mass_zero(a)
+            lhs = float(y @ _restricted_form(x.dist) @ y)
             rhs = -energy(x, measure(x, a))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def _householder_basis(n):
-    """The mass-zero basis Q formed explicitly: columns 1.. of
-    H = I - 2 v v' / v'v with v = e1 - ones/sqrt(n)."""
-    v = np.full(n, -1.0 / np.sqrt(n))
-    v[0] += 1.0
-    return (np.eye(n) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
 
 
 class TestMassZeroBasis:
     @pytest.mark.parametrize("n", [2, 3, 8, 57])
     def test_restricted_form_matches_explicit_basis(self, n):
         x = euclidean_cloud(np.random.default_rng(n).uniform(size=(n, 3)))
-        q = _householder_basis(n)
+        q = householder_basis(n)
         b = _restricted_form(x.dist)
         expected = -(q.T @ x.dist @ q)
         assert np.array_equal(b, b.T)
         assert np.abs(b - expected).max() <= 1e-13 * np.abs(expected).max()
-        # the same spectrum as the centered form minus its trivial zero
-        lam = np.linalg.eigvalsh(centered_form(x))
+        # the same spectrum as the centered form -PDP, P = I - ones/n, minus
+        # its trivial zero
+        p = np.eye(n) - 1.0 / n
+        lam = np.linalg.eigvalsh(-(p @ x.dist @ p))
         lam = np.delete(lam, np.argmin(np.abs(lam)))
         assert np.allclose(np.linalg.eigvalsh(b), lam, atol=1e-12)
 
@@ -77,7 +68,7 @@ class TestMassZeroBasis:
     @pytest.mark.parametrize("n", [2, 3, 8, 57])
     def test_vector_maps_match_explicit_basis(self, n):
         rng = np.random.default_rng(n)
-        q = _householder_basis(n)
+        q = householder_basis(n)
         x, y = rng.standard_normal(n), rng.standard_normal(n - 1)
         assert np.allclose(_to_mass_zero(x), q.T @ x, atol=1e-14)
         assert np.allclose(_from_mass_zero(y), q @ y, atol=1e-14)

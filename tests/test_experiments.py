@@ -77,7 +77,7 @@ class TestConverge:
             run_converge("interval", [3, 3], seed=0)
 
     @pytest.mark.parametrize("family", ["interval", "circle", "ball3"])
-    @pytest.mark.parametrize("sizes", [[5, 3], [3, 3], []])
+    @pytest.mark.parametrize("sizes", [[5, 3], [3, 3], [], [11.5, 21]])
     def test_bad_sizes_are_invalid_input(self, family, sizes):
         with pytest.raises(InvalidInputError):
             run_converge(family, sizes, seed=0)
@@ -121,6 +121,18 @@ class TestBallChain:
     def test_rejects_sizes_out_of_order(self, sizes):
         with pytest.raises(InvalidInputError):
             ball_chain(sizes)
+
+    @pytest.mark.parametrize("sizes", [[11.5, 21], [11, 21.0], [True, 21]])
+    def test_rejects_sizes_that_are_not_integers(self, sizes):
+        # [11.5, 21] used to give subspaces of 11 and 21 points
+        with pytest.raises(InvalidInputError, match="sizes must be integers"):
+            ball_chain(sizes)
+
+    @pytest.mark.parametrize("shells", [0, -1, 2.5])
+    def test_rejects_bad_shells(self, shells):
+        # shells=0 used to raise ZeroDivisionError
+        with pytest.raises(InvalidInputError, match="at least 1 shell"):
+            ball_chain([11], shells)
 
     def test_smallest_sizes(self):
         _, chains, spaces = ball_chain([6, 11, 16])

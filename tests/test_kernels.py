@@ -1,7 +1,8 @@
 """Kernel checks: the tiled triangle scan matches a brute-force triple loop
 exactly, and the screened scan matches both bit for bit; the blocked ascent
-matches a one-step-at-a-time loop, the blocked triangular solves match a
-dense solve, and the Perron bound brackets the spectral radius from above."""
+matches a one-step-at-a-time loop, the blocked Cholesky factorization and
+its solves match a dense solve, and the Perron bound brackets the spectral
+radius from above."""
 
 import threading
 from unittest import mock
@@ -17,13 +18,13 @@ from qhm import (GlueSpec, _kernels, diameter, energy_bilinear,
 import qhm.spaces
 from qhm._kernels import (
     ASCENT_TILE,
+    CHOLESKY_BLOCK,
     SCREEN_MIN,
     SCREEN_WORKERS,
-    TRI_BLOCK,
     TRIANGLE_TILE,
     TRIANGLE_TILE_ROWS,
     ascent,
-    cholesky_solver,
+    blocked_cholesky,
     perron_upper_bound,
     triangle_scan,
     worst_triangle_deficit,
@@ -894,17 +895,31 @@ def test_ascent_plan_stays_within_the_budget():
 
 
 # one row, one block minus one / exactly / plus one, two blocks plus three
-@pytest.mark.parametrize("m", [1, TRI_BLOCK - 1, TRI_BLOCK, TRI_BLOCK + 1,
-                               2 * TRI_BLOCK + 3])
-def test_cholesky_solver_matches_dense_solve(m):
+@pytest.mark.parametrize("m", [1, CHOLESKY_BLOCK - 1, CHOLESKY_BLOCK,
+                               CHOLESKY_BLOCK + 1, 2 * CHOLESKY_BLOCK + 3])
+def test_blocked_cholesky_solve_matches_dense_solve(m):
     rng = np.random.default_rng(m)
     a = rng.standard_normal((m, m))
     spd = a @ a.T + m * np.eye(m)
-    lower = np.linalg.cholesky(spd)
     x = rng.standard_normal(m)
     expected = np.linalg.solve(spd, x)
-    got = cholesky_solver(lower)(x)
+    factor = blocked_cholesky(spd + np.eye(m), 1.0)
+    got = factor.solve(x)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    r = factor.upper
+    assert np.array_equal(r, np.triu(r))
+    assert np.abs(r.T @ r - spd).max() <= 1e-12 * np.abs(spd).max()
+    assert len(factor.inverses) == -(-m // CHOLESKY_BLOCK)
+
+
+def test_blocked_cholesky_raises_when_not_positive_definite():
+    m = 2 * CHOLESKY_BLOCK + 3
+    rng = np.random.default_rng(5)
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = rng.uniform(1.0, 2.0, m)
+    lam[0] = -1e-3
+    with pytest.raises(np.linalg.LinAlgError):
+        blocked_cholesky((v * lam) @ v.T, 0.0)
 
 
 PERRON_SPACES = ["nw-thm2.9", "nw-thm2.9a", "fourpoint-antipodal",

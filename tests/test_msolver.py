@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from qhm import (
     Verdict,
     ascent_oracle,
     ball_chain,
-    centered_form,
     classify,
     diameter,
     energy,
@@ -32,8 +32,8 @@ from qhm import (
     validate_metric,
     verify_maximal,
 )
+from qhm._kernels import CHOLESKY_BLOCK
 from qhm.classify import (
-    DIRECT_SOLVE_MAX,
     _certified_mass_zero,
     _restricted_form,
     certify_strict,
@@ -47,7 +47,7 @@ from qhm.errors import (
 )
 
 from conftest import random_cloud
-from oracles import bordered_invariant_measure
+from oracles import bordered_invariant_measure, householder_basis
 
 
 class TestInvariantMeasure:
@@ -141,13 +141,15 @@ class TestEigenpairSolve:
         tau = math.sqrt(vals[0] * vals[1])
         cls = classify(x, tau / float(np.abs(vals).max()))
         assert cls.verdict is Verdict.NON_STRICT
-        # the same pseudo-inverse from the eigenpairs of the full centered
-        # form, whose trivial zero (the all-ones direction) falls below tau
-        lam, vec = np.linalg.eigh(centered_form(x))
+        # the same pseudo-inverse from the eigenpairs of -Q'DQ, with the
+        # mass-zero basis Q formed explicitly
+        q = householder_basis(x.n)
+        lam, vec = np.linalg.eigh(-(q.T @ x.dist @ q))
         keep = np.abs(lam) > cls.tol_used
         assert keep.sum() == x.n - 2
         rhs = np.random.default_rng(9).standard_normal(x.n)
-        expected = vec[:, keep] @ ((vec[:, keep].T @ rhs) / lam[keep])
+        vec = q @ vec[:, keep]
+        expected = vec @ ((vec.T @ rhs) / lam[keep])
         got, unique = _pinv_mass_zero(cls, rhs)
         assert not unique
         assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
@@ -168,27 +170,38 @@ class _Counter:
 
 class TestOneFactorization:
     """One factorization per decision: a Strict decision takes one Cholesky
-    and no eigh; any other verdict takes one failed Cholesky and one eigh."""
+    (above CHOLESKY_BLOCK rows, one blocked factorization, which calls
+    np.linalg.cholesky once per diagonal block) and no eigh; any other
+    verdict takes one failed Cholesky and one eigh."""
 
     @pytest.fixture
     def linalg_calls(self, monkeypatch):
+        # the module, not the function qhm.classify
+        classify_module = importlib.import_module("qhm.classify")
         counters = {}
         for name in ("cholesky", "eigh", "lstsq", "svd"):
             counters[name] = _Counter(getattr(np.linalg, name))
             monkeypatch.setattr(np.linalg, name, counters[name])
+        counters["blocked"] = _Counter(classify_module.blocked_cholesky)
+        monkeypatch.setattr(classify_module, "blocked_cholesky",
+                            counters["blocked"])
         return counters
 
     @staticmethod
     def _counts(linalg_calls):
         return {k: (c.calls, c.failures) for k, c in linalg_calls.items()}
 
-    # ball3-2 has 129 points, so its solve is the refinement on the factor
-    @pytest.mark.parametrize("key", ["interval-5", "circle-2", "ball3-2"])
-    def test_m_constant_one_cholesky(self, linalg_calls, key):
+    # ball3-2 has 129 points: one blocked factorization of its two blocks,
+    # each factored by np.linalg.cholesky, and the refinement on the factor
+    @pytest.mark.parametrize("key,choleskys,blocked", [
+        ("interval-5", 1, 0), ("circle-2", 1, 0), ("ball3-2", 2, 1)])
+    def test_m_constant_one_cholesky(self, linalg_calls, key, choleskys,
+                                     blocked):
         dec = m_constant(fixture(key).space)
         assert dec.diagnostics["certificate"] == "cholesky"
         assert self._counts(linalg_calls) == {
-            "cholesky": (1, 0), "eigh": (0, 0), "lstsq": (0, 0), "svd": (0, 0)}
+            "cholesky": (choleskys, 0), "blocked": (blocked, 0),
+            "eigh": (0, 0), "lstsq": (0, 0), "svd": (0, 0)}
 
     @pytest.mark.parametrize("key", ["circle-8", "nw-thm2.9", "nw-thm2.9a",
                                      "fourpoint-antipodal"])
@@ -197,7 +210,8 @@ class TestOneFactorization:
         assert dec.diagnostics["certificate"] == "eigh"
         assert dec.diagnostics["verdict"] != "Strict"
         assert self._counts(linalg_calls) == {
-            "cholesky": (1, 1), "eigh": (1, 0), "lstsq": (0, 0), "svd": (0, 0)}
+            "cholesky": (1, 1), "blocked": (0, 0), "eigh": (1, 0),
+            "lstsq": (0, 0), "svd": (0, 0)}
 
     @pytest.mark.parametrize("key,expected", [
         ("interval-5", {"cholesky": (1, 0), "eigh": (0, 0)}),
@@ -224,7 +238,8 @@ class TestOneFactorization:
         run_glue_diverge([11, 21])
         assert decisions.calls == 4
         assert self._counts(linalg_calls) == {
-            "cholesky": (4, 0), "eigh": (0, 0), "lstsq": (0, 0), "svd": (0, 0)}
+            "cholesky": (4, 0), "blocked": (0, 0), "eigh": (0, 0),
+            "lstsq": (0, 0), "svd": (0, 0)}
 
 
 def _decide_both(space, tol=DEFAULT_TOL):
@@ -308,7 +323,7 @@ class TestCertifiedPath:
         # multiplies the error by shift / (lambda_min - shift) = 2
         _, _, (x,) = ball_chain([101])
         b = _restricted_form(x.dist)
-        assert b.shape[0] > DIRECT_SOLVE_MAX
+        assert b.shape[0] > CHOLESKY_BLOCK
         lam_min = float(np.linalg.eigvalsh(b)[0])
         tol = lam_min / 1.5 / float(np.linalg.norm(b))
         cert = certify_strict(b, tol)
@@ -319,14 +334,21 @@ class TestCertifiedPath:
         assert dec.diagnostics["verdict"] == "Strict"
         assert dec.value == pytest.approx(m_constant(x).value, rel=1e-12)
 
+    @pytest.mark.parametrize("spaces", ["clouds", "ball-201"])
     @pytest.mark.parametrize("target", ["tau_hi", "tau"])
     @pytest.mark.parametrize("factor", [1 - 1e-3, 1 - 1e-7, 1 + 1e-7, 1 + 1e-3])
-    def test_straddle(self, target, factor):
+    def test_straddle(self, target, factor, spaces):
         # tol puts tau_hi (or classify's tau) just below or just above
-        # lambda_min: the certificate never says Strict where eigh does not
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            x = validate_metric(random_cloud(rng).dist * 10.0)
+        # lambda_min: the certificate never says Strict where eigh does not.
+        # The ball's form has four blocks, so its certificate is the blocked
+        # factorization.
+        if spaces == "ball-201":
+            _, _, xs = ball_chain([201])
+        else:
+            rng = np.random.default_rng(31)
+            xs = [validate_metric(random_cloud(rng).dist * 10.0)
+                  for _ in range(20)]
+        for x in xs:
             b = _restricted_form(x.dist)
             vals = np.linalg.eigvalsh(b)
             scale = (float(np.linalg.norm(b)) if target == "tau_hi"
@@ -348,6 +370,63 @@ class TestCertifiedPath:
             else:  # lambda_min is no degenerate direction: tol too loose
                 with pytest.raises(FlatnessViolationError):
                     m_constant(x, tol)
+
+
+def _planted_form(m, lam_min, seed):
+    """b = V diag(lam) V' for a seeded orthogonal V, with lam_min planted
+    under the other eigenvalues, which are uniform in [1, 2]."""
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = rng.uniform(1.0, 2.0, m)
+    lam[0] = lam_min
+    b = (v * lam) @ v.T
+    return 0.5 * (b + b.T)
+
+
+class TestBlockedCertificate:
+    """The blocked factorization's certificate on synthetic forms of one
+    block plus one row, two blocks plus one, three and a part, and more."""
+
+    @pytest.mark.parametrize("m", [65, 129, 200, 401])
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 - 1e-7, 1 + 1e-7, 1 + 1e-3])
+    def test_never_certifies_below_the_margin(self, m, factor):
+        # lambda_min = factor * tau_hi
+        b = _planted_form(m, 1e-6, m)
+        lam_min = float(np.linalg.eigvalsh(b)[0])
+        cert = certify_strict(b, lam_min / factor / float(np.linalg.norm(b)))
+        assert cert is None or lam_min > cert.margin
+        if factor < 1.0:
+            assert cert is None
+
+    @pytest.mark.parametrize("m", [65, 129, 200, 401])
+    def test_certifies_above_the_shift(self, m):
+        # lambda_min = 1.01 (tau_hi + 2 r)
+        b = _planted_form(m, 1e-6, m)
+        lam_min = float(np.linalg.eigvalsh(b)[0])
+        rounding = (m + 1) * np.finfo(np.float64).eps * float(b.trace())
+        tau_hi = lam_min / 1.01 - 2.0 * rounding
+        cert = certify_strict(b, tau_hi / float(np.linalg.norm(b)))
+        assert cert is not None
+        assert cert.rounding == rounding
+        assert cert.factor.panel_error <= rounding
+        assert lam_min > cert.margin
+
+    def test_perturbed_block_inverse_is_refused(self, monkeypatch):
+        # one inverse 1e-6 off leaves a panel residual far above r: the
+        # residual check is what refuses it (the last block has no panel)
+        b = _planted_form(200, 0.5, 3)
+        assert certify_strict(b, DEFAULT_TOL) is not None
+        inverses = []
+        inv = np.linalg.inv
+
+        def perturbed(a):
+            inverses.append(a)
+            w = inv(a)
+            return w * (1.0 + 1e-6) if len(inverses) == 2 else w
+
+        monkeypatch.setattr(np.linalg, "inv", perturbed)
+        assert certify_strict(b, DEFAULT_TOL) is None
+        assert len(inverses) == 4
 
 
 BAD_TOLS = [math.nan, math.inf, -math.inf, -1.0, -1e-12]
@@ -633,7 +712,7 @@ class TestVerifyMaximal:
         with pytest.raises(InvalidInputError):
             verify_maximal(x, measure(x, [1.0, 1.0, 1.0]), 0.5)
 
-    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, 2.0, True])
     def test_needs_a_trial(self, trials):
         # trials=0 used to pass with worst_excess -inf, having tested nothing
         x = interval_grid(0, 1, 3)

@@ -46,7 +46,6 @@ SURFACE = {
     "atomic": ("space", "i"),
     "ball_chain": ("sizes", "shells"),
     "ball_discretization": ("shells", "points_per_shell"),
-    "centered_form": ("space",),
     "classify": ("space", "tol"),
     "default_flatness_tol": ("space",),
     "diameter": ("space",),
