@@ -123,7 +123,8 @@ class EigendecompositionFailure(SolverError):
 
 
 class InconsistencyError(SolverError):
-    """A result the theory rules out; usually a tolerance misconfiguration."""
+    """A result the theory rules out: on a space the classification declares
+    finite, no invariant solve passes its check."""
 
     def __init__(self, msg, diagnostics=None):
         super().__init__(msg)

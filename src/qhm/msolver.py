@@ -15,12 +15,16 @@ So `m_constant` and `invariant_measure` first try the Cholesky certificate
 of `qhm.classify.certify_strict` and solve with its factor by iterative
 refinement, or with a plain LU solve when B is small (diagnostics
 "certificate": "cholesky", "margin": the certified lower bound tau_hi on
-the eigenvalues of B). When the factorization fails,
-the refinement does not contract or the solve misses its checks, they fall
+the eigenvalues of B). When the factorization fails or its solve misses
+the check below (as a refinement that does not contract does), they fall
 back to the full `eigh` classification of the same B ("certificate":
 "eigh", "margin": the smallest |eigenvalue|), which serves the NonStrict
-and NotQuasihypermetric verdicts and their witnesses. Both paths end in the
-same residual, flatness and mass checks.
+and NotQuasihypermetric verdicts and their witnesses. One check judges the
+measure w of either path: max|D w - c| within SOLVE_REL * diameter *
+||w||_1 and |sum(w) - 1| within SOLVE_REL * ||w||_1, a backward error of
+SOLVE_REL on the scale of w itself, which grows like 1/gap near the
+Strict/NonStrict boundary. A certified solve that misses it falls back to
+`eigh`; an `eigh` solve that misses it leaves no measure.
 
 An independent projected-ascent oracle cross-checks finite values and
 detects divergence without touching the linear-algebra route: its iterates
@@ -66,7 +70,7 @@ from .tolerances import (
     DEFAULT_TOL,
     GRAD_TOL_REL,
     MASS_TOL,
-    RESIDUAL_FLOOR,
+    SOLVE_REL,
 )
 
 
@@ -102,39 +106,42 @@ class MDecision:
 
 
 def _invariant_solve(space: FiniteMetricSpace, evidence,
-                     tol: float) -> InvariantSolve | None:
+                     checks: dict) -> InvariantSolve | None:
     """w = u + Q B+ Q' D u and c = mean(D w), with B+ from the eigenpairs of
-    a Classification or B^-1 from a StrictCertificate; None when that solve
-    fails, D w - c exceeds max(tol, RESIDUAL_FLOOR) * diameter, or the
-    mass error, which has no units, exceeds max(tol, RESIDUAL_FLOOR)."""
+    a Classification or B^-1 from a StrictCertificate, or None when w fails
+    the one acceptance check of an invariant solve: "flatness" = max|D w -
+    c| above "residual_bound" = SOLVE_REL * diameter * ||w||_1, or
+    "mass_error" = |sum(w) - 1| above "mass_bound" = SOLVE_REL * ||w||_1.
+    Those five numbers, with "measure_l1" = ||w||_1, go into `checks`."""
     n = space.n
     u = np.full(n, 1.0 / n)
     if isinstance(evidence, StrictCertificate):
         y, unique = _certified_mass_zero(evidence, space.dist @ u), True
-        if y is None:
-            return None
     else:
         y, unique = _pinv_mass_zero(evidence, space.dist @ u)
     w = u + y
     pot = space.dist @ w
     c = float(pot.sum()) / n
-    residual = float(np.abs(pot - c).max())
-    bound = max(tol, RESIDUAL_FLOOR)
-    if (residual > bound * diameter(space)
-            or abs(float(w.sum()) - 1.0) > bound):
+    l1 = float(np.abs(w).sum())
+    checks.update(flatness=float(np.abs(pot - c).max()),
+                  mass_error=abs(float(w.sum()) - 1.0), measure_l1=l1,
+                  residual_bound=SOLVE_REL * diameter(space) * l1,
+                  mass_bound=SOLVE_REL * l1)
+    if (checks["flatness"] > checks["residual_bound"]
+            or checks["mass_error"] > checks["mass_bound"]):
         return None
     return InvariantSolve(measure=measure(space, w), value=c,
-                          residual=residual, unique=unique)
+                          residual=checks["flatness"], unique=unique)
 
 
-def _certified_solve(space: FiniteMetricSpace, tol: float):
+def _certified_solve(space: FiniteMetricSpace, tol: float, checks: dict):
     """(B, certificate, solve): the restricted form, its Strict certificate
     (None when Cholesky cannot give one) and the invariant solve from it
-    (None when there is no certificate or the solve fails)."""
+    (None when there is no certificate or the solve misses its check)."""
     check_tol(tol)
     b = _restricted_form(space.dist)
     cert = certify_strict(b, tol)
-    solve = None if cert is None else _invariant_solve(space, cert, tol)
+    solve = None if cert is None else _invariant_solve(space, cert, checks)
     return b, cert, solve
 
 
@@ -142,41 +149,44 @@ def invariant_measure(space: FiniteMetricSpace,
                       tol: float = DEFAULT_TOL) -> InvariantSolve | None:
     """Solve for a constant-potential mass-1 measure, on the certified
     Strict path when it succeeds and from the eigenpairs of the
-    classification otherwise; None when no such measure exists."""
-    b, _, solve = _certified_solve(space, tol)
+    classification otherwise; None when no such measure exists or the
+    solve misses its check."""
+    checks = {}
+    b, _, solve = _certified_solve(space, tol, checks)
     if solve is not None:
         return solve
-    return _invariant_solve(space, _classify_form(space, b, tol), tol)
+    return _invariant_solve(space, _classify_form(space, b, tol), checks)
 
 
 def m_constant(space: FiniteMetricSpace,
                tol: float = DEFAULT_TOL) -> MDecision:
     """Decide whether the energy supremum constant is finite; compute it if so.
 
-    Procedure: (a) a Cholesky certificate of a Strict verdict with a
-    successful invariant solve decides finite at once. Otherwise classify
+    Procedure: (a) a Cholesky certificate of a Strict verdict with an
+    accepted invariant solve decides finite at once. Otherwise classify
     from the spectrum: (b) a NotQuasihypermetric verdict is Infinite with
     the spectral witness. (c) On NonStrict, any degenerate direction whose
     constant potential value is nonzero forces Infinite with that direction
-    as witness. (d) Otherwise the invariant solve must succeed (theory
-    guarantees existence for finite quasihypermetric spaces); failure raises
-    InconsistencyError since it can only mean misconfigured tolerances.
+    as witness. (d) Otherwise the invariant solve must pass its check
+    (theory guarantees existence for finite quasihypermetric spaces);
+    failure raises InconsistencyError, whose diagnostics carry the check's
+    numbers. The tolerance decides the verdict only, never the acceptance.
 
     diagnostics: "certificate" ("cholesky" or "eigh"), "verdict", "margin"
     (the certified lower bound tau_hi on the eigenvalues of B, or the
     smallest |eigenvalue|), "classify_tol" (the tolerance the verdict was
-    tested against), and on finite decisions "flatness", "unique" and
-    "mass_error". The flatness of a finite answer and the constant
-    potential of a degenerate direction are judged against
-    `default_flatness_tol(space)`.
+    tested against), and on finite decisions "unique" and the check's
+    "flatness", "residual_bound", "mass_error", "mass_bound" and
+    "measure_l1" (see `_invariant_solve`). The constant potential of a
+    degenerate direction is judged against `default_flatness_tol(space)`.
     """
-    flatness_tol = default_flatness_tol(space)
-    b, cert, solve = _certified_solve(space, tol)
+    checks = {}
+    b, cert, solve = _certified_solve(space, tol, checks)
     if solve is not None:
         diagnostics = {"certificate": "cholesky", "margin": cert.margin,
                        "classify_tol": cert.margin,
                        "verdict": Verdict.STRICT.value}
-        return _finite(solve, diagnostics, flatness_tol)
+        return _finite(solve, diagnostics | checks)
 
     cls = _classify_form(space, b, tol)
     diagnostics = {"certificate": "eigh", "margin": cls.margin,
@@ -190,33 +200,27 @@ def m_constant(space: FiniteMetricSpace,
     if cls.verdict is Verdict.NON_STRICT:
         flats = kernel_flat_values(space, cls)
         diagnostics["kernel_flat_values"] = [f.value for f in flats]
+        flatness_tol = default_flatness_tol(space)
         for f in flats:
             if abs(f.value) > flatness_tol:
                 diagnostics["flat_value"] = f.value
                 return MDecision(status="infinite", reason="NonzeroFlatKernel",
                                  witness=f.vector, diagnostics=diagnostics)
 
-    solve = _invariant_solve(space, cls, tol)
+    solve = _invariant_solve(space, cls, diagnostics)
     if solve is None:
         raise InconsistencyError(
-            "no constant-potential mass-1 measure found on a space that the "
-            "classification declares finite; tolerances are misconfigured",
+            "the invariant solve on a space the classification declares "
+            "finite misses its check: flatness {flatness:.3e} against "
+            "{residual_bound:.3e}, mass error {mass_error:.3e} against "
+            "{mass_bound:.3e}".format_map(diagnostics),
             diagnostics=diagnostics)
-    return _finite(solve, diagnostics, flatness_tol)
+    return _finite(solve, diagnostics)
 
 
-def _finite(solve: InvariantSolve, diagnostics: dict,
-            flatness_tol: float) -> MDecision:
-    """The finite decision from an invariant solve, after its flatness and
-    mass checks."""
-    diagnostics["flatness"] = solve.residual
+def _finite(solve: InvariantSolve, diagnostics: dict) -> MDecision:
+    """The finite decision from an accepted invariant solve."""
     diagnostics["unique"] = solve.unique
-    diagnostics["mass_error"] = abs(solve.measure.mass - 1.0)
-    if solve.residual > flatness_tol or diagnostics["mass_error"] > MASS_TOL:
-        raise InconsistencyError(
-            f"invariant solve violates its own contract (flatness "
-            f"{solve.residual}, mass error {diagnostics['mass_error']})",
-            diagnostics=diagnostics)
     return MDecision(status="finite", value=solve.value,
                      maximal_measure=solve.measure, diagnostics=diagnostics)
 
@@ -238,7 +242,8 @@ def glued_m_predict(m_x: float, m_y: float, c: float) -> GluePrediction:
     shared component value) only when m_x = m_y; otherwise a mass-zero
     measure with nonzero constant potential exists and the constant is
     infinite. The boundary is 2c = m_x + m_y within DEFAULT_TOL times
-    max(m_x + m_y, 2c).
+    max(m_x + m_y, 2c). That band is not `classify`'s; where the two
+    disagree, `m_constant` decides (see `qhm.tolerances`).
     """
     for v, what in ((m_x, "m_x"), (m_y, "m_y"), (c, "c")):
         if not math.isfinite(v):

@@ -1,9 +1,18 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qhm import interval_grid, load_space, random_metric, save_space
+from qhm import (
+    GlueSpec,
+    glue,
+    interval_grid,
+    load_space,
+    random_metric,
+    save_space,
+    validate_metric,
+)
 from qhm.cli import main
 
 
@@ -81,6 +90,31 @@ class TestMconstantVerb:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["value"] == pytest.approx(math.pi / 2)
+
+
+    def test_near_boundary_glue_is_finite(self, capsys, tmp_path):
+        # 2 points at distance 1 (M = 1/2) glued to 3 points at distance 0.8
+        # (M = 8/15) at c = c0 (1 + 3e-9), c0 = 31/60 the boundary: Strict,
+        # with a maximizer of total variation about 1.1e7
+        m_x, m_y = 0.5, 8.0 / 15.0
+        c = 0.5 * (m_x + m_y) * (1.0 + 3e-9)
+        blocks = [validate_metric(d * (1.0 - np.eye(k)))
+                  for k, d in ((2, 1.0), (3, 0.8))]
+        path = tmp_path / "glue.json"
+        save_space(glue(GlueSpec(*blocks, c)), path)
+        code, out, _ = run_cli(capsys, "mconstant", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "finite"
+        assert payload["diagnostics"]["verdict"] == "Strict"
+        gap = 2.0 * c - m_x - m_y
+        eps = 64.0 * np.finfo(np.float64).eps * (m_x + m_y) / gap
+        assert payload["value"] == pytest.approx((c * c - m_x * m_y) / gap,
+                                                 rel=eps)
+        assert payload["diagnostics"]["measure_l1"] > 1e7
+        code, out, _ = run_cli(capsys, "invariant", str(path))
+        assert code == 0
+        assert json.loads(out)["found"]
 
 
 class TestInvariantVerb:

@@ -34,7 +34,6 @@ from qhm import (
 )
 from qhm._kernels import CHOLESKY_BLOCK
 from qhm.classify import (
-    _certified_mass_zero,
     _restricted_form,
     certify_strict,
 )
@@ -45,6 +44,7 @@ from qhm.errors import (
     InvalidInputError,
     NotInvariantInputError,
 )
+from qhm.tolerances import SOLVE_REL
 
 from conftest import random_cloud
 from oracles import bordered_invariant_measure, householder_basis
@@ -300,7 +300,7 @@ class TestCertifiedPath:
 
         space = fixture(key).space
         got = invariant_measure(space)
-        ref = _invariant_solve(space, classify(space), DEFAULT_TOL)
+        ref = _invariant_solve(space, classify(space), {})
         assert got.unique == ref.unique
         assert got.value == pytest.approx(ref.value, rel=1e-12)
         assert np.abs(got.measure.weights - ref.measure.weights).max() <= 1e-10
@@ -320,7 +320,10 @@ class TestCertifiedPath:
 
     def test_refinement_that_does_not_contract_falls_back(self):
         # shift = lambda_min / 1.5: the factor exists, but refinement
-        # multiplies the error by shift / (lambda_min - shift) = 2
+        # multiplies the error by shift / (lambda_min - shift) = 2, and the
+        # invariant solve's check rejects what it leaves
+        from qhm.msolver import _invariant_solve
+
         _, _, (x,) = ball_chain([101])
         b = _restricted_form(x.dist)
         assert b.shape[0] > CHOLESKY_BLOCK
@@ -328,7 +331,9 @@ class TestCertifiedPath:
         tol = lam_min / 1.5 / float(np.linalg.norm(b))
         cert = certify_strict(b, tol)
         assert cert is not None
-        assert _certified_mass_zero(cert, x.dist @ np.full(x.n, 1.0 / x.n)) is None
+        checks = {}
+        assert _invariant_solve(x, cert, checks) is None
+        assert checks["flatness"] > checks["residual_bound"]
         dec = m_constant(x, tol)
         assert dec.diagnostics["certificate"] == "eigh"
         assert dec.diagnostics["verdict"] == "Strict"
@@ -499,9 +504,21 @@ class TestMConstant:
         assert dec.finite and dec.value == 0.0
 
     def test_diagnostics_present(self):
-        dec = m_constant(interval_grid(0, 1, 4))
-        assert "margin" in dec.diagnostics
-        assert dec.diagnostics["flatness"] <= 1e-10
+        # on the cholesky path (the grid) and on the eigh path (circle-8),
+        # with how close the solve's acceptance came
+        for space in (interval_grid(0, 1, 4), fixture("circle-8").space):
+            dec = m_constant(space)
+            diag = dec.diagnostics
+            assert "margin" in diag
+            assert diag["flatness"] <= 1e-10
+            l1 = float(np.abs(dec.maximal_measure.weights).sum())
+            assert diag["measure_l1"] == pytest.approx(l1, rel=1e-15)
+            assert diag["residual_bound"] == pytest.approx(
+                SOLVE_REL * diameter(space) * l1, rel=1e-15)
+            assert diag["mass_bound"] == pytest.approx(SOLVE_REL * l1,
+                                                       rel=1e-15)
+            assert diag["flatness"] <= diag["residual_bound"]
+            assert diag["mass_error"] <= diag["mass_bound"]
 
 
 class TestGluedMPredict:
@@ -778,15 +795,59 @@ class TestSequenceDiagnostics:
         assert got == want
 
 
+def _equal_glue():
+    """interval-5 (M = 1/2, weight on the endpoints) glued at c = 1/2 to two
+    points at distance 1 (M = 1/2): NonStrict and finite, so its invariant
+    solve runs on the eigh path, and the uniform measure is not invariant."""
+    return glue(GlueSpec(interval_grid(0, 1, 5),
+                         validate_metric([[0, 1], [1, 0]]), 0.5))
+
+
 class TestInconsistencyGuard:
     def test_missing_solution_on_finite_path_raises(self, monkeypatch):
         import qhm.msolver as msolver
 
-        monkeypatch.setattr(msolver, "_invariant_solve",
-                            lambda space, cls, tol: None)
+        real = msolver._invariant_solve
+
+        def rejected(space, evidence, checks):
+            real(space, evidence, checks)
+            return None
+
+        monkeypatch.setattr(msolver, "_invariant_solve", rejected)
         with pytest.raises(InconsistencyError) as exc:
             msolver.m_constant(interval_grid(0, 1, 3))
-        assert "margin" in exc.value.diagnostics
+        diag = exc.value.diagnostics
+        assert diag["certificate"] == "eigh" and "margin" in diag
+        for key in ("flatness", "residual_bound", "mass_error", "mass_bound",
+                    "measure_l1"):
+            assert math.isfinite(diag[key])
+        assert f"{diag['residual_bound']:.3e}" in str(exc.value)
+
+    @pytest.mark.parametrize("case", ["equal-glue", "interval-5-tol-0"])
+    def test_perturbed_solve_is_rejected(self, monkeypatch, case):
+        # the eigh path's correction scaled by 1 + 1e-6 moves the potential
+        # off its constant by 1e-6 of its spread, far beyond the check
+        import qhm.msolver as msolver
+
+        if case == "equal-glue":
+            space, tol = _equal_glue(), DEFAULT_TOL
+        else:  # tol = 0 leaves a Strict space without a certificate
+            space, tol = fixture("interval-5").space, 0.0
+        dec = m_constant(space, tol)
+        assert dec.finite and dec.diagnostics["certificate"] == "eigh"
+        real = msolver._pinv_mass_zero
+
+        def scaled(cls, x):
+            y, unique = real(cls, x)
+            return (1.0 + 1e-6) * y, unique
+
+        monkeypatch.setattr(msolver, "_pinv_mass_zero", scaled)
+        with pytest.raises(InconsistencyError) as exc:
+            m_constant(space, tol)
+        diag = exc.value.diagnostics
+        assert diag["flatness"] > diag["residual_bound"]
+        assert diag["verdict"] == dec.diagnostics["verdict"]
+        assert invariant_measure(space, tol) is None
 
 
 class TestSolverProperties:

@@ -2,6 +2,7 @@
 lambda (M scales by lambda, with the same verdict and the same weights),
 permuting the points and relabelling them."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhm import (
+    GlueSpec,
     Verdict,
     ascent_oracle,
     classify,
+    diameter,
     euclidean_cloud,
     fixture,
+    glue,
     glued_m_predict,
     m_constant,
     seminorm_zero,
@@ -173,6 +177,66 @@ class TestGluePredictionScales:
         pred = glued_m_predict(lam, 1.2 * lam, 1.15 * lam)
         assert pred.kind == "finite"
         assert pred.value == pytest.approx(1.225 * lam, rel=1e-12)
+
+
+# relative gaps 2c / (m_x + m_y) - 1 of the glued spaces below, down to
+# DEFAULT_TOL, where near-boundary Strict spaces carry maximizers of total
+# variation up to about 3e7
+DELTAS = [1e-5, 1e-6, 1e-7, 1e-8, 3e-9, 2e-9, 1e-9]
+
+
+def _uniform_block(k, d):
+    return validate_metric(d * (1.0 - np.eye(k)))
+
+
+@pytest.fixture(scope="module")
+def glue_components():
+    """(x, m_x, y, m_y) for the two-block glue (2 points at distance 1 with
+    M = 1/2, 3 points at distance 0.8 with M = 8/15) and for every pair of
+    19 seeded 3-D gaussian clouds of 2-11 points whose constants reach both
+    diameters, so that c = (m_x + m_y)(1 + delta)/2 glues them: 103 of the
+    171 pairs."""
+    rng = np.random.default_rng(5)
+    clouds = [euclidean_cloud(rng.standard_normal((int(rng.integers(2, 12)), 3)))
+              for _ in range(19)]
+    ms = [m_constant(x).value for x in clouds]
+    pairs = [(clouds[i], ms[i], clouds[j], ms[j])
+             for i, j in itertools.combinations(range(len(clouds)), 2)
+             if ms[i] + ms[j] >= max(diameter(clouds[i]), diameter(clouds[j]))]
+    assert len(pairs) == 103
+    return [(_uniform_block(2, 1.0), 0.5, _uniform_block(3, 0.8), 8.0 / 15.0)
+            ] + pairs
+
+
+class TestNearBoundaryGlue:
+    """Glued spaces just above the Strict/NonStrict boundary, at every scale:
+    no InconsistencyError, one answer per space across the scales, and every
+    finite value at the closed form up to the rounding of the gap."""
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_scale_sweep(self, glue_components, delta):
+        eps = np.finfo(np.float64).eps
+        problems = []
+        for k, (x, m_x, y, m_y) in enumerate(glue_components):
+            s = m_x + m_y
+            c = 0.5 * s * (1.0 + delta)
+            gap = 2.0 * c - s
+            value = (c * c - m_x * m_y) / gap
+            pred = glued_m_predict(m_x, m_y, c)
+            if pred.kind == "finite":
+                assert pred.value == value
+            z = glue(GlueSpec(x, y, c))
+            answers = set()
+            for lam in SCALES:
+                dec = m_constant(_scaled(z, lam))
+                answers.add((dec.status, dec.diagnostics["verdict"]))
+                if dec.finite:
+                    rel = abs(dec.value - lam * value) / (lam * value)
+                    if rel > 64.0 * eps * s / gap:
+                        problems.append((k, lam, rel * gap / (eps * s)))
+            if len(answers) != 1:
+                problems.append((k, sorted(answers)))
+        assert problems == []
 
 
 class TestScaleFreeDefaults:
