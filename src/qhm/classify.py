@@ -150,8 +150,9 @@ class StrictCertificate:
     margin: tau_hi, a certified lower bound on every eigenvalue of B, at
     least classify's tau. form: B. rounding: r = (m + 1) eps trace(B), a
     bound on the 2-norm of the rounding error of the factorization and the
-    budget of its panel residual; it does not bound the solve, which
-    `qhm.msolver` judges by its own backward error. factor: the blocked
+    budget of its panel residual; per unit of ||y||, also the residual a
+    converged refinement leaves. It does not judge the measure the solve
+    gives, which `qhm.msolver` checks on its own scale. factor: the blocked
     factorization of B - (tau_hi + 2 r) I that proved it, or None up to
     CHOLESKY_BLOCK rows, where the solve is one LU solve with B.
     """
@@ -224,15 +225,22 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
                              factor=factor)
 
 
-def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray:
-    """Q B^-1 Q' x for a certified B.
+def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray | None:
+    """Q B^-1 Q' x for a certified B, or None when the refinement does not
+    converge.
 
     Up to CHOLESKY_BLOCK rows this is one LU solve with B. Above, it is
     iterative refinement on the certificate's factor: y <- y + C^-1 (r - B y)
-    with C = B - shift I multiplies the error by -shift C^-1, so it
-    contracts when lambda_min > 2 shift, and it stops when a correction no
-    longer halves. A refinement that does not contract leaves a large
-    residual, which the invariant solve's check in `qhm.msolver` rejects.
+    with C = B - shift I multiplies the error by f = shift / (lambda -
+    shift) along an eigenvector of eigenvalue lambda, so it contracts when
+    lambda_min > 2 shift, and it stops when a correction no longer halves.
+    It has converged only if its residual is within `rounding` times ||y||,
+    where a backward-stable solve leaves it. One that stops with f >= 1/2
+    along the smallest eigenvector has a residual of at least shift ||y|| >
+    2 rounding ||y|| and is refused. That is a test of convergence the
+    invariant solve's check in `qhm.msolver` cannot make: near the boundary
+    lambda_min is a few shifts, so the same residual is within SOLVE_REL
+    times ||B|| ||y||, while y is wrong by f^2 along that eigenvector.
     """
     b = cert.form
     r = _to_mass_zero(x)
@@ -242,12 +250,16 @@ def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray:
     y = solve(r)
     last = math.inf
     while True:
-        dy = solve(r - b @ y)
+        res = r - b @ y
+        dy = solve(res)
         size = float(np.abs(dy).max())
         if not size < 0.5 * last:
-            return _from_mass_zero(y)
+            break
         y += dy
         last = size
+    if not np.linalg.norm(res) <= cert.rounding * np.linalg.norm(y):
+        return None
+    return _from_mass_zero(y)
 
 
 def _as_mass_zero_unit(space: FiniteMetricSpace, vec: np.ndarray) -> SignedMeasure:

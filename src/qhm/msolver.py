@@ -15,16 +15,18 @@ So `m_constant` and `invariant_measure` first try the Cholesky certificate
 of `qhm.classify.certify_strict` and solve with its factor by iterative
 refinement, or with a plain LU solve when B is small (diagnostics
 "certificate": "cholesky", "margin": the certified lower bound tau_hi on
-the eigenvalues of B). When the factorization fails or its solve misses
-the check below (as a refinement that does not contract does), they fall
-back to the full `eigh` classification of the same B ("certificate":
-"eigh", "margin": the smallest |eigenvalue|), which serves the NonStrict
-and NotQuasihypermetric verdicts and their witnesses. One check judges the
-measure w of either path: max|D w - c| within SOLVE_REL * diameter *
-||w||_1 and |sum(w) - 1| within SOLVE_REL * ||w||_1, a backward error of
-SOLVE_REL on the scale of w itself, which grows like 1/gap near the
-Strict/NonStrict boundary. A certified solve that misses it falls back to
-`eigh`; an `eigh` solve that misses it leaves no measure.
+the eigenvalues of B). When the factorization fails, the refinement does
+not converge (`_certified_mass_zero`) or its solve misses the check below,
+they fall back to the full `eigh` classification of the same B
+("certificate": "eigh", "margin": the smallest |eigenvalue|), which serves
+the NonStrict and NotQuasihypermetric verdicts and their witnesses. One
+check judges the measure w of either path: max|D w - c| within SOLVE_REL *
+diameter * ||w||_1 and |sum(w) - 1| within SOLVE_REL * ||w||_1, a
+backward error of SOLVE_REL on the scale of w itself, which grows like
+1/gap near the Strict/NonStrict boundary. A certified solve that misses it
+falls back to `eigh`; an `eigh` solve that misses it leaves no measure.
+Measures given to `glued_invariant`, `verify_maximal` and
+`sequence_diagnostics` are held to the same bounds.
 
 An independent projected-ascent oracle cross-checks finite values and
 detects divergence without touching the linear-algebra route: its iterates
@@ -69,7 +71,6 @@ from .tolerances import (
     BLOWUP_REL,
     DEFAULT_TOL,
     GRAD_TOL_REL,
-    MASS_TOL,
     SOLVE_REL,
 )
 
@@ -105,44 +106,62 @@ class MDecision:
         return self.status == "finite"
 
 
+def _mass_bound(w: np.ndarray) -> float:
+    """How far from 1 the mass of an invariant measure w may be: SOLVE_REL
+    * ||w||_1. Its potential may be that times the diameter from its
+    constant. The one definition of an acceptable invariant measure: the
+    invariant solve, `glued_invariant`, `verify_maximal` and
+    `sequence_diagnostics` all hold measures to it."""
+    return SOLVE_REL * float(np.abs(w).sum())
+
+
 def _invariant_solve(space: FiniteMetricSpace, evidence,
-                     checks: dict) -> InvariantSolve | None:
+                     diagnostics: dict) -> InvariantSolve | None:
     """w = u + Q B+ Q' D u and c = mean(D w), with B+ from the eigenpairs of
-    a Classification or B^-1 from a StrictCertificate, or None when w fails
-    the one acceptance check of an invariant solve: "flatness" = max|D w -
-    c| above "residual_bound" = SOLVE_REL * diameter * ||w||_1, or
-    "mass_error" = |sum(w) - 1| above "mass_bound" = SOLVE_REL * ||w||_1.
-    Those five numbers, with "measure_l1" = ||w||_1, go into `checks`."""
+    a Classification or B^-1 from a StrictCertificate, or None when that
+    solve fails or w fails the one acceptance check of an invariant solve:
+    "flatness" = max|D w - c| above "residual_bound" = diameter *
+    `_mass_bound(w)`, or "mass_error" = |sum(w) - 1| above "mass_bound" =
+    `_mass_bound(w)`. Those numbers, with "measure_l1" = ||w||_1, go into
+    `diagnostics`, and "unique" with them when w is accepted."""
     n = space.n
     u = np.full(n, 1.0 / n)
     if isinstance(evidence, StrictCertificate):
         y, unique = _certified_mass_zero(evidence, space.dist @ u), True
+        if y is None:
+            return None
     else:
         y, unique = _pinv_mass_zero(evidence, space.dist @ u)
     w = u + y
     pot = space.dist @ w
     c = float(pot.sum()) / n
-    l1 = float(np.abs(w).sum())
-    checks.update(flatness=float(np.abs(pot - c).max()),
-                  mass_error=abs(float(w.sum()) - 1.0), measure_l1=l1,
-                  residual_bound=SOLVE_REL * diameter(space) * l1,
-                  mass_bound=SOLVE_REL * l1)
-    if (checks["flatness"] > checks["residual_bound"]
-            or checks["mass_error"] > checks["mass_bound"]):
+    bound = _mass_bound(w)
+    diagnostics.update(flatness=float(np.abs(pot - c).max()),
+                       mass_error=abs(float(w.sum()) - 1.0),
+                       measure_l1=float(np.abs(w).sum()),
+                       residual_bound=diameter(space) * bound, mass_bound=bound)
+    if (diagnostics["flatness"] > diagnostics["residual_bound"]
+            or diagnostics["mass_error"] > bound):
         return None
+    diagnostics["unique"] = unique
     return InvariantSolve(measure=measure(space, w), value=c,
-                          residual=checks["flatness"], unique=unique)
+                          residual=diagnostics["flatness"], unique=unique)
 
 
-def _certified_solve(space: FiniteMetricSpace, tol: float, checks: dict):
-    """(B, certificate, solve): the restricted form, its Strict certificate
-    (None when Cholesky cannot give one) and the invariant solve from it
-    (None when there is no certificate or the solve misses its check)."""
+def _certified_solve(space: FiniteMetricSpace, tol: float,
+                     diagnostics: dict):
+    """(B, solve): the restricted form and the invariant solve from its
+    Strict certificate, None when Cholesky cannot give one or the solve
+    misses its check. A certificate puts its verdict and margin, and then
+    the solve's check, into `diagnostics`."""
     check_tol(tol)
     b = _restricted_form(space.dist)
     cert = certify_strict(b, tol)
-    solve = None if cert is None else _invariant_solve(space, cert, checks)
-    return b, cert, solve
+    if cert is None:
+        return b, None
+    diagnostics.update(certificate="cholesky", margin=cert.margin,
+                       classify_tol=cert.margin, verdict=Verdict.STRICT.value)
+    return b, _invariant_solve(space, cert, diagnostics)
 
 
 def invariant_measure(space: FiniteMetricSpace,
@@ -151,11 +170,10 @@ def invariant_measure(space: FiniteMetricSpace,
     Strict path when it succeeds and from the eigenpairs of the
     classification otherwise; None when no such measure exists or the
     solve misses its check."""
-    checks = {}
-    b, _, solve = _certified_solve(space, tol, checks)
+    b, solve = _certified_solve(space, tol, {})
     if solve is not None:
         return solve
-    return _invariant_solve(space, _classify_form(space, b, tol), checks)
+    return _invariant_solve(space, _classify_form(space, b, tol), {})
 
 
 def m_constant(space: FiniteMetricSpace,
@@ -180,13 +198,11 @@ def m_constant(space: FiniteMetricSpace,
     "measure_l1" (see `_invariant_solve`). The constant potential of a
     degenerate direction is judged against `default_flatness_tol(space)`.
     """
-    checks = {}
-    b, cert, solve = _certified_solve(space, tol, checks)
+    diagnostics = {}
+    b, solve = _certified_solve(space, tol, diagnostics)
     if solve is not None:
-        diagnostics = {"certificate": "cholesky", "margin": cert.margin,
-                       "classify_tol": cert.margin,
-                       "verdict": Verdict.STRICT.value}
-        return _finite(solve, diagnostics | checks)
+        return MDecision(status="finite", value=solve.value,
+                         maximal_measure=solve.measure, diagnostics=diagnostics)
 
     cls = _classify_form(space, b, tol)
     diagnostics = {"certificate": "eigh", "margin": cls.margin,
@@ -210,17 +226,10 @@ def m_constant(space: FiniteMetricSpace,
     solve = _invariant_solve(space, cls, diagnostics)
     if solve is None:
         raise InconsistencyError(
-            "the invariant solve on a space the classification declares "
-            "finite misses its check: flatness {flatness:.3e} against "
-            "{residual_bound:.3e}, mass error {mass_error:.3e} against "
-            "{mass_bound:.3e}".format_map(diagnostics),
-            diagnostics=diagnostics)
-    return _finite(solve, diagnostics)
-
-
-def _finite(solve: InvariantSolve, diagnostics: dict) -> MDecision:
-    """The finite decision from an accepted invariant solve."""
-    diagnostics["unique"] = solve.unique
+            "the invariant solve on a space classified finite misses its "
+            "check: flatness {flatness:.3e} against {residual_bound:.3e}, mass "
+            "error {mass_error:.3e} against {mass_bound:.3e}".format_map(
+                diagnostics), diagnostics=diagnostics)
     return MDecision(status="finite", value=solve.value,
                      maximal_measure=solve.measure, diagnostics=diagnostics)
 
@@ -271,11 +280,12 @@ def glued_invariant(mu1: SignedMeasure, mu2: SignedMeasure, m_x: float,
     Given mass-1 measures with constant potentials m_x, m_y on their spaces,
     the weighted concatenation (m_y - c) mu1 ++ (m_x - c) mu2 has constant
     potential m_x m_y - c^2 on the glued space and mass m_x + m_y - 2c. An
-    input whose potential deviates from its constant by more than
-    `default_flatness_tol` of its space raises NotInvariantInputError.
+    input whose potential deviates from its constant by more than SOLVE_REL
+    * diameter * ||mu||_1, the bound the invariant solve accepts, raises
+    NotInvariantInputError.
     """
     for mu, m, what in ((mu1, m_x, "first"), (mu2, m_y, "second")):
-        ft = default_flatness_tol(mu.space)
+        ft = diameter(mu.space) * _mass_bound(mu.weights)
         dev = float(np.abs(potential(mu.space, mu) - m).max())
         if dev > ft:
             raise NotInvariantInputError(
@@ -403,14 +413,14 @@ def verify_maximal(space: FiniteMetricSpace, mu: SignedMeasure, m_value: float,
                    trials: int = 1000, seed: int = 0,
                    tol: float = DEFAULT_TOL) -> MaximalityReport:
     """Check flatness, random dominance, and the norm identity for a
-    candidate maximal measure. A trial's energy dominates m_value when it
-    exceeds it by more than tol * diameter; `trials` must be an integer of
-    at least 1."""
+    candidate maximal measure, whose mass must be within SOLVE_REL *
+    ||mu||_1 of 1. A trial's energy dominates m_value when it exceeds it by more
+    than tol * diameter; `trials` must be an integer of at least 1."""
     check_tol(tol)
     if not (_all_indices([trials]) and trials >= 1):
         raise InvalidInputError(
             f"need at least 1 trial, as an integer, got {trials!r}")
-    if abs(mu.mass - 1.0) > MASS_TOL:
+    if abs(mu.mass - 1.0) > _mass_bound(mu.weights):
         raise InvalidInputError(f"candidate must have mass 1, got {mu.mass}")
     flatness = float(np.abs(potential(space, mu) - m_value).max())
     rng = np.random.default_rng(seed)
@@ -451,12 +461,13 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
     index_chain[k] lists the integer indices of the points of the k-th
     subspace inside `full_space` (each list must be contained in the next);
     measures[k] is the measure on that subspace, given as a SignedMeasure
-    or raw weights, of mass 1 within MASS_TOL. Each measure is extended by
-    zeros to the full space; the table reports its energy, the sup-inf
-    spread of its potential over all full-space points, and the seminorm of
-    the step from the previous chain element, whose mass is 0 within
-    2 MASS_TOL. A chain that breaks these rules, an index that is not an
-    integer included, raises ChainMismatchError. The caller asserts
+    or raw weights, of mass 1 within SOLVE_REL times its total variation.
+    Each measure is extended by zeros to the full space; the table reports
+    its energy, the sup-inf spread of its potential over all full-space
+    points, and the seminorm of the step from the previous chain element,
+    whose mass is 0 within the sum of the two ends' bounds. A chain that
+    breaks these rules, an index that is not an integer included, raises
+    ChainMismatchError. The caller asserts
     monotonicity or boundedness; no rates are claimed. `run_converge`
     reports these columns on its rows.
     """
@@ -488,7 +499,7 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
         if w.shape != (len(ix),):
             raise ChainMismatchError(
                 f"measure {k} has {w.shape} weights for {len(ix)} points")
-        if abs(float(w.sum()) - 1.0) > MASS_TOL:
+        if abs(float(w.sum()) - 1.0) > _mass_bound(w):
             raise ChainMismatchError(f"measure {k} has mass {w.sum()}, need 1")
         full = np.zeros(n)
         full[np.asarray(ix, dtype=np.intp)] = w
@@ -500,7 +511,8 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
         step = None
         if k > 0:
             dmu = measure(full_space, mu.weights - extended[k - 1].weights)
-            step = seminorm_zero(full_space, dmu, mass_tol=2 * MASS_TOL)
+            step = seminorm_zero(full_space, dmu, mass_tol=_mass_bound(
+                mu.weights) + _mass_bound(extended[k - 1].weights))
         rows.append(SequenceRow(k=k, n_k=len(chains[k]),
                                 i_mu=energy(full_space, mu),
                                 flatness=float(pot.max() - pot.min()),

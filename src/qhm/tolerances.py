@@ -26,13 +26,9 @@ an eigenvalue of B zero within DEFAULT_TOL * rho(B). They meet through
 nu = w_x - w_y, which has mass zero and -I(nu) = g, so lambda_min(B) <=
 g / ||nu||_2^2 and `classify` can say Strict only when g > DEFAULT_TOL *
 rho(B) * ||nu||_2^2. In units of the gap, its band is rho(B) ||nu||_2^2 /
-max(m_x + m_y, 2c) times the predictor's, a factor of the space: 0.57 to
-2.1 over the 103 seeded cloud pairs of tests/test_scale_free.py. Where the
-two disagree, the decision of `m_constant` wins; the predictor is a closed
-form to check decisions against. At c = (m_x + m_y)(1 + 1e-9)/2, a gap at
-the tolerance itself, the predictor calls 97 of those pairs finite and 6
-infinite, while `m_constant` finds 22 Strict and finite, at the closed
-form within rounding, and 81 NonStrict and infinite.
+max(m_x + m_y, 2c) times the predictor's, a factor of the space that may
+be above or below 1. Where the two disagree, the decision of `m_constant`
+wins; the predictor is a closed form to check decisions against.
 """
 
 # Spectral verdict: an eigenvalue of B within DEFAULT_TOL * rho(B) of zero
@@ -49,11 +45,12 @@ MASS_TOL = 1e-9
 # SOLVE_REL * ||w||_1 of 1: a backward error of SOLVE_REL, scaled like the
 # rounding of D w and of sum(w), which grow with ||w||_1 (about 1/gap near
 # the Strict/NonStrict boundary). The spectral tolerance plays no part.
+# Measures given as invariant or maximal are held to the same bounds.
 SOLVE_REL = 1e-9
 
-# The potential of a degenerate direction, or of a measure given as
-# invariant, varies by at most FLATNESS_REL * diameter, and a degenerate
-# direction whose constant value is larger is nonzero.
+# The potential of a degenerate direction varies by at most FLATNESS_REL *
+# diameter, and a degenerate direction whose constant value is larger is
+# nonzero.
 FLATNESS_REL = 1e-8
 
 # A seminorm radicand -I(mu) below -NEG_RADICAND_REL * diameter * ||mu||_1^2

@@ -34,6 +34,7 @@ from qhm import (
 )
 from qhm._kernels import CHOLESKY_BLOCK
 from qhm.classify import (
+    _certified_mass_zero,
     _restricted_form,
     certify_strict,
 )
@@ -320,10 +321,7 @@ class TestCertifiedPath:
 
     def test_refinement_that_does_not_contract_falls_back(self):
         # shift = lambda_min / 1.5: the factor exists, but refinement
-        # multiplies the error by shift / (lambda_min - shift) = 2, and the
-        # invariant solve's check rejects what it leaves
-        from qhm.msolver import _invariant_solve
-
+        # multiplies the error by shift / (lambda_min - shift) = 2
         _, _, (x,) = ball_chain([101])
         b = _restricted_form(x.dist)
         assert b.shape[0] > CHOLESKY_BLOCK
@@ -331,13 +329,36 @@ class TestCertifiedPath:
         tol = lam_min / 1.5 / float(np.linalg.norm(b))
         cert = certify_strict(b, tol)
         assert cert is not None
-        checks = {}
-        assert _invariant_solve(x, cert, checks) is None
-        assert checks["flatness"] > checks["residual_bound"]
+        assert _certified_mass_zero(cert, x.dist @ np.full(x.n, 1.0 / x.n)) is None
         dec = m_constant(x, tol)
         assert dec.diagnostics["certificate"] == "eigh"
         assert dec.diagnostics["verdict"] == "Strict"
         assert dec.value == pytest.approx(m_constant(x).value, rel=1e-12)
+
+    @pytest.mark.parametrize("ratio", [1.2, 1.5, 2.5, 2.9])
+    def test_refinement_near_the_boundary(self, ratio):
+        # a 103-point glue at delta = 1e-8 with shift = lambda_min / ratio:
+        # refinement stops after one correction with y wrong by f^2 =
+        # (shift / (lambda_min - shift))^2 along the smallest eigenvector,
+        # yet with a backward error within SOLVE_REL; the decision must
+        # still be at the closed form up to the rounding of the gap
+        _, _, (x,) = ball_chain([101])
+        m_x, m_y = m_constant(x).value, 0.5
+        s = m_x + m_y
+        c = 0.5 * s * (1.0 + 1e-8)
+        z = glue(GlueSpec(x, _two_points(), c))
+        b = _restricted_form(z.dist)
+        assert b.shape[0] > CHOLESKY_BLOCK
+        eps = np.finfo(np.float64).eps
+        rounding = (b.shape[0] + 1) * eps * float(b.trace())
+        shift = float(np.linalg.eigvalsh(b)[0]) / ratio
+        tol = (shift - 2.0 * rounding) / float(np.linalg.norm(b))
+        assert certify_strict(b, tol) is not None
+        dec = m_constant(z, tol)
+        assert dec.finite and dec.diagnostics["verdict"] == "Strict"
+        gap = 2.0 * c - s
+        want = (c * c - m_x * m_y) / gap
+        assert abs(dec.value - want) <= 64.0 * eps * s / gap * want
 
     @pytest.mark.parametrize("spaces", ["clouds", "ball-201"])
     @pytest.mark.parametrize("target", ["tau_hi", "tau"])
@@ -801,6 +822,42 @@ def _equal_glue():
     solve runs on the eigh path, and the uniform measure is not invariant."""
     return glue(GlueSpec(interval_grid(0, 1, 5),
                          validate_metric([[0, 1], [1, 0]]), 0.5))
+
+
+def _two_points():
+    return validate_metric([[0, 1], [1, 0]])
+
+
+def _near_boundary_glue(delta):
+    """(z, x, y, dec_x): 2 points at distance 1 (M = 1/2) glued to 3 points
+    at distance 0.8 (M = 8/15) at c = c0 (1 + delta), c0 = 31/60 the
+    boundary, and the decision on the first component."""
+    x = _two_points()
+    y = validate_metric(0.8 * (1.0 - np.eye(3)))
+    c = 0.5 * (0.5 + 8.0 / 15.0) * (1.0 + delta)
+    return glue(GlueSpec(x, y, c)), x, y, m_constant(x)
+
+
+class TestNearBoundaryMeasure:
+    """The maximizer m_constant gives a near-boundary Strict space, with
+    ||w||_1 about 1e7, passes every check the library makes of a measure
+    given as invariant or maximal."""
+
+    @pytest.mark.parametrize("delta", [3e-9, 1e-9])
+    def test_downstream_checks_accept_it(self, delta):
+        z, x, y, dx = _near_boundary_glue(delta)
+        dec = m_constant(z)
+        assert dec.finite and dec.diagnostics["measure_l1"] > 1e7
+        w = dec.maximal_measure
+        report = verify_maximal(z, w, dec.value, trials=20)
+        assert report.flatness <= dec.diagnostics["residual_bound"]
+        assert report.dominance_violations == 0
+        rows = sequence_diagnostics(z, [range(x.n), range(z.n)],
+                                    [dx.maximal_measure, w])
+        assert rows[1].n_k == z.n and rows[1].seminorm_step > 0.0
+        combined = glued_invariant(w, dx.maximal_measure, dec.value,
+                                   dx.value, 2.0 * dec.value)
+        assert combined.space.n == z.n + x.n
 
 
 class TestInconsistencyGuard:

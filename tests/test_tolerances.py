@@ -85,7 +85,7 @@ def test_public_names_resolve_to_the_module():
     homes = {"qhm": ["DEFAULT_TOL", "MASS_TOL"],
              "qhm.classify": ["DEFAULT_TOL"],
              "qhm.energy": ["MASS_TOL"],
-             "qhm.msolver": ["DEFAULT_TOL", "MASS_TOL", "SOLVE_REL"],
+             "qhm.msolver": ["DEFAULT_TOL", "SOLVE_REL"],
              "qhm.spaces": ["TRIANGLE_TOL_REL"],
              "qhm._kernels": ["PERRON_RTOL"],
              "qhm.experiments": ["GLUE_DIVERGE_PREDICTION_RTOL"]}
