@@ -41,24 +41,17 @@ from ._kernels import CHOLESKY_BLOCK, EPS, BlockedCholesky, blocked_cholesky
 from .energy import SignedMeasure, potential
 from .errors import (
     EigendecompositionFailure,
-    FlatnessViolationError,
     InvalidInputError,
     NotApplicableError,
 )
-from .spaces import FiniteMetricSpace, diameter
-from .tolerances import DEFAULT_TOL, FLATNESS_REL
+from .spaces import FiniteMetricSpace
+from .tolerances import DEFAULT_TOL
 
 
 def check_tol(tol: float) -> None:
     """Reject a NaN, infinite or negative decision tolerance."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
-
-
-def default_flatness_tol(space: FiniteMetricSpace) -> float:
-    """Tolerance for 'constant potential' checks: FLATNESS_REL times the
-    diameter."""
-    return FLATNESS_REL * diameter(space)
 
 
 class Verdict(str, Enum):
@@ -130,17 +123,20 @@ def _restricted_form(dist: np.ndarray) -> np.ndarray:
     return b
 
 
-def _pinv_mass_zero(cls: Classification, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Q B+ Q' x from the eigenpairs of B in `cls`, and whether B+ = B^-1.
-    B+ inverts the eigenvalues above tol_used in magnitude, zeroing the
-    degenerate ones."""
+def _pinv_mass_zero(cls: Classification,
+                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q B+ Q' x from the eigenpairs of B in `cls`, and the coefficients
+    <x, f_i> it drops. B+ inverts the eigenvalues above tol_used in
+    magnitude and skips the degenerate ones, whose directions f_i are
+    `cls.kernel_basis` in order; none dropped means B+ = B^-1. For x = Du,
+    u = ones/n, <Du, f_i> = mean(D f_i) is the flat value of f_i."""
     vals, vecs = cls.restricted_values, cls.restricted_vectors
     if vals.size == 0:
-        return np.zeros_like(x), True
+        return np.zeros_like(x), np.zeros(0)
     keep = np.abs(vals) > cls.tol_used
-    coef = np.divide(vecs.T @ _to_mass_zero(x), vals, out=np.zeros_like(vals),
-                     where=keep)
-    return _from_mass_zero(vecs @ coef), bool(keep.all())
+    proj = vecs.T @ _to_mass_zero(x)
+    coef = np.divide(proj, vals, out=np.zeros_like(vals), where=keep)
+    return _from_mass_zero(vecs @ coef), proj[~keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,25 +319,21 @@ class KernelFlatValue:
 
 def kernel_flat_values(space: FiniteMetricSpace,
                        cls: Classification) -> list[KernelFlatValue]:
-    """Constant potential values of the degenerate directions.
+    """Constant potential values of the degenerate directions, and how far
+    each potential deviates from its value.
 
-    On a genuinely quasihypermetric space the potential of every seminorm-zero
-    mass-zero measure is constant; a deviation above
-    `default_flatness_tol(space)` means the classification tolerance was too
-    loose for this space.
+    For f = Q y, y a unit eigenvector of B with eigenvalue lambda,
+    D f - mean(D f) = -lambda f exactly, so the deviation is |lambda| *
+    max|f|, within the verdict's band. The value is the coefficient that
+    the invariant solve drops along f (`_pinv_mass_zero`).
     """
     if cls.verdict is not Verdict.NON_STRICT:
         raise NotApplicableError(
             f"kernel flat values require a NonStrict verdict, got {cls.verdict.value}")
-    flatness_tol = default_flatness_tol(space)
     out = []
     for f in cls.kernel_basis:
         pot = potential(space, f)
         value = float(pot.mean())
         deviation = float(np.abs(pot - value).max())
-        if deviation > flatness_tol:
-            raise FlatnessViolationError(
-                f"degenerate-direction potential varies by {deviation} > "
-                f"{flatness_tol}; classification tolerance too loose")
         out.append(KernelFlatValue(vector=f, value=value, deviation=deviation))
     return out

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
 Validation errors signal bad inputs (exit code 2 in the CLI); solver errors
-signal numerical breakdown or a tolerance misconfiguration (exit code 3).
+signal numerical breakdown, such as an eigensolver failure or an invariant
+solve the theory rules out (exit code 3).
 """
 
 
@@ -87,10 +88,6 @@ class NonzeroMassError(ValidationError):
 # -- classification / solving ----------------------------------------------
 
 class NotApplicableError(ValidationError):
-    pass
-
-
-class FlatnessViolationError(ValidationError):
     pass
 
 

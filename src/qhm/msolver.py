@@ -1,13 +1,13 @@
 """Invariant measures and the energy supremum constant of a finite space.
 
 The supremum M of the energy I(mu) over signed measures of total mass 1 is
-decided in three steps: a non-quasihypermetric space has M infinite (the
-spectral witness has positive energy); a quasihypermetric space carrying a
-mass-zero measure whose potential is a nonzero constant also has M infinite;
-otherwise M is finite, attained by a mass-1 measure w with constant
-potential c = M. With u = ones/n and B = -Q'DQ (Q an orthonormal mass-zero
-basis), w = u + Q B+ Q' D u and c = mean(D w), where B+ skips the degenerate
-directions.
+decided in two steps: a non-quasihypermetric space has M infinite (the
+spectral witness has positive energy); on a quasihypermetric space M is
+finite exactly when some mass-1 measure w has constant potential, and then
+M = c, that constant. With u = ones/n and B = -Q'DQ (Q an orthonormal
+mass-zero basis), w = u + Q B+ Q' D u and c = mean(D w), where B+ skips the
+degenerate directions f; what it skips, <Du, f> = mean(D f), is the
+constant potential value of f.
 
 Most finite spaces are Strict, and a Strict decision needs only a proof that
 B is positive definite beyond the tolerance and B^-1 applied to one vector.
@@ -25,8 +25,10 @@ diameter * ||w||_1 and |sum(w) - 1| within SOLVE_REL * ||w||_1, a
 backward error of SOLVE_REL on the scale of w itself, which grows like
 1/gap near the Strict/NonStrict boundary. A certified solve that misses it
 falls back to `eigh`; an `eigh` solve that misses it leaves no measure.
-Measures given to `glued_invariant`, `verify_maximal` and
-`sequence_diagnostics` are held to the same bounds.
+The same check decides NonStrict: M is finite when the solve passes, and
+infinite (NonzeroFlatKernel) when it misses and the skipped values exceed
+its residual bound in 2-norm. Measures given to `glued_invariant`,
+`verify_maximal` and `sequence_diagnostics` are held to the same bounds.
 
 An independent projected-ascent oracle cross-checks finite values and
 detects divergence without touching the linear-algebra route: its iterates
@@ -49,8 +51,6 @@ from .classify import (
     _restricted_form,
     certify_strict,
     check_tol,
-    default_flatness_tol,
-    kernel_flat_values,
 )
 from .energy import (
     SignedMeasure,
@@ -123,27 +123,31 @@ def _invariant_solve(space: FiniteMetricSpace, evidence,
     "flatness" = max|D w - c| above "residual_bound" = diameter *
     `_mass_bound(w)`, or "mass_error" = |sum(w) - 1| above "mass_bound" =
     `_mass_bound(w)`. Those numbers, with "measure_l1" = ||w||_1, go into
-    `diagnostics`, and "unique" with them when w is accepted."""
+    `diagnostics`, and "unique" with them when w is accepted. When B+ skips
+    degenerate directions, the coefficients it drops, their constant
+    potential values, go in as "kernel_flat_values"."""
     n = space.n
     u = np.full(n, 1.0 / n)
     if isinstance(evidence, StrictCertificate):
-        y, unique = _certified_mass_zero(evidence, space.dist @ u), True
+        y, dropped = _certified_mass_zero(evidence, space.dist @ u), ()
         if y is None:
             return None
     else:
-        y, unique = _pinv_mass_zero(evidence, space.dist @ u)
+        y, dropped = _pinv_mass_zero(evidence, space.dist @ u)
+        if dropped.size:
+            diagnostics["kernel_flat_values"] = dropped.tolist()
     w = u + y
     pot = space.dist @ w
     c = float(pot.sum()) / n
-    bound = _mass_bound(w)
+    l1 = float(np.abs(w).sum())
+    bound = SOLVE_REL * l1  # _mass_bound(w)
     diagnostics.update(flatness=float(np.abs(pot - c).max()),
-                       mass_error=abs(float(w.sum()) - 1.0),
-                       measure_l1=float(np.abs(w).sum()),
+                       mass_error=abs(float(w.sum()) - 1.0), measure_l1=l1,
                        residual_bound=diameter(space) * bound, mass_bound=bound)
     if (diagnostics["flatness"] > diagnostics["residual_bound"]
             or diagnostics["mass_error"] > bound):
         return None
-    diagnostics["unique"] = unique
+    unique = diagnostics["unique"] = len(dropped) == 0
     return InvariantSolve(measure=measure(space, w), value=c,
                           residual=diagnostics["flatness"], unique=unique)
 
@@ -183,20 +187,21 @@ def m_constant(space: FiniteMetricSpace,
     Procedure: (a) a Cholesky certificate of a Strict verdict with an
     accepted invariant solve decides finite at once. Otherwise classify
     from the spectrum: (b) a NotQuasihypermetric verdict is Infinite with
-    the spectral witness. (c) On NonStrict, any degenerate direction whose
-    constant potential value is nonzero forces Infinite with that direction
-    as witness. (d) Otherwise the invariant solve must pass its check
-    (theory guarantees existence for finite quasihypermetric spaces);
-    failure raises InconsistencyError, whose diagnostics carry the check's
-    numbers. The tolerance decides the verdict only, never the acceptance.
+    the spectral witness. (c) Otherwise an accepted invariant solve
+    decides finite, on Strict and NonStrict alike. (d) A rejected solve on
+    NonStrict is Infinite when the flat values it dropped along the
+    degenerate directions exceed its "residual_bound" in 2-norm; the
+    direction of largest |value| is the witness. Any other rejection
+    raises InconsistencyError, whose diagnostics carry the check's numbers.
+    The tolerance decides the verdict only, never finite versus infinite.
 
     diagnostics: "certificate" ("cholesky" or "eigh"), "verdict", "margin"
     (the certified lower bound tau_hi on the eigenvalues of B, or the
     smallest |eigenvalue|), "classify_tol" (the tolerance the verdict was
-    tested against), and on finite decisions "unique" and the check's
-    "flatness", "residual_bound", "mass_error", "mass_bound" and
-    "measure_l1" (see `_invariant_solve`). The constant potential of a
-    degenerate direction is judged against `default_flatness_tol(space)`.
+    tested against), the check's "flatness", "residual_bound",
+    "mass_error", "mass_bound" and "measure_l1" (see `_invariant_solve`),
+    "unique" on finite decisions, and on NonStrict "kernel_flat_values",
+    with "flat_value" the witness's when Infinite.
     """
     diagnostics = {}
     b, solve = _certified_solve(space, tol, diagnostics)
@@ -213,18 +218,15 @@ def m_constant(space: FiniteMetricSpace,
         return MDecision(status="infinite", reason="NotQuasihypermetric",
                          witness=cls.witness, diagnostics=diagnostics)
 
-    if cls.verdict is Verdict.NON_STRICT:
-        flats = kernel_flat_values(space, cls)
-        diagnostics["kernel_flat_values"] = [f.value for f in flats]
-        flatness_tol = default_flatness_tol(space)
-        for f in flats:
-            if abs(f.value) > flatness_tol:
-                diagnostics["flat_value"] = f.value
-                return MDecision(status="infinite", reason="NonzeroFlatKernel",
-                                 witness=f.vector, diagnostics=diagnostics)
-
     solve = _invariant_solve(space, cls, diagnostics)
     if solve is None:
+        flats = diagnostics.get("kernel_flat_values", [])
+        if math.hypot(*flats) > diagnostics["residual_bound"]:
+            i = max(range(len(flats)), key=lambda k: abs(flats[k]))
+            diagnostics["flat_value"] = flats[i]
+            return MDecision(status="infinite", reason="NonzeroFlatKernel",
+                             witness=cls.kernel_basis[i],
+                             diagnostics=diagnostics)
         raise InconsistencyError(
             "the invariant solve on a space classified finite misses its "
             "check: flatness {flatness:.3e} against {residual_bound:.3e}, mass "

@@ -18,6 +18,12 @@ turned a relative threshold into an absolute one. A one-point space has
 diameter 0 and no scale; its decisions meet only exact zeros, and the
 ascent oracle keeps absolute defaults for it.
 
+The spectral band decides the verdict only. On a Strict or NonStrict
+verdict, finite versus infinite is the invariant solve's check (SOLVE_REL
+below). No band judges how flat a degenerate direction is: along an
+eigenvector of eigenvalue lambda its potential varies by exactly |lambda|
+times the vector, which the verdict's band already bounds.
+
 Two different bands mark the Strict/NonStrict boundary of a glued space.
 Glue X and Y, with constants m_x, m_y and maximizers w_x, w_y, at
 cross-distance c, and let g = 2c - (m_x + m_y). `glued_m_predict` calls
@@ -45,13 +51,9 @@ MASS_TOL = 1e-9
 # SOLVE_REL * ||w||_1 of 1: a backward error of SOLVE_REL, scaled like the
 # rounding of D w and of sum(w), which grow with ||w||_1 (about 1/gap near
 # the Strict/NonStrict boundary). The spectral tolerance plays no part.
+# This check alone decides finite versus infinite on Strict and NonStrict.
 # Measures given as invariant or maximal are held to the same bounds.
 SOLVE_REL = 1e-9
-
-# The potential of a degenerate direction varies by at most FLATNESS_REL *
-# diameter, and a degenerate direction whose constant value is larger is
-# nonzero.
-FLATNESS_REL = 1e-8
 
 # A seminorm radicand -I(mu) below -NEG_RADICAND_REL * diameter * ||mu||_1^2
 # is negative beyond roundoff (|I(mu)| <= diameter * ||mu||_1^2).

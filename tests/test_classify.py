@@ -2,20 +2,30 @@ import numpy as np
 import pytest
 
 from qhm import (
+    GlueSpec,
     Verdict,
+    ball_chain,
     classify,
+    diameter,
     energy,
     euclidean_cloud,
     fixture,
+    glue,
     interval_grid,
     kernel_flat_values,
+    m_constant,
     measure,
     potential,
     random_metric,
     regular_polygon_arc,
     validate_metric,
 )
-from qhm.classify import _from_mass_zero, _restricted_form, _to_mass_zero
+from qhm.classify import (
+    _from_mass_zero,
+    _pinv_mass_zero,
+    _restricted_form,
+    _to_mass_zero,
+)
 from qhm.errors import NotApplicableError
 
 from conftest import random_cloud
@@ -168,6 +178,37 @@ class TestKernelFlatValues:
         for kf in flats:
             assert kf.value == pytest.approx(0.0, abs=1e-10)
             assert kf.deviation <= 1e-10
+
+    @pytest.mark.parametrize("case", ["circle-8", "fourpoint-antipodal",
+                                      "nw-thm2.9", "equal-glue", "ball-glue"])
+    def test_deviation_and_value_identities(self, case):
+        # along a degenerate direction f = Q y, B y = lambda y, the potential
+        # is D f = mean(D f) - lambda f exactly, so its deviation is
+        # |lambda| max|f|; its mean is the coefficient <Du, f> that the
+        # invariant solve drops along f
+        two = validate_metric([[0, 1], [1, 0]])
+        if case == "equal-glue":
+            space = glue(GlueSpec(interval_grid(0, 1, 5), two, 0.5))
+        elif case == "ball-glue":  # NonStrict inside the verdict's band
+            _, _, (x,) = ball_chain([401])
+            c = 0.5 * (m_constant(x).value + 0.5) * (1.0 + 2e-8)
+            space = glue(GlueSpec(x, two, c))
+        else:
+            space = fixture(case).space
+        cls = classify(space)
+        assert cls.verdict is Verdict.NON_STRICT
+        flats = kernel_flat_values(space, cls)
+        vals = cls.restricted_values
+        lams = vals[np.abs(vals) <= cls.tol_used]
+        _, dropped = _pinv_mass_zero(cls, space.dist @ np.full(space.n,
+                                                              1.0 / space.n))
+        assert len(flats) == lams.size == dropped.size
+        bound = 64.0 * np.finfo(np.float64).eps * diameter(space) * np.sqrt(
+            space.n)
+        for kf, lam, coef in zip(flats, lams, dropped):
+            spread = abs(lam) * np.abs(kf.vector.weights).max()
+            assert abs(kf.deviation - spread) <= bound
+            assert abs(kf.value - coef) <= bound
 
     def test_not_applicable_on_strict(self):
         x = interval_grid(0, 1, 3)

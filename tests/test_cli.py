@@ -6,9 +6,11 @@ import pytest
 
 from qhm import (
     GlueSpec,
+    ball_chain,
     glue,
     interval_grid,
     load_space,
+    m_constant,
     random_metric,
     save_space,
     validate_metric,
@@ -115,6 +117,24 @@ class TestMconstantVerb:
         code, out, _ = run_cli(capsys, "invariant", str(path))
         assert code == 0
         assert json.loads(out)["found"]
+
+
+    def test_in_band_glue_is_infinite(self, capsys, tmp_path):
+        # a 401-point ball glued to 2 points at distance 1 at c = c0 (1 +
+        # 2e-8): lambda_min(B) is inside the verdict's band, and the
+        # degenerate direction's constant potential value explains why the
+        # invariant solve is rejected
+        _, _, (x,) = ball_chain([401])
+        c = 0.5 * (m_constant(x).value + 0.5) * (1.0 + 2e-8)
+        path = tmp_path / "glue.json"
+        save_space(glue(GlueSpec(x, validate_metric([[0, 1], [1, 0]]), c)),
+                   path)
+        code, out, _ = run_cli(capsys, "mconstant", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "infinite"
+        assert payload["reason"] == "NonzeroFlatKernel"
+        assert payload["diagnostics"]["verdict"] == "NonStrict"
 
 
 class TestInvariantVerb:

@@ -35,12 +35,12 @@ from qhm import (
 from qhm._kernels import CHOLESKY_BLOCK
 from qhm.classify import (
     _certified_mass_zero,
+    _from_mass_zero,
     _restricted_form,
     certify_strict,
 )
 from qhm.errors import (
     ChainMismatchError,
-    FlatnessViolationError,
     InconsistencyError,
     InvalidInputError,
     NotInvariantInputError,
@@ -151,9 +151,13 @@ class TestEigenpairSolve:
         rhs = np.random.default_rng(9).standard_normal(x.n)
         vec = q @ vec[:, keep]
         expected = vec @ ((vec.T @ rhs) / lam[keep])
-        got, unique = _pinv_mass_zero(cls, rhs)
-        assert not unique
+        got, dropped = _pinv_mass_zero(cls, rhs)
         assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+        # it drops the one coefficient <rhs, f> along the degenerate
+        # direction f, the eigenvector of the smallest eigenvalue
+        f = q @ np.linalg.eigh(-(q.T @ x.dist @ q))[1][:, 0]
+        assert dropped.shape == (1,)
+        assert abs(abs(dropped[0]) - abs(f @ rhs)) <= 1e-9 * np.abs(rhs).max()
 
 
 class _Counter:
@@ -367,7 +371,9 @@ class TestCertifiedPath:
         # tol puts tau_hi (or classify's tau) just below or just above
         # lambda_min: the certificate never says Strict where eigh does not.
         # The ball's form has four blocks, so its certificate is the blocked
-        # factorization.
+        # factorization. With tau above lambda_min its eigenvector is a
+        # degenerate direction whose constant potential value is nonzero,
+        # and it explains why the invariant solve is rejected.
         if spaces == "ball-201":
             _, _, xs = ball_chain([201])
         else:
@@ -376,7 +382,7 @@ class TestCertifiedPath:
                   for _ in range(20)]
         for x in xs:
             b = _restricted_form(x.dist)
-            vals = np.linalg.eigvalsh(b)
+            vals, vecs = np.linalg.eigh(b)
             scale = (float(np.linalg.norm(b)) if target == "tau_hi"
                      else float(np.abs(vals).max()))
             assert scale > 1.0
@@ -391,11 +397,17 @@ class TestCertifiedPath:
             else:
                 assert cert is None
                 assert (cls.verdict is Verdict.STRICT) == (factor < 1.0)
+            dec = m_constant(x, tol)
             if cls.verdict is Verdict.STRICT:
-                assert m_constant(x, tol).diagnostics["verdict"] == "Strict"
-            else:  # lambda_min is no degenerate direction: tol too loose
-                with pytest.raises(FlatnessViolationError):
-                    m_constant(x, tol)
+                assert dec.diagnostics["verdict"] == "Strict"
+            else:
+                assert dec.diagnostics["verdict"] == "NonStrict"
+                assert (dec.status, dec.reason) == ("infinite",
+                                                    "NonzeroFlatKernel")
+                f = _from_mass_zero(vecs[:, 0])
+                assert abs(dec.witness.weights @ f) >= 1.0 - 1e-12
+                diag = dec.diagnostics
+                assert abs(diag["flat_value"]) > diag["residual_bound"]
 
 
 def _planted_form(m, lam_min, seed):
@@ -895,8 +907,8 @@ class TestInconsistencyGuard:
         real = msolver._pinv_mass_zero
 
         def scaled(cls, x):
-            y, unique = real(cls, x)
-            return (1.0 + 1e-6) * y, unique
+            y, dropped = real(cls, x)
+            return (1.0 + 1e-6) * y, dropped
 
         monkeypatch.setattr(msolver, "_pinv_mass_zero", scaled)
         with pytest.raises(InconsistencyError) as exc:
@@ -904,6 +916,11 @@ class TestInconsistencyGuard:
         diag = exc.value.diagnostics
         assert diag["flatness"] > diag["residual_bound"]
         assert diag["verdict"] == dec.diagnostics["verdict"]
+        # the equal glue's degenerate direction has a zero flat value, so
+        # the rejection is no evidence of an infinite constant
+        if case == "equal-glue":
+            assert diag["verdict"] == "NonStrict"
+            assert "flat_value" not in diag
         assert invariant_measure(space, tol) is None
 
 

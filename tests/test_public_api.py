@@ -47,7 +47,6 @@ SURFACE = {
     "ball_chain": ("sizes", "shells"),
     "ball_discretization": ("shells", "points_per_shell"),
     "classify": ("space", "tol"),
-    "default_flatness_tol": ("space",),
     "diameter": ("space",),
     "energy": ("space", "mu"),
     "energy_bilinear": ("space", "mu", "nu"),

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from qhm import (
     GlueSpec,
+    QhmError,
     Verdict,
     ascent_oracle,
+    ball_chain,
     classify,
     diameter,
     euclidean_cloud,
@@ -236,6 +238,40 @@ class TestNearBoundaryGlue:
                         problems.append((k, lam, rel * gap / (eps * s)))
             if len(answers) != 1:
                 problems.append((k, sorted(answers)))
+        assert problems == []
+
+    @pytest.mark.parametrize("delta", [3e-8, 2e-8, 1e-8])
+    def test_ball_glue_sweep(self, delta):
+        # a 401-point ball glued to each block. Near 2e-8 the smallest
+        # eigenvalue of B enters the verdict's band, and the potential of its
+        # eigenvector varies by that eigenvalue, about 2e-8 of the diameter;
+        # only the invariant solve's check decides finite versus infinite
+        _, _, (x,) = ball_chain([401])
+        m_x = m_constant(x).value
+        eps = np.finfo(np.float64).eps
+        problems = []
+        for y, m_y in ((_uniform_block(2, 1.0), 0.5),
+                       (_uniform_block(3, 0.8), 8.0 / 15.0)):
+            s = m_x + m_y
+            c = 0.5 * s * (1.0 + delta)
+            gap = 2.0 * c - s
+            pred = glued_m_predict(m_x, m_y, c)
+            z = glue(GlueSpec(x, y, c))
+            answers = set()
+            for lam in SCALES:
+                try:
+                    dec = m_constant(_scaled(z, lam))
+                except QhmError as exc:
+                    problems.append((y.n, lam, repr(exc)))
+                    continue
+                answers.add((dec.status, dec.reason,
+                             dec.diagnostics["verdict"]))
+                if dec.finite:
+                    rel = abs(dec.value - lam * pred.value) / (lam * pred.value)
+                    if rel > 64.0 * eps * s / gap:
+                        problems.append((y.n, lam, rel * gap / (eps * s)))
+            if len(answers) != 1:
+                problems.append((y.n, sorted(answers, key=str)))
         assert problems == []
 
 
