@@ -44,13 +44,14 @@ from .errors import (
     InvalidInputError,
     NotApplicableError,
 )
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _is_real_type
 from .tolerances import DEFAULT_TOL
 
 
 def check_tol(tol: float) -> None:
-    """Reject a NaN, infinite or negative decision tolerance."""
-    if not (math.isfinite(tol) and tol >= 0.0):
+    """Reject a decision tolerance that is not a real number, or is NaN,
+    infinite or negative."""
+    if not (_is_real_type(type(tol)) and math.isfinite(tol) and tol >= 0.0):
         raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
@@ -96,7 +97,9 @@ def _to_mass_zero(x: np.ndarray) -> np.ndarray:
 
 
 def _from_mass_zero(y: np.ndarray) -> np.ndarray:
-    """Qy = (a s, y - beta a^2 s) with s = sum(y), for n - 1 >= 1 entries."""
+    """Qy = (a s, y - beta a^2 s) with s = sum(y), for n - 1 >= 1 entries.
+    Q has orthonormal mass-zero columns: Qy of a unit y is a unit mass-zero
+    vector up to rounding, and needs no recentring or rescaling."""
     a = 1.0 / math.sqrt(y.shape[0] + 1)
     s = y.sum()
     return np.concatenate(([a * s], y - (a * a / (1.0 - a)) * s))
@@ -258,12 +261,6 @@ def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray |
     return _from_mass_zero(y)
 
 
-def _as_mass_zero_unit(space: FiniteMetricSpace, vec: np.ndarray) -> SignedMeasure:
-    w = vec - vec.mean()
-    w /= np.linalg.norm(w)
-    return SignedMeasure(space, w)
-
-
 def classify(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Classification:
     """Decide NotQuasihypermetric / Strict / NonStrict for a space from the
     full spectrum of its restricted form."""
@@ -294,13 +291,13 @@ def _classify_form(space: FiniteMetricSpace, b: np.ndarray,
                     restricted_values=vals, restricted_vectors=vecs)
 
     if vals[0] < -tau:
-        witness = _as_mass_zero_unit(space, _from_mass_zero(vecs[:, 0]))
+        witness = SignedMeasure(space, _from_mass_zero(vecs[:, 0]))
         return Classification(verdict=Verdict.NOT_QUASIHYPERMETRIC,
                               witness=witness, **evidence)
 
     kernel_idx = np.flatnonzero(np.abs(vals) <= tau)
     if kernel_idx.size:
-        basis = tuple(_as_mass_zero_unit(space, _from_mass_zero(vecs[:, i]))
+        basis = tuple(SignedMeasure(space, _from_mass_zero(vecs[:, i]))
                       for i in kernel_idx)
         return Classification(verdict=Verdict.NON_STRICT,
                               kernel_basis=basis, **evidence)

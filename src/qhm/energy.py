@@ -6,8 +6,13 @@ The central objects are the bilinear energy
 
 the potential function x -> sum_j dist[x][j] * mu[j], and the semi-inner
 product -I(mu, nu) carried by mass-zero measures on quasihypermetric spaces
-(where I(mu) <= 0 whenever the weights sum to zero). Sums are numpy (BLAS)
-matrix-vector products.
+(where I(mu) <= 0 whenever the weights sum to zero). Off those spaces a
+mass-zero direction of positive energy has no seminorm, and `seminorm_zero`
+raises NotApplicableError on one rather than answer 0. Sums are numpy
+(BLAS) matrix-vector products.
+
+A measure owns a read-only float64 copy of its weights, as a space owns
+its matrix: the caller's array is neither aliased nor made read-only.
 """
 
 import json
@@ -15,21 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MalformedMatrixError, NonzeroMassError, ParseError,
+from .errors import (IndexOutOfRangeError, MalformedMatrixError,
+                     NonzeroMassError, NotApplicableError, ParseError,
                      SpaceMismatchError)
-from .spaces import FiniteMetricSpace, _float_array, diameter
+from .spaces import FiniteMetricSpace, _all_indices, _float_array, diameter
 from .tolerances import MASS_TOL, NEG_RADICAND_REL
 
 
 @dataclass(frozen=True, eq=False)
 class SignedMeasure:
-    """Weight vector over the points of a specific space (mass is derived)."""
+    """Weight vector over the points of a specific space (mass is derived).
+
+    The weights are kept as a read-only float64 copy; weights that are not
+    real numbers raise MalformedMatrixError."""
 
     space: FiniteMetricSpace
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        w = _float_array(self.weights, "weight")
         if w.ndim != 1 or w.shape[0] != self.space.n:
             raise SpaceMismatchError(
                 f"got {w.shape} weights for a space with {self.space.n} points")
@@ -45,11 +54,14 @@ class SignedMeasure:
 
 def measure(space: FiniteMetricSpace, weights) -> SignedMeasure:
     """Convenience constructor from any array-like weight vector."""
-    return SignedMeasure(space, np.asarray(weights, dtype=np.float64))
+    return SignedMeasure(space, weights)
 
 
 def atomic(space: FiniteMetricSpace, i: int) -> SignedMeasure:
-    """Unit point mass at point i."""
+    """Unit point mass at point i, an integer with 0 <= i < n; any other
+    index raises IndexOutOfRangeError."""
+    if not (_all_indices([i]) and 0 <= i < space.n):
+        raise IndexOutOfRangeError(f"index {i!r} out of range for n={space.n}")
     w = np.zeros(space.n)
     w[i] = 1.0
     return SignedMeasure(space, w)
@@ -91,38 +103,36 @@ def potential(space: FiniteMetricSpace, mu: SignedMeasure) -> np.ndarray:
     return space.dist @ mu.weights
 
 
-def _require_mass_zero(mu: SignedMeasure, mass_tol: float, what: str) -> None:
+def _require_mass_zero(mu: SignedMeasure, what: str) -> None:
     m = mu.mass
-    if abs(m) > mass_tol:
+    if abs(m) > MASS_TOL:
         raise NonzeroMassError(f"{what} must have mass 0, got mass {m}")
 
 
-def seminorm_zero(space: FiniteMetricSpace, mu: SignedMeasure,
-                  mass_tol: float = MASS_TOL,
-                  diagnostics: dict | None = None) -> float:
-    """Seminorm sqrt(-I(mu)) of a mass-zero measure.
+def seminorm_zero(space: FiniteMetricSpace, mu: SignedMeasure) -> float:
+    """Seminorm sqrt(-I(mu)) of a measure of mass 0 within MASS_TOL.
 
-    Meaningful when the space is quasihypermetric, where -I(mu) >= 0. Tiny
-    negative radicands are clamped to zero; pass a `diagnostics` dict to
-    receive the raw radicand and a flag when it is below -neg_tol (which
-    signals genuinely non-quasihypermetric input rather than roundoff), for
-    neg_tol = NEG_RADICAND_REL * diameter * ||mu||_1^2, the scale of I(mu).
+    Defined where -I(mu) >= 0, as on every quasihypermetric space. A
+    negative radicand within roundoff, NEG_RADICAND_REL * diameter *
+    ||mu||_1^2 (the scale of I(mu)), counts as 0; one below that is a
+    direction of positive energy, which has no seminorm, and raises
+    NotApplicableError.
     """
-    _require_mass_zero(mu, mass_tol, "seminorm argument")
+    _require_mass_zero(mu, "seminorm argument")
     radicand = -energy(space, mu)
-    if diagnostics is not None:
-        l1 = float(np.abs(mu.weights).sum())
-        neg_tol = NEG_RADICAND_REL * diameter(space) * l1 * l1
-        diagnostics["radicand"] = radicand
-        diagnostics["negative_squared_norm"] = radicand < -neg_tol
+    l1 = float(np.abs(mu.weights).sum())
+    if radicand < -NEG_RADICAND_REL * diameter(space) * l1 * l1:
+        raise NotApplicableError(
+            f"-I(mu) = {radicand:.3e} is negative beyond roundoff: the space "
+            "is not quasihypermetric and mu has no seminorm")
     return float(np.sqrt(max(0.0, radicand)))
 
 
 def inner_zero(space: FiniteMetricSpace, mu: SignedMeasure,
                nu: SignedMeasure) -> float:
     """Semi-inner product -I(mu, nu) on measures of mass 0 within MASS_TOL."""
-    _require_mass_zero(mu, MASS_TOL, "first argument")
-    _require_mass_zero(nu, MASS_TOL, "second argument")
+    _require_mass_zero(mu, "first argument")
+    _require_mass_zero(nu, "second argument")
     return -energy_bilinear(space, mu, nu)
 
 

@@ -23,6 +23,7 @@ from .spaces import (
     FiniteMetricSpace,
     GlueSpec,
     _all_indices,
+    _count,
     ball_discretization,
     euclidean_cloud,
     glue,
@@ -91,43 +92,39 @@ def _check_sizes(sizes) -> None:
         raise InvalidInputError("sizes must be strictly ascending")
 
 
-def ball_chain(sizes, shells: int = BALL_SHELLS):
-    """Nested subspace chain of one master ball discretization.
+def ball_chain(sizes):
+    """Nested subspace chain of one master ball discretization with
+    BALL_SHELLS (5) shells.
 
     Fibonacci lattices at different counts are not subsets of each other, so
     refinement is realized per shell: prefixes of a fixed golden-ratio
     ordering of each shell's points (quasi-uniform at every size, nested by
-    construction). A size n keeps the origin and round((n - 1) / shells)
-    points per shell. Returns (master space, index lists, per-size
-    subspaces).
+    construction). A size n keeps the origin and round((n - 1) / 5) points
+    per shell. Returns (master space, index lists, per-size subspaces).
 
-    Sizes must be strictly ascending integers of at least shells + 1, no
-    two may round to the same count per shell (the chain would repeat a
-    subspace), and shells must be an integer of at least 1; anything else
-    raises InvalidInputError.
+    Sizes must be strictly ascending integers of at least 6, and no two may
+    round to the same count per shell (the chain would repeat a subspace);
+    anything else raises InvalidInputError.
     """
     sizes = list(sizes)
     _check_sizes(sizes)
-    if not (_all_indices([shells]) and shells >= 1):
+    if sizes[0] < BALL_SHELLS + 1:
         raise InvalidInputError(
-            f"need at least 1 shell, as an integer, got {shells!r}")
-    if sizes[0] < shells + 1:
-        raise InvalidInputError(
-            f"size {sizes[0]} is below {shells + 1}, the origin and one point "
-            f"on each of {shells} shells")
-    counts = [round((size - 1) / shells) for size in sizes]
+            f"size {sizes[0]} is below {BALL_SHELLS + 1}, the origin and one "
+            f"point on each of {BALL_SHELLS} shells")
+    counts = [round((size - 1) / BALL_SHELLS) for size in sizes]
     for a, b, count, after in zip(sizes, sizes[1:], counts, counts[1:]):
         if count == after:
             raise InvalidInputError(
                 f"sizes {a} and {b} give the same subspace: {count} per shell")
-    pps = max(4, math.ceil((sizes[-1] - 1) / shells))
-    master = ball_discretization(shells, pps)
+    pps = max(4, math.ceil((sizes[-1] - 1) / BALL_SHELLS))
+    master = ball_discretization(BALL_SHELLS, pps)
     order = _golden_order(pps)
     chains = []
     for per_shell in counts:
         picked = np.sort(order[:per_shell])
         idx = [0]
-        for k in range(shells):
+        for k in range(BALL_SHELLS):
             base = 1 + k * pps
             idx.extend(int(base + i) for i in picked)
         chains.append(idx)
@@ -186,7 +183,8 @@ def run_converge(family: str, sizes, seed: int = 0,
     elif family == "ball3":
         full, chains, spaces = ball_chain(sizes)
     else:
-        raise QhmError(f"unknown family {family!r}; use interval|circle|ball3")
+        raise InvalidInputError(
+            f"unknown family {family!r}; use interval|circle|ball3")
 
     decisions = []
     for k, space in enumerate(spaces):
@@ -291,9 +289,7 @@ def run_equal_glue_demo(n_polygon: int,
     has a strictly smaller constant, so the corresponding glued subspace
     falls strictly inside the boundary and classifies Strict.
     """
-    if n_polygon < 3:
-        raise QhmError(f"need a polygon with >= 3 vertices, got {n_polygon}")
-    n = n_polygon
+    n = _count(n_polygon, 3, "polygon vertices", InvalidInputError)
     poly = _polygon_cloud(n)
     poly_dec = m_constant(poly, tol)
     m = poly_dec.value

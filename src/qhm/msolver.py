@@ -58,7 +58,6 @@ from .energy import (
     inner_extended,
     measure,
     potential,
-    seminorm_zero,
 )
 from .errors import (
     ChainMismatchError,
@@ -66,7 +65,8 @@ from .errors import (
     InvalidInputError,
     NotInvariantInputError,
 )
-from .spaces import FiniteMetricSpace, GlueSpec, _all_indices, diameter, glue
+from .spaces import (FiniteMetricSpace, GlueSpec, _all_indices, _count,
+                     _float_array, _is_real_type, diameter, glue)
 from .tolerances import (
     BLOWUP_REL,
     DEFAULT_TOL,
@@ -257,8 +257,9 @@ def glued_m_predict(m_x: float, m_y: float, c: float) -> GluePrediction:
     disagree, `m_constant` decides (see `qhm.tolerances`).
     """
     for v, what in ((m_x, "m_x"), (m_y, "m_y"), (c, "c")):
-        if not math.isfinite(v):
-            raise InvalidInputError(f"{what} must be finite, got {v!r}")
+        if not (_is_real_type(type(v)) and math.isfinite(v)):
+            raise InvalidInputError(
+                f"{what} must be a finite real number, got {v!r}")
     if m_x < 0.0 or m_y < 0.0:
         raise InvalidInputError("component constants must be nonnegative")
     if c <= 0.0:
@@ -360,6 +361,8 @@ def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
     `blowup`, by default BLOWUP_REL (1e6) times the diameter; a one-point
     space has no scale and takes 1 and 1e-10. The trace records the best
     value every max(1, iterations // 256) iterations and at the exit.
+    `iterations` must be an integer of at least 1 and `seed` one of at
+    least 0 (both below 2^63); anything else raises InvalidInputError.
 
     The threshold can be set because the growth need not be fast. On a
     NonStrict space with a nonzero flat value (NonzeroFlatKernel) the best
@@ -370,15 +373,16 @@ def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
     shares nothing with the eigenpair solve, so it serves as an independent
     check.
     """
-    if iterations < 1:
-        raise InvalidInputError(f"need at least 1 iteration, got {iterations}")
+    _count(iterations, 1, "iteration", InvalidInputError)
     diam = diameter(space)
     if blowup is None:
         blowup = BLOWUP_REL * diam if diam > 0.0 else 1.0
-    if not (math.isfinite(blowup) and blowup > 0.0):
+    if not (_is_real_type(type(blowup)) and math.isfinite(blowup)
+            and blowup > 0.0):
         raise InvalidInputError(f"blowup must be finite and > 0, got {blowup!r}")
     n = space.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(
+        _count(seed, 0, "for the seed", InvalidInputError))
     z = rng.standard_normal(n)
     z -= z.mean()
     w0 = np.full(n, 1.0 / n) + 1e-3 * z
@@ -417,15 +421,15 @@ def verify_maximal(space: FiniteMetricSpace, mu: SignedMeasure, m_value: float,
     """Check flatness, random dominance, and the norm identity for a
     candidate maximal measure, whose mass must be within SOLVE_REL *
     ||mu||_1 of 1. A trial's energy dominates m_value when it exceeds it by more
-    than tol * diameter; `trials` must be an integer of at least 1."""
+    than tol * diameter. `trials` must be an integer of at least 1 and
+    `seed` one of at least 0; anything else raises InvalidInputError."""
     check_tol(tol)
-    if not (_all_indices([trials]) and trials >= 1):
-        raise InvalidInputError(
-            f"need at least 1 trial, as an integer, got {trials!r}")
+    _count(trials, 1, "trial", InvalidInputError)
+    rng = np.random.default_rng(
+        _count(seed, 0, "for the seed", InvalidInputError))
     if abs(mu.mass - 1.0) > _mass_bound(mu.weights):
         raise InvalidInputError(f"candidate must have mass 1, got {mu.mass}")
     flatness = float(np.abs(potential(space, mu) - m_value).max())
-    rng = np.random.default_rng(seed)
     n = space.n
     base = np.full(n, 1.0 / n)
     violations = 0
@@ -466,10 +470,11 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
     or raw weights, of mass 1 within SOLVE_REL times its total variation.
     Each measure is extended by zeros to the full space; the table reports
     its energy, the sup-inf spread of its potential over all full-space
-    points, and the seminorm of the step from the previous chain element,
-    whose mass is 0 within the sum of the two ends' bounds. A chain that
-    breaks these rules, an index that is not an integer included, raises
-    ChainMismatchError. The caller asserts
+    points, and the seminorm sqrt(max(0, -I)) of the step from the previous
+    chain element, whose mass is 0 within the sum of the two ends' bounds.
+    A chain that breaks these rules, an index that is not an integer
+    included, raises ChainMismatchError; raw weights that are not real
+    numbers raise MalformedMatrixError. The caller asserts
     monotonicity or boundedness; no rates are claimed. `run_converge`
     reports these columns on its rows.
     """
@@ -497,7 +502,8 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
             raise ChainMismatchError(
                 f"chain element {k} does not contain element {k - 1}")
         prev = s
-        w = mu.weights if isinstance(mu, SignedMeasure) else np.asarray(mu, float)
+        w = (mu.weights if isinstance(mu, SignedMeasure)
+             else _float_array(mu, "weight"))
         if w.shape != (len(ix),):
             raise ChainMismatchError(
                 f"measure {k} has {w.shape} weights for {len(ix)} points")
@@ -513,8 +519,7 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
         step = None
         if k > 0:
             dmu = measure(full_space, mu.weights - extended[k - 1].weights)
-            step = seminorm_zero(full_space, dmu, mass_tol=_mass_bound(
-                mu.weights) + _mass_bound(extended[k - 1].weights))
+            step = float(np.sqrt(max(0.0, -energy(full_space, dmu))))
         rows.append(SequenceRow(k=k, n_k=len(chains[k]),
                                 i_mu=energy(full_space, mu),
                                 flatness=float(pot.max() - pot.min()),

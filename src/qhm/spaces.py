@@ -17,7 +17,9 @@ bit for bit.
 
 The builders check their parameters, which are their outside input, and
 not their output: each one makes a matrix that passes every check by
-construction, and wraps it through `_trusted`, which runs no check.
+construction, and wraps it through `_trusted`, which runs no check. Every
+count and seed of the package goes through `_count`: a Python or numpy
+integer in [least, 2^63), and a typed error for anything else.
 
 - `interval_grid` and `regular_polygon_arc` take |i - j| (or the shorter
   way round the circle) times a step h, finite and positive, whose low
@@ -132,10 +134,10 @@ class GlueSpec:
     c: float
 
     def __post_init__(self):
-        c = float(self.c)
+        c = float(self.c) if _is_real_type(type(self.c)) else math.nan
         if not math.isfinite(c) or c <= 0.0:
             raise CrossDistanceTooSmallError(
-                f"cross-distance must be a positive finite number, got {c!r}")
+                f"cross-distance must be positive and finite, got {self.c!r}")
         bound = max(diameter(self.x), diameter(self.y))
         if 2.0 * c < bound:
             raise CrossDistanceTooSmallError(
@@ -232,6 +234,16 @@ def _all_indices(seq) -> bool:
                for t in set(map(type, seq)))
 
 
+def _count(value, least, what, error):
+    """`value` as an int when it is a Python or numpy integer in
+    [least, 2^63); a float, a boolean or anything else raises `error`."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or not least <= value < 2 ** 63):
+        raise error(
+            f"need at least {least} {what}, as an integer, got {value!r}")
+    return int(value)
+
+
 def _check_rows(rows, what):
     """Reject a nested sequence whose rows differ in length, are not
     sequences, or hold anything but real numbers (booleans, strings, complex
@@ -277,6 +289,9 @@ def _float_array(x, what="matrix"):
     except OverflowError as exc:  # a Python int above about 1.8e308
         raise MalformedMatrixError(
             f"{what} entries must be within float64 range: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a string or another object
+        raise MalformedMatrixError(
+            f"{what} entries must be real numbers: {exc}") from exc
 
 
 def _closest_pair(d):
@@ -400,8 +415,7 @@ def interval_grid(a: float, b: float, n: int) -> FiniteMetricSpace:
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise DegenerateIntervalError(f"need finite a < b, got a={a}, b={b}")
-    if n < 2:
-        raise TooFewPointsError(f"need at least 2 grid points, got {n}")
+    n = _count(n, 2, "grid points", TooFewPointsError)
     h = _clear_low_bits((b - a) / (n - 1), (n - 1).bit_length())
     if not math.isfinite(h):
         raise DegenerateIntervalError(
@@ -420,8 +434,7 @@ def regular_polygon_arc(n: int) -> FiniteMetricSpace:
     realized as exact multiples of a bit-truncated arc step (zero-tolerance
     triangle check, as for interval_grid).
     """
-    if n < 2:
-        raise TooFewPointsError(f"need at least 2 polygon points, got {n}")
+    n = _count(n, 2, "polygon points", TooFewPointsError)
     h = _clear_low_bits(2.0 * math.pi / n, (n // 2).bit_length())
     k = np.arange(n, dtype=np.float64)
     steps = np.abs(k[:, None] - k[None, :])
@@ -545,11 +558,9 @@ def ball_discretization(shells: int, points_per_shell: int) -> FiniteMetricSpace
     golden-angle lattice, so the construction is fully deterministic; growing
     points_per_shell refines coverage of the same nested sphere family.
     """
-    if shells < 1:
-        raise InvalidInputError(f"need at least 1 shell, got {shells}")
-    if points_per_shell < 4:
-        raise TooFewPointsError(
-            f"need at least 4 points per shell, got {points_per_shell}")
+    shells = _count(shells, 1, "shell", InvalidInputError)
+    points_per_shell = _count(points_per_shell, 4, "points per shell",
+                              TooFewPointsError)
     pts = [np.zeros((1, 3))]
     labels = ["o"]
     for k in range(1, shells + 1):
@@ -565,9 +576,9 @@ def random_metric(n: int, seed: int) -> FiniteMetricSpace:
     The range forces the triangle inequality exactly (any two entries sum to
     at least the maximum), so the output is a metric by construction.
     """
-    if n < 1:
-        raise TooFewPointsError(f"need at least 1 point, got {n}")
-    rng = np.random.default_rng(seed)
+    n = _count(n, 1, "point", TooFewPointsError)
+    rng = np.random.default_rng(
+        _count(seed, 0, "for the seed", InvalidInputError))
     d = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
     vals = rng.uniform(1.0, 2.0, size=len(iu[0]))

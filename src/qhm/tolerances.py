@@ -56,7 +56,9 @@ MASS_TOL = 1e-9
 SOLVE_REL = 1e-9
 
 # A seminorm radicand -I(mu) below -NEG_RADICAND_REL * diameter * ||mu||_1^2
-# is negative beyond roundoff (|I(mu)| <= diameter * ||mu||_1^2).
+# is negative beyond roundoff (|I(mu)| <= diameter * ||mu||_1^2): mu is a
+# direction of positive energy, which has no seminorm, and `seminorm_zero`
+# raises NotApplicableError. Above it the radicand counts as at least 0.
 NEG_RADICAND_REL = 1e-9
 
 # The ascent oracle stops converged when every projected gradient entry is

@@ -100,6 +100,18 @@ class TestClassify:
         assert abs(f.mass) <= 1e-9
         assert abs(energy(five_point_boundary, f)) <= cls.tol_used
 
+    @pytest.mark.parametrize("key", ["circle-8", "nw-thm2.9", "nw-thm2.9a",
+                                     "fourpoint-antipodal", "circle-4"])
+    def test_witness_and_kernel_are_unit_mass_zero(self, key):
+        # Q y of a unit eigenvector y needs no recentring or rescaling
+        space = fixture(key).space
+        cls = classify(space)
+        vectors = [cls.witness] if cls.witness else list(cls.kernel_basis)
+        assert vectors
+        for f in vectors:
+            assert abs(f.mass) <= 1e-14
+            assert abs(np.linalg.norm(f.weights) - 1.0) <= 1e-14
+
     def test_interval_grid_strict(self):
         x = interval_grid(0, 1, 4)
         assert classify(x).verdict is Verdict.STRICT

@@ -330,6 +330,20 @@ class TestExitCodes:
         assert code == 2
         assert "tol" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--seed", "-1", "mconstant", "--fixture", "interval-5",
+         "--oracle-iters", "10"],
+        ["mconstant", "--fixture", "interval-5",
+         "--oracle-iters", str(10 ** 30)],
+    ], ids=["negative-seed", "huge-oracle-iters"])
+    def test_bad_oracle_count_exit_2(self, capsys, args):
+        # both used to end in a numpy traceback with exit 1
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: need at least ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_default_tol_in_help(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0

@@ -18,7 +18,14 @@ from qhm import (
     validate_metric,
 )
 from qhm.energy import parse_weights
-from qhm.errors import NonzeroMassError, ParseError, SpaceMismatchError
+from qhm.errors import (
+    IndexOutOfRangeError,
+    MalformedMatrixError,
+    NonzeroMassError,
+    NotApplicableError,
+    ParseError,
+    SpaceMismatchError,
+)
 
 from conftest import random_cloud
 from oracles import brute_energy, brute_energy_bilinear, brute_potential
@@ -126,13 +133,45 @@ class TestSeminormZero:
             seminorm_zero(TWO_POINT, measure(TWO_POINT, [1.0, 0.0]))
 
     def test_diagnostics_flag_on_positive_energy(self, five_point_nonqhm):
+        # I(mu) = 1/3 > 0: this direction has no seminorm, and it used to
+        # read 0.0 unless the caller asked for a diagnostics flag
         z = five_point_nonqhm
         mu = measure(z, [0.5, 0.5, -1/3, -1/3, -1/3])
-        diag = {}
-        value = seminorm_zero(z, mu, diagnostics=diag)
-        if diag["negative_squared_norm"]:
-            assert value == 0.0
-        assert "radicand" in diag
+        assert energy(z, mu) == pytest.approx(1.0 / 3.0)
+        with pytest.raises(NotApplicableError, match="no seminorm"):
+            seminorm_zero(z, mu)
+
+
+class TestMeasureConstruction:
+    def test_caller_array_is_copied_and_left_writeable(self):
+        # the measure used to alias the array and make it read-only
+        x = interval_grid(0, 1, 5)
+        w = np.full(5, 0.2)
+        mu = measure(x, w)
+        w[0] = 1.0
+        assert w.flags.writeable
+        assert not np.shares_memory(w, mu.weights)
+        assert np.array_equal(mu.weights, np.full(5, 0.2))
+        assert not mu.weights.flags.writeable
+
+    @pytest.mark.parametrize("weights", [
+        ["a", 0.5, 0.5], [None, 0.5, 0.5], [True, False, False],
+        np.array(["a", "b", "c"]), "abc"])
+    def test_weights_must_be_real_numbers(self, weights):
+        # these used to raise a bare ValueError or pass booleans as 1 and 0
+        with pytest.raises(MalformedMatrixError, match="weight entries"):
+            measure(random_metric(3, 0), weights)
+
+    @pytest.mark.parametrize("i", [-1, 5, 1.5, True])
+    def test_atomic_index_checked(self, i):
+        # -1 used to put the mass on the last point, 5 and 1.5 to raise a
+        # bare IndexError
+        with pytest.raises(IndexOutOfRangeError):
+            atomic(interval_grid(0, 1, 5), i)
+
+    def test_atomic_numpy_index(self):
+        x = interval_grid(0, 1, 5)
+        assert np.array_equal(atomic(x, np.int64(4)).weights, [0, 0, 0, 0, 1])
 
 
 class TestInnerZero:

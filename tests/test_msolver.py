@@ -43,6 +43,7 @@ from qhm.errors import (
     ChainMismatchError,
     InconsistencyError,
     InvalidInputError,
+    MalformedMatrixError,
     NotInvariantInputError,
 )
 from qhm.tolerances import SOLVE_REL
@@ -467,7 +468,7 @@ class TestBlockedCertificate:
         assert len(inverses) == 4
 
 
-BAD_TOLS = [math.nan, math.inf, -math.inf, -1.0, -1e-12]
+BAD_TOLS = [math.nan, math.inf, -math.inf, -1.0, -1e-12, "x", None]
 
 
 class TestToleranceChecked:
@@ -593,6 +594,10 @@ class TestGluedMPredict:
             glued_m_predict(0.5, math.inf, 1.0)
         with pytest.raises(InvalidInputError):
             glued_m_predict(0.5, 0.5, 0.0)
+        # these used to raise a bare TypeError
+        for args in [(0.5, 0.5, "x"), (None, 0.5, 1.0), (0.5, 0.5, True)]:
+            with pytest.raises(InvalidInputError, match="finite real number"):
+                glued_m_predict(*args)
 
 
 class TestGluedInvariant:
@@ -729,9 +734,13 @@ class TestAscentOracle:
     @pytest.mark.parametrize("bad", [
         {"blowup": -1.0}, {"blowup": 0.0}, {"blowup": math.nan},
         {"blowup": math.inf}, {"iterations": 0}, {"iterations": -1},
+        {"iterations": 2.5}, {"iterations": True}, {"iterations": 2 ** 64},
+        {"seed": -1}, {"seed": 1.5}, {"blowup": "x"},
     ])
     def test_rejects_bad_parameters(self, bad):
-        # blowup=-1 used to report a divergence on a space whose M is 0.5
+        # blowup=-1 used to report a divergence on a space whose M is 0.5;
+        # iterations 2.5 raised AttributeError, 2^64 IndexError, True ran
+        # one iteration, and a seed of -1 or 1.5 a bare numpy error
         with pytest.raises(InvalidInputError):
             ascent_oracle(interval_grid(0, 1, 5), **{"iterations": 100, **bad})
 
@@ -762,12 +771,18 @@ class TestVerifyMaximal:
         with pytest.raises(InvalidInputError):
             verify_maximal(x, measure(x, [1.0, 1.0, 1.0]), 0.5)
 
-    @pytest.mark.parametrize("trials", [0, -1, 2.5, 2.0, True])
-    def test_needs_a_trial(self, trials):
-        # trials=0 used to pass with worst_excess -inf, having tested nothing
+    @pytest.mark.parametrize("trials, seed, message", [
+        (0, 0, "at least 1 trial"), (-1, 0, "at least 1 trial"),
+        (2.5, 0, "at least 1 trial"), (2.0, 0, "at least 1 trial"),
+        (True, 0, "at least 1 trial"), (10, -1, "at least 0 for the seed")],
+        ids=["0", "-1", "2.5", "2.0", "True", "seed-1"])
+    def test_needs_a_trial(self, trials, seed, message):
+        # trials=0 used to pass with worst_excess -inf, having tested nothing,
+        # and seed=-1 raised a bare numpy ValueError
         x = interval_grid(0, 1, 3)
-        with pytest.raises(InvalidInputError, match="at least 1 trial"):
-            verify_maximal(x, measure(x, [0.5, 0.0, 0.5]), 0.5, trials=trials)
+        with pytest.raises(InvalidInputError, match=message):
+            verify_maximal(x, measure(x, [0.5, 0.0, 0.5]), 0.5, trials=trials,
+                           seed=seed)
 
 
 class TestSequenceDiagnostics:
@@ -826,6 +841,12 @@ class TestSequenceDiagnostics:
         got = sequence_diagnostics(x, [np.array([0, 4])], [[0.5, 0.5]])
         want = sequence_diagnostics(x, [[0, 4]], [[0.5, 0.5]])
         assert got == want
+
+    def test_raw_weights_must_be_real_numbers(self):
+        # a string weight used to raise a bare ValueError
+        x = interval_grid(0, 1, 5)
+        with pytest.raises(MalformedMatrixError, match="weight entries"):
+            sequence_diagnostics(x, [[0, 4]], [["a", 0.5]])
 
 
 def _equal_glue():

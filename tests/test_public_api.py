@@ -1,8 +1,9 @@
 """The public surface of the package, pinned: each callable in
-`qhm.__all__` with its parameter names, each exported dataclass with its
-field names, the Verdict members and the arguments of the exceptions that
-take their own. A parameter, field or export added or removed shows up
-here as a deliberate change of this file."""
+`qhm.__all__` with its parameter names, each optional parameter with its
+default as `name=default`, each exported dataclass with its field names,
+the Verdict members and the arguments of the exceptions that take their
+own. A parameter, field or export added or removed, or a default moved,
+shows up here as a deliberate change of this file."""
 
 import dataclasses
 import enum
@@ -27,7 +28,7 @@ SURFACE = {
     "Fixture": ("key", "space", "expected"),
     "GluePrediction": ("kind", "value"),
     "GlueSpec": ("x", "y", "c"),
-    "InconsistencyError": ("msg", "diagnostics"),
+    "InconsistencyError": ("msg", "diagnostics=None"),
     "InvariantSolve": ("measure", "value", "residual", "unique"),
     "KernelFlatValue": ("vector", "value", "deviation"),
     "MDecision": (
@@ -42,15 +43,16 @@ SURFACE = {
     "SolverError": (),
     "ValidationError": (),
     "Verdict": ("NOT_QUASIHYPERMETRIC", "STRICT", "NON_STRICT"),
-    "ascent_oracle": ("space", "iterations", "seed", "blowup"),
+    "ascent_oracle": (
+        "space", "iterations=100000", "seed=0", "blowup=None"),
     "atomic": ("space", "i"),
-    "ball_chain": ("sizes", "shells"),
+    "ball_chain": ("sizes",),
     "ball_discretization": ("shells", "points_per_shell"),
-    "classify": ("space", "tol"),
+    "classify": ("space", "tol=1e-09"),
     "diameter": ("space",),
     "energy": ("space", "mu"),
     "energy_bilinear": ("space", "mu", "nu"),
-    "euclidean_cloud": ("coords", "labels", "name"),
+    "euclidean_cloud": ("coords", "labels=None", "name=''"),
     "fixture": ("key",),
     "fixture_keys": (),
     "glue": ("spec",),
@@ -59,26 +61,27 @@ SURFACE = {
     "inner_extended": ("space", "m_value", "mu", "nu"),
     "inner_zero": ("space", "mu", "nu"),
     "interval_grid": ("a", "b", "n"),
-    "invariant_measure": ("space", "tol"),
+    "invariant_measure": ("space", "tol=1e-09"),
     "kernel_flat_values": ("space", "cls"),
     "load_measure": ("path", "space"),
     "load_space": ("path",),
-    "m_constant": ("space", "tol"),
+    "m_constant": ("space", "tol=1e-09"),
     "measure": ("space", "weights"),
     "potential": ("space", "mu"),
     "random_metric": ("n", "seed"),
     "regular_polygon_arc": ("n",),
-    "run_converge": ("family", "sizes", "seed", "tol"),
-    "run_equal_glue_demo": ("n_polygon", "tol"),
-    "run_glue_diverge": ("sizes", "seed", "tol"),
+    "run_converge": ("family", "sizes", "seed=0", "tol=1e-09"),
+    "run_equal_glue_demo": ("n_polygon", "tol=1e-09"),
+    "run_glue_diverge": ("sizes", "seed=0", "tol=1e-09"),
     "save_measure": ("mu", "path"),
     "save_space": ("space", "path"),
-    "seminorm_zero": ("space", "mu", "mass_tol", "diagnostics"),
+    "seminorm_zero": ("space", "mu"),
     "sequence_diagnostics": ("full_space", "index_chain", "measures"),
     "subspace": ("space", "indices"),
     "uniform": ("space",),
-    "validate_metric": ("matrix", "labels", "name"),
-    "verify_maximal": ("space", "mu", "m_value", "trials", "seed", "tol"),
+    "validate_metric": ("matrix", "labels=None", "name=''"),
+    "verify_maximal": (
+        "space", "mu", "m_value", "trials=1000", "seed=0", "tol=1e-09"),
 }
 
 
@@ -90,8 +93,13 @@ def _shape(obj):
     if isinstance(obj, type):  # an exception: its own arguments, if any
         if "__init__" not in vars(obj):
             return ()
-        return tuple(inspect.signature(obj.__init__).parameters)[1:]
-    return tuple(inspect.signature(obj).parameters)
+        return _parameters(obj.__init__)[1:]
+    return _parameters(obj)
+
+
+def _parameters(func):
+    return tuple(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                 for p in inspect.signature(func).parameters.values())
 
 
 def test_exports():

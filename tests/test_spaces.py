@@ -241,6 +241,35 @@ class TestBuilders:
     def test_random_metric_single_point(self):
         assert random_metric(1, 0).n == 1
 
+    @pytest.mark.parametrize("value", [2.5, True, -1, 2 ** 63])
+    @pytest.mark.parametrize("build, error", [
+        (lambda v: interval_grid(0, 1, v), TooFewPointsError),
+        (lambda v: regular_polygon_arc(v), TooFewPointsError),
+        (lambda v: ball_discretization(v, 10), InvalidInputError),
+        (lambda v: ball_discretization(2, v), TooFewPointsError),
+        (lambda v: random_metric(v, 0), TooFewPointsError),
+        (lambda v: random_metric(3, v), InvalidInputError),
+    ], ids=["interval", "polygon", "ball-shells", "ball-points",
+            "random-n", "random-seed"])
+    def test_counts_must_be_integers(self, build, error, value):
+        # 2.5 used to raise a bare AttributeError or TypeError, True to
+        # build a space of one shell or to seed with 1, and a seed of -1 a
+        # bare numpy ValueError
+        with pytest.raises(error, match="as an integer"):
+            build(value)
+
+    def test_numpy_integer_counts(self):
+        # interval_grid and regular_polygon_arc used to call bit_length on
+        # a numpy integer
+        k = np.int64
+        assert np.array_equal(interval_grid(0, 1, k(5)).dist,
+                              interval_grid(0, 1, 5).dist)
+        assert np.array_equal(regular_polygon_arc(k(6)).dist,
+                              regular_polygon_arc(6).dist)
+        assert np.array_equal(random_metric(k(4), np.uint8(7)).dist,
+                              random_metric(4, 7).dist)
+        assert ball_discretization(k(2), k(8)).n == 17
+
 
 class TestSubspace:
     def test_endpoints_of_grid(self):
@@ -315,6 +344,13 @@ class TestGlue:
         one = validate_metric([[0.0]])
         with pytest.raises(CrossDistanceTooSmallError):
             GlueSpec(one, one, 0.0)
+
+    @pytest.mark.parametrize("c", ["x", None, True])
+    def test_cross_distance_must_be_a_real_number(self, c):
+        # "x" used to raise a bare ValueError and True to glue at 1
+        one = validate_metric([[0.0]])
+        with pytest.raises(CrossDistanceTooSmallError, match="positive"):
+            GlueSpec(one, one, c)
 
 
 def _validates_within(x, tol):
