@@ -44,14 +44,14 @@ from .errors import (
     InvalidInputError,
     NotApplicableError,
 )
-from .spaces import FiniteMetricSpace, _is_real_type
+from .spaces import FiniteMetricSpace, _real
 from .tolerances import DEFAULT_TOL
 
 
 def check_tol(tol: float) -> None:
     """Reject a decision tolerance that is not a real number, or is NaN,
     infinite or negative."""
-    if not (_is_real_type(type(tol)) and math.isfinite(tol) and tol >= 0.0):
+    if _real(tol, "tol must be a finite number >= 0", InvalidInputError) < 0.0:
         raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
 
 

@@ -11,6 +11,13 @@ mass-zero direction of positive energy has no seminorm, and `seminorm_zero`
 raises NotApplicableError on one rather than answer 0. Sums are numpy
 (BLAS) matrix-vector products.
 
+A measure has mass m when its weights sum to m within SOLVE_REL times its
+total variation ||mu||_1 (`_mass_bound`), the rule the invariant solve
+accepts its measures by. Mass has no unit, but the rounding of a sum grows
+with its terms: an absolute bound would reject the maximizers of
+near-boundary spaces (||w||_1 about 1/gap) and a measure of mass zero
+times 1e9. The rule is the same at every scale of the weights.
+
 A measure owns a read-only float64 copy of its weights, as a space owns
 its matrix: the caller's array is neither aliased nor made read-only.
 """
@@ -20,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IndexOutOfRangeError, MalformedMatrixError,
-                     NonzeroMassError, NotApplicableError, ParseError,
-                     SpaceMismatchError)
-from .spaces import FiniteMetricSpace, _all_indices, _float_array, diameter
-from .tolerances import MASS_TOL, NEG_RADICAND_REL
+from .errors import (IndexOutOfRangeError, InvalidInputError,
+                     MalformedMatrixError, NonzeroMassError,
+                     NotApplicableError, ParseError, SpaceMismatchError)
+from .spaces import (FiniteMetricSpace, _all_indices, _float_array, _open,
+                     _real, diameter)
+from .tolerances import SOLVE_REL
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,25 +111,38 @@ def potential(space: FiniteMetricSpace, mu: SignedMeasure) -> np.ndarray:
     return space.dist @ mu.weights
 
 
-def _require_mass_zero(mu: SignedMeasure, what: str) -> None:
-    m = mu.mass
-    if abs(m) > MASS_TOL:
-        raise NonzeroMassError(f"{what} must have mass 0, got mass {m}")
+def _mass_bound(w: np.ndarray) -> float:
+    """How far from its mass the weight sum of w may be: SOLVE_REL *
+    ||w||_1. The one mass rule of the package: the invariant solve,
+    `glued_invariant` (whose potential may be this times the diameter from
+    its constant), `verify_maximal`, `sequence_diagnostics`, `seminorm_zero`
+    and `inner_zero` all hold measures to it."""
+    return SOLVE_REL * float(np.abs(w).sum())
+
+
+def _check_mass(w: np.ndarray, target: float, what: str, error) -> None:
+    """Raise `error` unless the weights w sum to `target` within
+    `_mass_bound(w)`."""
+    m = float(w.sum())
+    if abs(m - target) > _mass_bound(w):
+        raise error(f"{what} must have mass {target:g}, got mass {m}")
 
 
 def seminorm_zero(space: FiniteMetricSpace, mu: SignedMeasure) -> float:
-    """Seminorm sqrt(-I(mu)) of a measure of mass 0 within MASS_TOL.
+    """Seminorm sqrt(-I(mu)) of a measure of mass 0 within SOLVE_REL *
+    ||mu||_1; any other mass raises NonzeroMassError.
 
     Defined where -I(mu) >= 0, as on every quasihypermetric space. A
-    negative radicand within roundoff, NEG_RADICAND_REL * diameter *
-    ||mu||_1^2 (the scale of I(mu)), counts as 0; one below that is a
-    direction of positive energy, which has no seminorm, and raises
-    NotApplicableError.
+    negative radicand within roundoff, SOLVE_REL * diameter * ||mu||_1^2
+    (|I(mu)| is at most diameter * ||mu||_1^2), counts as 0; one below that
+    is a direction of positive energy, which has no seminorm, and raises
+    NotApplicableError. Both bounds scale with the weights, so
+    seminorm_zero(t mu) = t seminorm_zero(mu) at every t > 0.
     """
-    _require_mass_zero(mu, "seminorm argument")
+    _check_mass(mu.weights, 0.0, "seminorm argument", NonzeroMassError)
     radicand = -energy(space, mu)
     l1 = float(np.abs(mu.weights).sum())
-    if radicand < -NEG_RADICAND_REL * diameter(space) * l1 * l1:
+    if radicand < -SOLVE_REL * diameter(space) * l1 * l1:
         raise NotApplicableError(
             f"-I(mu) = {radicand:.3e} is negative beyond roundoff: the space "
             "is not quasihypermetric and mu has no seminorm")
@@ -130,9 +151,11 @@ def seminorm_zero(space: FiniteMetricSpace, mu: SignedMeasure) -> float:
 
 def inner_zero(space: FiniteMetricSpace, mu: SignedMeasure,
                nu: SignedMeasure) -> float:
-    """Semi-inner product -I(mu, nu) on measures of mass 0 within MASS_TOL."""
-    _require_mass_zero(mu, "first argument")
-    _require_mass_zero(nu, "second argument")
+    """Semi-inner product -I(mu, nu) on measures of mass 0, each within
+    SOLVE_REL times its own total variation; any other mass raises
+    NonzeroMassError."""
+    _check_mass(mu.weights, 0.0, "first argument", NonzeroMassError)
+    _check_mass(nu.weights, 0.0, "second argument", NonzeroMassError)
     return -energy_bilinear(space, mu, nu)
 
 
@@ -143,8 +166,11 @@ def inner_extended(space: FiniteMetricSpace, m_value: float, mu: SignedMeasure,
     `m_value` is a finite value of the energy supremum constant of the space
     (caller-supplied). For mass-1 measures this realizes the identity
     ||mu||^2 = m_value + 1 - I(mu); on mass-zero measures it reduces to
-    inner_zero.
+    inner_zero. An `m_value` that is not a finite real number raises
+    InvalidInputError.
     """
+    m_value = _real(m_value, "m_value must be a finite real number",
+                    InvalidInputError)
     _check_on(space, mu)
     _check_on(space, nu)
     return ((m_value + 1.0) * mu.mass * nu.mass
@@ -164,15 +190,16 @@ def measure_to_json(mu: SignedMeasure) -> str:
 
 
 def save_measure(mu: SignedMeasure, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         fh.write(measure_to_json(mu))
 
 
 def load_measure(path, space: FiniteMetricSpace) -> SignedMeasure:
     """Read a measure from JSON and attach it to `space` (names must agree).
     A file that is not UTF-8 text, or weights that are not real numbers
-    within float64 range (booleans and nulls are not), raise ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    within float64 range (booleans and nulls are not), raise ParseError; a
+    path that is not a str or os.PathLike raises InvalidInputError."""
+    with _open(path, "r") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:

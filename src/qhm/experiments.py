@@ -24,6 +24,7 @@ from .spaces import (
     GlueSpec,
     _all_indices,
     _count,
+    _open,
     ball_discretization,
     euclidean_cloud,
     glue,
@@ -60,7 +61,7 @@ class ExperimentResult:
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _open(path, "w", newline="") as fh:
             fh.write(self.to_csv_text())
 
 
@@ -78,7 +79,13 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def _golden_order(count: int) -> np.ndarray:
-    """Permutation of range(count) whose every prefix is evenly spread."""
+    """Permutation of range(count) sorting the indices by frac(i * phi).
+
+    On the golden-angle lattice of `_sphere_lattice` this sorts the points
+    by longitude: point i has longitude 2 pi frac(i (2 - phi)), and
+    frac(i (2 - phi)) = 1 - frac(i phi) for i > 0. A prefix is therefore a
+    longitude wedge, not an evenly spread subset: the first 160 of 640
+    points fall in two adjacent 45-degree bins (79 and 80) plus index 0."""
     frac = (np.arange(count) * _GOLDEN) % 1.0
     return np.argsort(frac, kind="stable")
 
@@ -98,9 +105,15 @@ def ball_chain(sizes):
 
     Fibonacci lattices at different counts are not subsets of each other, so
     refinement is realized per shell: prefixes of a fixed golden-ratio
-    ordering of each shell's points (quasi-uniform at every size, nested by
-    construction). A size n keeps the origin and round((n - 1) / 5) points
+    ordering of each shell's points (`_golden_order`), nested by
+    construction. A size n keeps the origin and round((n - 1) / 5) points
     per shell. Returns (master space, index lists, per-size subspaces).
+
+    The prefixes are not evenly spread: the order sorts each shell by
+    longitude, so every element below the largest is the origin and a
+    longitude wedge of each shell, and an element depends on the largest
+    size requested. The 801-point element has M = 1.8590 from
+    `ball_chain([801])` but 1.6362 from `ball_chain([801, 1601])`.
 
     Sizes must be strictly ascending integers of at least 6, and no two may
     round to the same count per shell (the chain would repeat a subspace);

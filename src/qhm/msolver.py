@@ -54,6 +54,8 @@ from .classify import (
 )
 from .energy import (
     SignedMeasure,
+    _check_mass,
+    _mass_bound,
     energy,
     inner_extended,
     measure,
@@ -66,7 +68,7 @@ from .errors import (
     NotInvariantInputError,
 )
 from .spaces import (FiniteMetricSpace, GlueSpec, _all_indices, _count,
-                     _float_array, _is_real_type, diameter, glue)
+                     _float_array, _real, diameter, glue)
 from .tolerances import (
     BLOWUP_REL,
     DEFAULT_TOL,
@@ -106,26 +108,17 @@ class MDecision:
         return self.status == "finite"
 
 
-def _mass_bound(w: np.ndarray) -> float:
-    """How far from 1 the mass of an invariant measure w may be: SOLVE_REL
-    * ||w||_1. Its potential may be that times the diameter from its
-    constant. The one definition of an acceptable invariant measure: the
-    invariant solve, `glued_invariant`, `verify_maximal` and
-    `sequence_diagnostics` all hold measures to it."""
-    return SOLVE_REL * float(np.abs(w).sum())
-
-
 def _invariant_solve(space: FiniteMetricSpace, evidence,
                      diagnostics: dict) -> InvariantSolve | None:
     """w = u + Q B+ Q' D u and c = mean(D w), with B+ from the eigenpairs of
     a Classification or B^-1 from a StrictCertificate, or None when that
     solve fails or w fails the one acceptance check of an invariant solve:
     "flatness" = max|D w - c| above "residual_bound" = diameter *
-    `_mass_bound(w)`, or "mass_error" = |sum(w) - 1| above "mass_bound" =
-    `_mass_bound(w)`. Those numbers, with "measure_l1" = ||w||_1, go into
-    `diagnostics`, and "unique" with them when w is accepted. When B+ skips
-    degenerate directions, the coefficients it drops, their constant
-    potential values, go in as "kernel_flat_values"."""
+    `qhm.energy._mass_bound(w)`, or "mass_error" = |sum(w) - 1| above
+    "mass_bound" = `_mass_bound(w)`. Those numbers, with "measure_l1" =
+    ||w||_1, go into `diagnostics`, and "unique" with them when w is
+    accepted. When B+ skips degenerate directions, the coefficients it
+    drops, their constant potential values, go in as "kernel_flat_values"."""
     n = space.n
     u = np.full(n, 1.0 / n)
     if isinstance(evidence, StrictCertificate):
@@ -256,10 +249,9 @@ def glued_m_predict(m_x: float, m_y: float, c: float) -> GluePrediction:
     max(m_x + m_y, 2c). That band is not `classify`'s; where the two
     disagree, `m_constant` decides (see `qhm.tolerances`).
     """
-    for v, what in ((m_x, "m_x"), (m_y, "m_y"), (c, "c")):
-        if not (_is_real_type(type(v)) and math.isfinite(v)):
-            raise InvalidInputError(
-                f"{what} must be a finite real number, got {v!r}")
+    m_x, m_y, c = (_real(v, f"{what} must be a finite real number",
+                         InvalidInputError)
+                   for v, what in ((m_x, "m_x"), (m_y, "m_y"), (c, "c")))
     if m_x < 0.0 or m_y < 0.0:
         raise InvalidInputError("component constants must be nonnegative")
     if c <= 0.0:
@@ -285,8 +277,12 @@ def glued_invariant(mu1: SignedMeasure, mu2: SignedMeasure, m_x: float,
     potential m_x m_y - c^2 on the glued space and mass m_x + m_y - 2c. An
     input whose potential deviates from its constant by more than SOLVE_REL
     * diameter * ||mu||_1, the bound the invariant solve accepts, raises
-    NotInvariantInputError.
+    NotInvariantInputError; an m_x or m_y that is not a finite real number
+    raises InvalidInputError.
     """
+    m_x, m_y = (_real(v, f"{what} must be a finite real number",
+                      InvalidInputError)
+                for v, what in ((m_x, "m_x"), (m_y, "m_y")))
     for mu, m, what in ((mu1, m_x, "first"), (mu2, m_y, "second")):
         ft = diameter(mu.space) * _mass_bound(mu.weights)
         dev = float(np.abs(potential(mu.space, mu) - m).max())
@@ -377,8 +373,7 @@ def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
     diam = diameter(space)
     if blowup is None:
         blowup = BLOWUP_REL * diam if diam > 0.0 else 1.0
-    if not (_is_real_type(type(blowup)) and math.isfinite(blowup)
-            and blowup > 0.0):
+    if _real(blowup, "blowup must be finite and > 0", InvalidInputError) <= 0.0:
         raise InvalidInputError(f"blowup must be finite and > 0, got {blowup!r}")
     n = space.n
     rng = np.random.default_rng(
@@ -421,14 +416,16 @@ def verify_maximal(space: FiniteMetricSpace, mu: SignedMeasure, m_value: float,
     """Check flatness, random dominance, and the norm identity for a
     candidate maximal measure, whose mass must be within SOLVE_REL *
     ||mu||_1 of 1. A trial's energy dominates m_value when it exceeds it by more
-    than tol * diameter. `trials` must be an integer of at least 1 and
-    `seed` one of at least 0; anything else raises InvalidInputError."""
+    than tol * diameter. `m_value` must be a finite real number, `trials`
+    an integer of at least 1 and `seed` one of at least 0; anything else
+    raises InvalidInputError."""
     check_tol(tol)
+    m_value = _real(m_value, "m_value must be a finite real number",
+                    InvalidInputError)
     _count(trials, 1, "trial", InvalidInputError)
     rng = np.random.default_rng(
         _count(seed, 0, "for the seed", InvalidInputError))
-    if abs(mu.mass - 1.0) > _mass_bound(mu.weights):
-        raise InvalidInputError(f"candidate must have mass 1, got {mu.mass}")
+    _check_mass(mu.weights, 1.0, "candidate", InvalidInputError)
     flatness = float(np.abs(potential(space, mu) - m_value).max())
     n = space.n
     base = np.full(n, 1.0 / n)
@@ -507,8 +504,7 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
         if w.shape != (len(ix),):
             raise ChainMismatchError(
                 f"measure {k} has {w.shape} weights for {len(ix)} points")
-        if abs(float(w.sum()) - 1.0) > _mass_bound(w):
-            raise ChainMismatchError(f"measure {k} has mass {w.sum()}, need 1")
+        _check_mass(w, 1.0, f"measure {k}", ChainMismatchError)
         full = np.zeros(n)
         full[np.asarray(ix, dtype=np.intp)] = w
         extended.append(measure(full_space, full))

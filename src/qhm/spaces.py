@@ -19,7 +19,10 @@ The builders check their parameters, which are their outside input, and
 not their output: each one makes a matrix that passes every check by
 construction, and wraps it through `_trusted`, which runs no check. Every
 count and seed of the package goes through `_count`: a Python or numpy
-integer in [least, 2^63), and a typed error for anything else.
+integer in [least, 2^63), and a typed error for anything else. Every real
+scalar goes through `_real`: a Python or numpy real number, not a boolean,
+that converts to a finite float. Every file goes through `_open`, which
+takes a str or os.PathLike path and nothing else.
 
 - `interval_grid` and `regular_polygon_arc` take |i - j| (or the shorter
   way round the circle) times a step h, finite and positive, whose low
@@ -69,6 +72,7 @@ passes over the n x n matrix with scratch of at most TRIANGLE_TILE entries
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,10 +138,10 @@ class GlueSpec:
     c: float
 
     def __post_init__(self):
-        c = float(self.c) if _is_real_type(type(self.c)) else math.nan
-        if not math.isfinite(c) or c <= 0.0:
-            raise CrossDistanceTooSmallError(
-                f"cross-distance must be positive and finite, got {self.c!r}")
+        what = "cross-distance must be positive and finite"
+        c = _real(self.c, what, CrossDistanceTooSmallError)
+        if c <= 0.0:
+            raise CrossDistanceTooSmallError(f"{what}, got {self.c!r}")
         bound = max(diameter(self.x), diameter(self.y))
         if 2.0 * c < bound:
             raise CrossDistanceTooSmallError(
@@ -242,6 +246,29 @@ def _count(value, least, what, error):
         raise error(
             f"need at least {least} {what}, as an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what, error) -> float:
+    """`value` as a float when it is a Python or numpy real number, not a
+    boolean, that converts to a finite float; NaN, an infinity, an integer
+    beyond float64's range and anything else raise `error` with the
+    message `what`."""
+    try:
+        x = float(value) if _is_real_type(type(value)) else math.nan
+    except OverflowError:  # an integer beyond float64's range
+        x = math.nan
+    if math.isfinite(x):
+        return x
+    raise error(f"{what}, got {value!r}")
+
+
+def _open(path, mode, newline=None):
+    """The UTF-8 text file at `path`, a str or os.PathLike. Anything else
+    raises InvalidInputError: an integer would be taken as a file
+    descriptor, and closing it would close, say, the caller's stdout."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidInputError(f"path must be a str or os.PathLike, got {path!r}")
+    return open(path, mode, encoding="utf-8", newline=newline)
 
 
 def _check_rows(rows, what):
@@ -412,8 +439,8 @@ def interval_grid(a: float, b: float, n: int) -> FiniteMetricSpace:
     integer multiple of the step; the triangle inequality then holds with zero
     tolerance.
     """
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
+    a, b = (_real(v, "need finite a < b", DegenerateIntervalError) for v in (a, b))
+    if not a < b:
         raise DegenerateIntervalError(f"need finite a < b, got a={a}, b={b}")
     n = _count(n, 2, "grid points", TooFewPointsError)
     h = _clear_low_bits((b - a) / (n - 1), (n - 1).bit_length())
@@ -616,7 +643,7 @@ def space_to_json(space: FiniteMetricSpace) -> str:
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         fh.writelines(_json_chunks(space))
 
 
@@ -627,8 +654,9 @@ def space_from_json(text: str) -> FiniteMetricSpace:
 def load_space(path) -> FiniteMetricSpace:
     """Read a space from its JSON file, checked as `validate_metric` checks
     a matrix (at the same tolerance); validation errors carry field context.
-    A file that is not UTF-8 text raises ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    A file that is not UTF-8 text raises ParseError, and a path that is not
+    a str or os.PathLike InvalidInputError."""
+    with _open(path, "r") as fh:
         try:
             obj = _json_object(fh.read())  # the text is freed once parsed
         except UnicodeDecodeError as exc:

@@ -8,7 +8,9 @@ times a quantity of the space itself:
 - rho(B), the spectral radius of the restricted form B = -Q'DQ, for the
   spectral verdict, and ||B||_F >= rho(B) for its Cholesky certificate;
 - the diameter, for potentials, residuals, energies and the ascent;
-- mass 1, for total masses, which have no units.
+- the total variation ||mu||_1 of a measure, for its mass. Mass has no
+  unit, but the rounding of sum(mu) grows with the size of its terms, and
+  scaling the weights by t scales ||mu||_1 by t.
 
 No rescaling pass is needed to make the decisions scale-free. For points
 i != j the mass-zero vector x = (e_i - e_j)/sqrt(2) has unit norm and
@@ -42,24 +44,22 @@ wins; the predictor is a closed form to check decisions against.
 # DEFAULT_TOL * ||B||_F, and the glue boundary is DEFAULT_TOL * max(s, 2c).
 DEFAULT_TOL = 1e-9
 
-# Total mass of a measure, which has no units: the mass-zero and mass-1
-# preconditions.
-MASS_TOL = 1e-9
-
-# The invariant solve's measure w is accepted when its potential is within
-# SOLVE_REL * diameter * ||w||_1 of its constant and its mass within
-# SOLVE_REL * ||w||_1 of 1: a backward error of SOLVE_REL, scaled like the
-# rounding of D w and of sum(w), which grow with ||w||_1 (about 1/gap near
-# the Strict/NonStrict boundary). The spectral tolerance plays no part.
-# This check alone decides finite versus infinite on Strict and NonStrict.
-# Measures given as invariant or maximal are held to the same bounds.
+# The one mass rule of the package: a measure mu has mass m when
+# |sum(mu) - m| <= SOLVE_REL * ||mu||_1 (`qhm.energy._mass_bound`). It holds
+# for every measure: the mass-zero arguments of `seminorm_zero` and
+# `inner_zero` and the mass-1 measures of the invariant solve,
+# `verify_maximal` and `sequence_diagnostics`. The invariant solve's measure w is accepted when,
+# besides, its potential is within SOLVE_REL * diameter * ||w||_1 of its
+# constant: a backward error of SOLVE_REL, scaled like the rounding of D w
+# and of sum(w), which grow with ||w||_1 (about 1/gap near the
+# Strict/NonStrict boundary). The spectral tolerance plays no part. This
+# check alone decides finite versus infinite on Strict and NonStrict, and
+# `glued_invariant` holds its inputs' potentials to the same bound. A
+# seminorm radicand -I(mu) below -SOLVE_REL * diameter * ||mu||_1^2 is
+# negative beyond roundoff (|I(mu)| <= diameter * ||mu||_1^2, the potential
+# bound times ||mu||_1): mu is a direction of positive energy, which has no
+# seminorm, and `seminorm_zero` raises NotApplicableError.
 SOLVE_REL = 1e-9
-
-# A seminorm radicand -I(mu) below -NEG_RADICAND_REL * diameter * ||mu||_1^2
-# is negative beyond roundoff (|I(mu)| <= diameter * ||mu||_1^2): mu is a
-# direction of positive energy, which has no seminorm, and `seminorm_zero`
-# raises NotApplicableError. Above it the radicand counts as at least 0.
-NEG_RADICAND_REL = 1e-9
 
 # The ascent oracle stops converged when every projected gradient entry is
 # below GRAD_TOL_REL * diameter, and reports blowup when its best value

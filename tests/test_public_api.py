@@ -11,7 +11,7 @@ import inspect
 
 import qhm
 
-CONSTANTS = {"DEFAULT_TOL", "HAS_NUMBA", "MASS_TOL"}
+CONSTANTS = {"DEFAULT_TOL", "HAS_NUMBA"}
 
 SURFACE = {
     "AscentTrace": (

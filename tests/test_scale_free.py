@@ -22,7 +22,9 @@ from qhm import (
     fixture,
     glue,
     glued_m_predict,
+    inner_zero,
     m_constant,
+    measure,
     seminorm_zero,
     validate_metric,
     verify_maximal,
@@ -211,10 +213,17 @@ def glue_components():
             ] + pairs
 
 
+def _step_from_uniform(space, w):
+    """The mass-zero step w - uniform from the uniform measure to w."""
+    return measure(space, w.weights - 1.0 / space.n)
+
+
 class TestNearBoundaryGlue:
     """Glued spaces just above the Strict/NonStrict boundary, at every scale:
-    no InconsistencyError, one answer per space across the scales, and every
-    finite value at the closed form up to the rounding of the gap."""
+    no InconsistencyError, one answer per space across the scales, every
+    finite value at the closed form up to the rounding of the gap, and a
+    seminorm and a semi-inner product for the step from the uniform measure
+    to every maximizer, whose total variation is about 1/gap."""
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_scale_sweep(self, glue_components, delta):
@@ -231,14 +240,41 @@ class TestNearBoundaryGlue:
             z = glue(GlueSpec(x, y, c))
             answers = set()
             for lam in SCALES:
-                dec = m_constant(_scaled(z, lam))
+                space = _scaled(z, lam)
+                dec = m_constant(space)
                 answers.add((dec.status, dec.diagnostics["verdict"]))
                 if dec.finite:
                     rel = abs(dec.value - lam * value) / (lam * value)
                     if rel > 64.0 * eps * s / gap:
                         problems.append((k, lam, rel * gap / (eps * s)))
+                    nu = _step_from_uniform(space, dec.maximal_measure)
+                    try:
+                        seminorm_zero(space, nu)
+                        inner_zero(space, nu, nu)
+                    except QhmError as exc:
+                        problems.append((k, lam, repr(exc)))
             if len(answers) != 1:
                 problems.append((k, sorted(answers)))
+        assert problems == []
+
+    def test_step_from_uniform_at_every_gap(self, glue_components):
+        # 2 points at distance 1 glued to 3 at 0.8, with absolute gaps
+        # 2c - (m_x + m_y) from 1e-12 to 1e-6: an absolute mass tolerance of
+        # 1e-9 refused the step at 4 of these gaps (at 1e-9 its mass was
+        # -9.3e-9 and the maximizer's total variation 3.3e7)
+        x, m_x, y, m_y = glue_components[0]
+        problems = []
+        for gap in np.geomspace(1e-12, 1e-6, 61):
+            z = glue(GlueSpec(x, y, 0.5 * (m_x + m_y + gap)))
+            dec = m_constant(z)
+            if not dec.finite:
+                continue
+            nu = _step_from_uniform(z, dec.maximal_measure)
+            try:
+                assert seminorm_zero(z, nu) ** 2 == pytest.approx(
+                    inner_zero(z, nu, nu), rel=1e-9)
+            except QhmError as exc:
+                problems.append((gap, repr(exc)))
         assert problems == []
 
     @pytest.mark.parametrize("delta", [3e-8, 2e-8, 1e-8])
@@ -274,6 +310,25 @@ class TestNearBoundaryGlue:
             if len(answers) != 1:
                 problems.append((y.n, sorted(answers, key=str)))
         assert problems == []
+
+
+class TestMassRule:
+    """A measure has mass zero within SOLVE_REL times its own total
+    variation, so the seminorm is homogeneous in the weights."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seminorm_homogeneous(self, seed):
+        # an absolute mass tolerance refused t * nu at t = 1e9 on 35 of
+        # these 40 clouds and at t = 1e12 on 39
+        x = euclidean_cloud(np.random.default_rng(seed).standard_normal((9, 3)))
+        nu = _step_from_uniform(x, m_constant(x).maximal_measure)
+        ref = seminorm_zero(x, nu)
+        assert ref > 0.0
+        for t in SCALES:
+            tnu = measure(x, t * nu.weights)
+            assert seminorm_zero(x, tnu) == pytest.approx(t * ref, rel=1e-12)
+            assert inner_zero(x, tnu, nu) == pytest.approx(t * ref * ref,
+                                                           rel=1e-12)
 
 
 class TestScaleFreeDefaults:

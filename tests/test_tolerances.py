@@ -82,9 +82,9 @@ def test_checker_sees_a_default(tmp_path):
 
 def test_public_names_resolve_to_the_module():
     # the old homes of the defaults still export them, as the same objects
-    homes = {"qhm": ["DEFAULT_TOL", "MASS_TOL"],
+    homes = {"qhm": ["DEFAULT_TOL"],
              "qhm.classify": ["DEFAULT_TOL"],
-             "qhm.energy": ["MASS_TOL"],
+             "qhm.energy": ["SOLVE_REL"],
              "qhm.msolver": ["DEFAULT_TOL", "SOLVE_REL"],
              "qhm.spaces": ["TRIANGLE_TOL_REL"],
              "qhm._kernels": ["PERRON_RTOL"],
@@ -93,3 +93,31 @@ def test_public_names_resolve_to_the_module():
         for name in names:
             assert (getattr(importlib.import_module(module), name)
                     is getattr(tolerances, name))
+
+
+def _tolerances_read(path: Path) -> set[str]:
+    """Names that `path` imports from qhm.tolerances and then reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "tolerances" and node.level == 1
+                for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported & loaded
+
+
+def test_every_constant_is_read():
+    # a constant no module reads is a tolerance that governs nothing
+    constants = {name for name in vars(tolerances) if name.isupper()}
+    read = set().union(*map(_tolerances_read, _modules()))
+    assert sorted(constants - read) == []
+
+
+def test_reader_needs_an_import_and_a_read(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from .tolerances import A_TOL, B_TOL\n"
+                   "from other import C_TOL\n"
+                   "def f(x, tol=A_TOL):\n"
+                   "    return x * C_TOL\n", encoding="utf-8")
+    assert _tolerances_read(mod) == {"A_TOL"}
