@@ -29,16 +29,24 @@ diagonal-block inverses form its panels, are checked by a measured
 residual, and then drive the triangular solves of an iterative refinement
 with B. `m_constant` and `invariant_measure` try that certificate first and
 fall back to `eigh`, on the same B, when it fails.
+
+A Classification holds what `eigh` returned and the verdict read from it.
+What a caller may not read is built on first read from those eigenpairs:
+the sorted spectrum with its trivial zero, the witness and the kernel
+basis, each Q y wrapped as a measure without a copy or a check
+(`qhm.energy._trusted_measure`). A decision on its own therefore costs the
+`eigh` and a few comparisons, and no measure.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from ._kernels import CHOLESKY_BLOCK, EPS, BlockedCholesky, blocked_cholesky
-from .energy import SignedMeasure, potential
+from .energy import SignedMeasure, _trusted_measure, potential
 from .errors import (
     EigendecompositionFailure,
     InvalidInputError,
@@ -65,36 +73,55 @@ class Verdict(str, Enum):
 class Classification:
     """Three-way verdict with the spectral evidence that produced it.
 
-    eigenvalues: full centered-form spectrum, ascending (includes the trivial
-    zero of the all-ones direction). margin: smallest |eigenvalue| on the
-    mass-zero subspace, i.e. the distance of the decision to the
-    Strict/NonStrict boundary (None for single-point spaces). witness: present
-    iff NotQuasihypermetric, a unit mass-zero measure with positive energy.
-    kernel_basis: present iff NonStrict, euclidean-orthonormal mass-zero
-    measures spanning the degenerate directions. restricted_values/_vectors:
-    the eigenpairs of the form in the mass-zero basis, for the invariant solve.
+    A decision holds what its verdict is read from: restricted_values
+    (ascending) and restricted_vectors, the eigenpairs of the form in the
+    mass-zero basis, which the invariant solve also uses; margin, the
+    smallest |eigenvalue| on the mass-zero subspace, i.e. the distance of
+    the decision to the Strict/NonStrict boundary (None for single-point
+    spaces); and tol_used. The rest of the evidence is built from the
+    eigenpairs on first read and then kept: eigenvalues, the full
+    centered-form spectrum, ascending (with the trivial zero of the
+    all-ones direction); witness, present iff NotQuasihypermetric, a unit
+    mass-zero measure with positive energy; kernel_basis, present iff
+    NonStrict, euclidean-orthonormal mass-zero measures spanning the
+    degenerate directions.
     """
 
+    space: FiniteMetricSpace
     verdict: Verdict
-    eigenvalues: np.ndarray
     margin: float | None
     tol_used: float
     restricted_values: np.ndarray
     restricted_vectors: np.ndarray
-    witness: SignedMeasure | None = None
-    kernel_basis: tuple[SignedMeasure, ...] = ()
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.sort(np.append(self.restricted_values, 0.0))
+
+    @cached_property
+    def witness(self) -> SignedMeasure | None:
+        if self.verdict is not Verdict.NOT_QUASIHYPERMETRIC:
+            return None
+        return self._measure(0)
+
+    @cached_property
+    def kernel_basis(self) -> tuple[SignedMeasure, ...]:
+        if self.verdict is not Verdict.NON_STRICT:
+            return ()
+        return tuple(map(self._measure, np.flatnonzero(_degenerate(self))))
+
+    def _measure(self, i) -> SignedMeasure:
+        """Q y for the i-th eigenvector y, as a measure on the space."""
+        return _trusted_measure(self.space,
+                                _from_mass_zero(self.restricted_vectors[:, i]))
 
 
 # The mass-zero basis Q is the last n - 1 columns of the Householder
 # reflection H = I - beta v v' with v = e1 - ones/sqrt(n), which maps e1 to
 # ones/sqrt(n). With a = 1/sqrt(n), v is 1 - a then -a repeated, and
 # beta = 2 / v'v = 1 / (1 - a), so Q'x = (Hx)[1:] and Qy = H (0, y) are:
-
-def _to_mass_zero(x: np.ndarray) -> np.ndarray:
-    """Q'x = x[1:] + beta a v'x, with v'x = x_0 - a sum(x)."""
-    a = 1.0 / math.sqrt(x.shape[0])
-    return x[1:] + (a / (1.0 - a)) * (x[0] - a * x.sum())
-
+# Q'x = x[1:] + beta a v'x, with v'x = x_0 - a sum(x), which the invariant
+# solve in `qhm.msolver` applies inline, and
 
 def _from_mass_zero(y: np.ndarray) -> np.ndarray:
     """Qy = (a s, y - beta a^2 s) with s = sum(y), for n - 1 >= 1 entries.
@@ -124,22 +151,6 @@ def _restricted_form(dist: np.ndarray) -> np.ndarray:
     b = np.subtract.outer(-t, t)
     b -= dist[1:, 1:]
     return b
-
-
-def _pinv_mass_zero(cls: Classification,
-                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q B+ Q' x from the eigenpairs of B in `cls`, and the coefficients
-    <x, f_i> it drops. B+ inverts the eigenvalues above tol_used in
-    magnitude and skips the degenerate ones, whose directions f_i are
-    `cls.kernel_basis` in order; none dropped means B+ = B^-1. For x = Du,
-    u = ones/n, <Du, f_i> = mean(D f_i) is the flat value of f_i."""
-    vals, vecs = cls.restricted_values, cls.restricted_vectors
-    if vals.size == 0:
-        return np.zeros_like(x), np.zeros(0)
-    keep = np.abs(vals) > cls.tol_used
-    proj = vecs.T @ _to_mass_zero(x)
-    coef = np.divide(proj, vals, out=np.zeros_like(vals), where=keep)
-    return _from_mass_zero(vecs @ coef), proj[~keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +201,9 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
     diagonal, so C + E_std + E_panel is positive definite and
     lambda_min(b) > tau_hi + 2 r - 2 r = tau_hi.
 
-    Up to CHOLESKY_BLOCK rows `b` is shifted in place for one
-    `np.linalg.cholesky` and restored before returning; above, the blocked
-    factorization reads `b` and writes its factor to a new array.
+    Up to CHOLESKY_BLOCK rows one `np.linalg.cholesky` factors a shifted
+    copy of `b`; above, the blocked factorization reads `b` and writes its
+    factor to a new array.
     """
     m = b.shape[0]
     if m == 0:
@@ -203,15 +214,12 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
         return None
     shift = margin + 2.0 * rounding
     if m <= CHOLESKY_BLOCK:
-        diagonal = b.reshape(-1)[::m + 1]
-        saved = diagonal.copy()
-        diagonal -= shift
+        shifted = b.copy()
+        shifted.reshape(-1)[::m + 1] -= shift
         try:
-            np.linalg.cholesky(b)
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             return None
-        finally:
-            diagonal[:] = saved
         factor = None
     else:
         try:
@@ -224,8 +232,8 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
                              factor=factor)
 
 
-def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray | None:
-    """Q B^-1 Q' x for a certified B, or None when the refinement does not
+def _certified_inverse(cert: StrictCertificate, r: np.ndarray) -> np.ndarray | None:
+    """B^-1 r for a certified B, or None when the refinement does not
     converge.
 
     Up to CHOLESKY_BLOCK rows this is one LU solve with B. Above, it is
@@ -242,9 +250,8 @@ def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray |
     times ||B|| ||y||, while y is wrong by f^2 along that eigenvector.
     """
     b = cert.form
-    r = _to_mass_zero(x)
     if cert.factor is None:
-        return _from_mass_zero(np.linalg.solve(b, r))
+        return np.linalg.solve(b, r)
     solve = cert.factor.solve
     y = solve(r)
     last = math.inf
@@ -258,7 +265,7 @@ def _certified_mass_zero(cert: StrictCertificate, x: np.ndarray) -> np.ndarray |
         last = size
     if not np.linalg.norm(res) <= cert.rounding * np.linalg.norm(y):
         return None
-    return _from_mass_zero(y)
+    return y
 
 
 def classify(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Classification:
@@ -273,10 +280,8 @@ def _classify_form(space: FiniteMetricSpace, b: np.ndarray,
     """`classify` on the restricted form `b` of `space`, already built."""
     n = space.n
     if n == 1:
-        return Classification(verdict=Verdict.STRICT,
-                              eigenvalues=np.zeros(1), margin=None,
-                              tol_used=tol, restricted_values=np.zeros(0),
-                              restricted_vectors=np.zeros((0, 0)))
+        return Classification(space, Verdict.STRICT, None, tol, np.zeros(0),
+                              np.zeros((0, 0)))
     try:
         vals, vecs = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:
@@ -284,25 +289,17 @@ def _classify_form(space: FiniteMetricSpace, b: np.ndarray,
         raise EigendecompositionFailure(
             f"eigensolver failed on the {n - 1} dimensional restricted form "
             f"(entry scale {scale:.3e}): {exc}") from exc
+    size = np.abs(vals)
+    tau = tol * float(size.max())
+    verdict = (Verdict.NOT_QUASIHYPERMETRIC if vals[0] < -tau else
+               Verdict.NON_STRICT if (size <= tau).any() else Verdict.STRICT)
+    return Classification(space, verdict, float(size.min()), tau, vals, vecs)
 
-    tau = tol * float(np.abs(vals).max())
-    evidence = dict(eigenvalues=np.sort(np.append(vals, 0.0)),
-                    margin=float(np.abs(vals).min()), tol_used=tau,
-                    restricted_values=vals, restricted_vectors=vecs)
 
-    if vals[0] < -tau:
-        witness = SignedMeasure(space, _from_mass_zero(vecs[:, 0]))
-        return Classification(verdict=Verdict.NOT_QUASIHYPERMETRIC,
-                              witness=witness, **evidence)
-
-    kernel_idx = np.flatnonzero(np.abs(vals) <= tau)
-    if kernel_idx.size:
-        basis = tuple(SignedMeasure(space, _from_mass_zero(vecs[:, i]))
-                      for i in kernel_idx)
-        return Classification(verdict=Verdict.NON_STRICT,
-                              kernel_basis=basis, **evidence)
-
-    return Classification(verdict=Verdict.STRICT, **evidence)
+def _degenerate(cls: Classification) -> np.ndarray:
+    """Which eigenvalues of B lie within cls.tol_used of zero: the
+    degenerate directions, which the invariant solve skips."""
+    return np.abs(cls.restricted_values) <= cls.tol_used
 
 
 @dataclass(frozen=True)
@@ -322,7 +319,7 @@ def kernel_flat_values(space: FiniteMetricSpace,
     For f = Q y, y a unit eigenvector of B with eigenvalue lambda,
     D f - mean(D f) = -lambda f exactly, so the deviation is |lambda| *
     max|f|, within the verdict's band. The value is the coefficient that
-    the invariant solve drops along f (`_pinv_mass_zero`).
+    the invariant solve drops along f (`qhm.msolver._invariant_solve`).
     """
     if cls.verdict is not Verdict.NON_STRICT:
         raise NotApplicableError(

@@ -19,7 +19,10 @@ near-boundary spaces (||w||_1 about 1/gap) and a measure of mass zero
 times 1e9. The rule is the same at every scale of the weights.
 
 A measure owns a read-only float64 copy of its weights, as a space owns
-its matrix: the caller's array is neither aliased nor made read-only.
+its matrix: the caller's array is neither aliased nor made read-only. The
+measures the package computes itself (maximal measures, witnesses, kernel
+directions) are wrapped around their new weights by `_trusted_measure`,
+without the copy and the checks.
 """
 
 import json
@@ -58,6 +61,16 @@ class SignedMeasure:
     @property
     def mass(self) -> float:
         return float(self.weights.sum())
+
+
+def _trusted_measure(space: FiniteMetricSpace, w: np.ndarray) -> SignedMeasure:
+    """A measure around weights the package computed, with no check: a new
+    finite float64 vector of the space's length, made read-only, not
+    copied."""
+    w.setflags(write=False)
+    mu = object.__new__(SignedMeasure)
+    mu.__dict__.update(space=space, weights=w)
+    return mu
 
 
 def measure(space: FiniteMetricSpace, weights) -> SignedMeasure:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import Verdict, classify
+from .classify import Verdict, check_tol, classify
 from .energy import energy, uniform
 from .errors import InvalidInputError, PredictionMismatchError, QhmError
 from .msolver import glued_m_predict, m_constant, sequence_diagnostics
@@ -24,6 +24,7 @@ from .spaces import (
     GlueSpec,
     _all_indices,
     _count,
+    _items,
     _open,
     ball_discretization,
     euclidean_cloud,
@@ -90,13 +91,17 @@ def _golden_order(count: int) -> np.ndarray:
     return np.argsort(frac, kind="stable")
 
 
-def _check_sizes(sizes) -> None:
+def _check_sizes(sizes) -> list:
+    """`sizes` as a list of strictly ascending integers, or
+    InvalidInputError."""
+    sizes = _items(sizes, "sizes must be a sequence", InvalidInputError)
     if not sizes:
         raise InvalidInputError("no sizes given")
     if not _all_indices(sizes):
         raise InvalidInputError(f"sizes must be integers, got {sizes!r}")
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
         raise InvalidInputError("sizes must be strictly ascending")
+    return sizes
 
 
 def ball_chain(sizes):
@@ -119,8 +124,7 @@ def ball_chain(sizes):
     round to the same count per shell (the chain would repeat a subspace);
     anything else raises InvalidInputError.
     """
-    sizes = list(sizes)
-    _check_sizes(sizes)
+    sizes = _check_sizes(sizes)
     if sizes[0] < BALL_SHELLS + 1:
         raise InvalidInputError(
             f"size {sizes[0]} is below {BALL_SHELLS + 1}, the origin and one "
@@ -144,18 +148,14 @@ def ball_chain(sizes):
     return master, chains, [subspace(master, ix) for ix in chains]
 
 
-def _interval_chain(sizes):
-    big = max(sizes)
-    if any((big - 1) % (n - 1) for n in sizes):
+def _grid_chain(sizes, ends):
+    """Index lists of nested equally spaced grids inside the largest: n
+    points span n - ends of its steps (ends = 1 on an interval, 0 round a
+    circle). None when a grid's step count does not divide the largest's."""
+    steps = max(sizes) - ends
+    if any(steps % (n - ends) for n in sizes):
         return None
-    return [[k * ((big - 1) // (n - 1)) for k in range(n)] for n in sizes]
-
-
-def _circle_chain(sizes):
-    big = max(sizes)
-    if any(big % n for n in sizes):
-        return None
-    return [[k * (big // n) for k in range(n)] for n in sizes]
+    return [[k * (steps // (n - ends)) for k in range(n)] for n in sizes]
 
 
 CONVERGE_COLUMNS = ["k", "n", "status", "m_value", "i_uniform",
@@ -176,9 +176,11 @@ def run_converge(family: str, sizes, seed: int = 0,
     (blank on the first row). The third column of that table, each
     measure's energy on the largest space, is `m_value` up to rounding.
     `seed` is only recorded in the metadata: every family is
-    deterministic."""
-    sizes = list(sizes)
-    _check_sizes(sizes)
+    deterministic. A bad `tol` or `seed` raises InvalidInputError before
+    the first row."""
+    sizes = _check_sizes(sizes)
+    _count(seed, 0, "for the seed", InvalidInputError)
+    check_tol(tol)
     result = ExperimentResult(
         name=f"converge-{family}",
         metadata={"experiment": f"converge-{family}", "sizes": sizes,
@@ -187,11 +189,11 @@ def run_converge(family: str, sizes, seed: int = 0,
 
     if family == "interval":
         spaces = [interval_grid(0.0, 1.0, n) for n in sizes]
-        chains = _interval_chain(sizes)
+        chains = _grid_chain(sizes, 1)
         full = spaces[-1]
     elif family == "circle":
         spaces = [regular_polygon_arc(n) for n in sizes]
-        chains = _circle_chain(sizes)
+        chains = _grid_chain(sizes, 0)
         full = spaces[-1]
     elif family == "ball3":
         full, chains, spaces = ball_chain(sizes)
@@ -244,11 +246,15 @@ def run_glue_diverge(sizes, seed: int = 0,
     to about 3.2. Raises PredictionMismatchError (after recording all
     rows) if any solved value misses the prediction by more than 1e-6
     relative. `seed` is only recorded in the metadata: the chain is
-    deterministic.
+    deterministic. Bad sizes, a bad `tol` or `seed` raise InvalidInputError
+    before the first row.
     """
+    sizes = _check_sizes(sizes)
+    _count(seed, 0, "for the seed", InvalidInputError)
+    check_tol(tol)
     result = ExperimentResult(
         name="glue-diverge",
-        metadata={"experiment": "glue-diverge", "sizes": list(sizes),
+        metadata={"experiment": "glue-diverge", "sizes": sizes,
                   "seed": seed, "tol": tol, "c": GLUE_DIVERGE_C,
                   "rtol": GLUE_DIVERGE_PREDICTION_RTOL},
         columns=GLUE_DIVERGE_COLUMNS)
@@ -302,6 +308,7 @@ def run_equal_glue_demo(n_polygon: int,
     has a strictly smaller constant, so the corresponding glued subspace
     falls strictly inside the boundary and classifies Strict.
     """
+    check_tol(tol)
     n = _count(n_polygon, 3, "polygon vertices", InvalidInputError)
     poly = _polygon_cloud(n)
     poly_dec = m_constant(poly, tol)

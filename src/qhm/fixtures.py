@@ -4,22 +4,29 @@ Keys are stable CLI-facing identifiers. Parameterized families use a numeric
 suffix: interval-<n> (n >= 2 grid points on [0, 1]), circle-<2m> (even
 polygon on the arc-length circle), ball3-<shells> (unit-ball discretization
 with 64 lattice points per shell).
+
+Every fixture is built the way the builders of `qhm.spaces` build: its
+matrix is a metric by construction and is wrapped without the O(n^2)
+checks or the triangle scan. The static ones glue uniform blocks, n points
+at a common distance d > 0, whose matrix is d off the diagonal and 0 on it.
 """
 
 import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classify import Verdict
 from .errors import UnknownFixtureError
 from .spaces import (
     FiniteMetricSpace,
     GlueSpec,
+    _space,
     ball_discretization,
     glue,
     interval_grid,
     regular_polygon_arc,
-    validate_metric,
 )
 
 BALL_POINTS_PER_SHELL = 64
@@ -51,28 +58,24 @@ class Fixture:
 
 
 def _uniform_block(n: int, d: float) -> FiniteMetricSpace:
-    rows = [[0.0 if i == j else d for j in range(n)] for i in range(n)]
-    return validate_metric(rows, name=f"uniform{n}(d={d})")
+    """n points at distance d > 0 from each other, a metric by construction:
+    d times 1 off the diagonal and times 0 on it, both exact."""
+    return _space(d * (1.0 - np.eye(n)), None, f"uniform{n}(d={d})")
 
 
-def _five_point_boundary() -> FiniteMetricSpace:
-    # components with constants 1/2 and 8/15, glued exactly on the boundary
-    # 2c = 1/2 + 8/15, where a mass-zero direction with constant potential
-    # -1/60 appears and pushes the glued constant to infinity
-    return glue(GlueSpec(_uniform_block(2, 1.0), _uniform_block(3, 0.8), 31.0 / 60.0))
-
-
-def _five_point_nonqhm() -> FiniteMetricSpace:
-    # cross-distance below the boundary (2c = 2 < 1 + 4/3): the glued space
-    # is not quasihypermetric yet still carries an invariant probability
-    # measure of value 1 (half weight on each 2-block point)
-    return glue(GlueSpec(_uniform_block(2, 2.0), _uniform_block(3, 2.0), 1.0))
+def _five_point(d2: float, d3: float, c: float) -> FiniteMetricSpace:
+    """A uniform 2-block at distance d2 glued to a uniform 3-block at d3 by
+    the cross-distance c."""
+    return glue(GlueSpec(_uniform_block(2, d2), _uniform_block(3, d3), c))
 
 
 _STATIC = {
+    # components with constants 1/2 and 8/15, glued exactly on the boundary
+    # 2c = 1/2 + 8/15, where a mass-zero direction with constant potential
+    # -1/60 appears and pushes the glued constant to infinity
     "nw-thm2.9": lambda: Fixture(
         key="nw-thm2.9",
-        space=_five_point_boundary(),
+        space=_five_point(1.0, 0.8, 31.0 / 60.0),
         expected=Expected(
             verdict=Verdict.NON_STRICT, m_status="infinite",
             reason="NonzeroFlatKernel",
@@ -81,9 +84,12 @@ _STATIC = {
             note="5-point boundary gluing of uniform 2- and 3-blocks; "
                  "smallest point count where a quasihypermetric space has "
                  "an infinite constant")),
+    # cross-distance below the boundary (2c = 2 < 1 + 4/3): the glued space
+    # is not quasihypermetric yet still carries an invariant probability
+    # measure of value 1 (half weight on each 2-block point)
     "nw-thm2.9a": lambda: Fixture(
         key="nw-thm2.9a",
-        space=_five_point_nonqhm(),
+        space=_five_point(2.0, 2.0, 1.0),
         expected=Expected(
             verdict=Verdict.NOT_QUASIHYPERMETRIC, m_status="infinite",
             reason="NotQuasihypermetric",
@@ -161,7 +167,9 @@ def fixture_keys() -> list[str]:
 
 
 def fixture(key: str) -> Fixture:
-    """Look up a catalogue space by key."""
+    """Look up a catalogue space by key, a str."""
+    if not isinstance(key, str):
+        raise UnknownFixtureError(f"a fixture key is a str, got {key!r}")
     if key in _STATIC:
         return _STATIC[key]()
     for pattern, build, accept, msg in _PATTERNS:

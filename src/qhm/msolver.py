@@ -16,7 +16,7 @@ of `qhm.classify.certify_strict` and solve with its factor by iterative
 refinement, or with a plain LU solve when B is small (diagnostics
 "certificate": "cholesky", "margin": the certified lower bound tau_hi on
 the eigenvalues of B). When the factorization fails, the refinement does
-not converge (`_certified_mass_zero`) or its solve misses the check below,
+not converge (`_certified_inverse`) or its solve misses the check below,
 they fall back to the full `eigh` classification of the same B
 ("certificate": "eigh", "margin": the smallest |eigenvalue|), which serves
 the NonStrict and NotQuasihypermetric verdicts and their witnesses. One
@@ -27,8 +27,16 @@ backward error of SOLVE_REL on the scale of w itself, which grows like
 falls back to `eigh`; an `eigh` solve that misses it leaves no measure.
 The same check decides NonStrict: M is finite when the solve passes, and
 infinite (NonzeroFlatKernel) when it misses and the skipped values exceed
-its residual bound in 2-norm. Measures given to `glued_invariant`,
-`verify_maximal` and `sequence_diagnostics` are held to the same bounds.
+its residual bound in 2-norm. A w that is not finite passes neither
+bound. Measures given to `glued_invariant`, `verify_maximal` and
+`sequence_diagnostics` are held to the same bounds.
+
+Below CHOLESKY_BLOCK rows the solve is one pass of a few small numpy calls:
+Q' D u in closed form, one LU solve or one pseudo-inverse through the
+eigenpairs, and u + Q y (`_invariant_solve`). A decision holds the weights
+it found, of the maximal measure or of the witness, and makes the
+SignedMeasure only when it is read (`MDecision`): a measure the package
+computed is wrapped without the copy and the checks of one from outside.
 
 An independent projected-ascent oracle cross-checks finite values and
 detects divergence without touching the linear-algebra route: its iterates
@@ -38,6 +46,7 @@ are the steps of a linear recurrence, advanced a block at a time by
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +54,10 @@ from ._kernels import ascent, perron_upper_bound
 from .classify import (
     StrictCertificate,
     Verdict,
-    _certified_mass_zero,
+    _certified_inverse,
     _classify_form,
-    _pinv_mass_zero,
+    _degenerate,
+    _from_mass_zero,
     _restricted_form,
     certify_strict,
     check_tol,
@@ -56,6 +66,7 @@ from .energy import (
     SignedMeasure,
     _check_mass,
     _mass_bound,
+    _trusted_measure,
     energy,
     inner_extended,
     measure,
@@ -68,7 +79,7 @@ from .errors import (
     NotInvariantInputError,
 )
 from .spaces import (FiniteMetricSpace, GlueSpec, _all_indices, _count,
-                     _float_array, _real, diameter, glue)
+                     _float_array, _items, _real, diameter, glue)
 from .tolerances import (
     BLOWUP_REL,
     DEFAULT_TOL,
@@ -94,42 +105,71 @@ class InvariantSolve:
 
 @dataclass(frozen=True, eq=False)
 class MDecision:
-    """Finite/Infinite decision for the energy supremum constant."""
+    """Finite/Infinite decision for the energy supremum constant.
+
+    evidence holds the weights the decision found: of the maximal measure
+    when finite, of the witness when infinite. The measure itself,
+    `maximal_measure` or `witness` (None on the other status), is a
+    read-only SignedMeasure on `space` around those weights, made on first
+    read and then kept.
+    """
 
     status: str  # "finite" | "infinite"
+    space: FiniteMetricSpace
+    evidence: np.ndarray
     value: float | None = None
-    maximal_measure: SignedMeasure | None = None
     reason: str | None = None  # "NotQuasihypermetric" | "NonzeroFlatKernel"
-    witness: SignedMeasure | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def finite(self) -> bool:
         return self.status == "finite"
 
+    @cached_property
+    def maximal_measure(self) -> SignedMeasure | None:
+        return _trusted_measure(self.space, self.evidence) if self.finite else None
+
+    @cached_property
+    def witness(self) -> SignedMeasure | None:
+        return None if self.finite else _trusted_measure(self.space, self.evidence)
+
 
 def _invariant_solve(space: FiniteMetricSpace, evidence,
-                     diagnostics: dict) -> InvariantSolve | None:
-    """w = u + Q B+ Q' D u and c = mean(D w), with B+ from the eigenpairs of
-    a Classification or B^-1 from a StrictCertificate, or None when that
-    solve fails or w fails the one acceptance check of an invariant solve:
-    "flatness" = max|D w - c| above "residual_bound" = diameter *
-    `qhm.energy._mass_bound(w)`, or "mass_error" = |sum(w) - 1| above
-    "mass_bound" = `_mass_bound(w)`. Those numbers, with "measure_l1" =
+                     diagnostics: dict) -> tuple[np.ndarray, float] | None:
+    """(w, c) with w = u + Q B+ Q' D u, u = ones/n, and c = mean(D w), with
+    B+ from the eigenpairs of a Classification or B^-1 from a
+    StrictCertificate, or None when that solve fails or w fails the one
+    acceptance check of an invariant solve: "flatness" = max|D w - c| within
+    "residual_bound" = diameter * `qhm.energy._mass_bound(w)`, and
+    "mass_error" = |sum(w) - 1| within "mass_bound" = `_mass_bound(w)`. A w
+    that is not finite never passes. Those numbers, with "measure_l1" =
     ||w||_1, go into `diagnostics`, and "unique" with them when w is
     accepted. When B+ skips degenerate directions, the coefficients it
-    drops, their constant potential values, go in as "kernel_flat_values"."""
+    drops, their constant potential values, go in as "kernel_flat_values".
+
+    Q' D u, the solve and u + Q y are one pass in the closed forms of Q'
+    and Q (`qhm.classify`), with Python floats for the scalars."""
     n = space.n
     u = np.full(n, 1.0 / n)
-    if isinstance(evidence, StrictCertificate):
-        y, dropped = _certified_mass_zero(evidence, space.dist @ u), ()
-        if y is None:
-            return None
-    else:
-        y, dropped = _pinv_mass_zero(evidence, space.dist @ u)
-        if dropped.size:
-            diagnostics["kernel_flat_values"] = dropped.tolist()
-    w = u + y
+    x = space.dist @ u
+    w, dropped = u, ()  # one point: the mass-zero subspace is {0}
+    if n > 1:
+        a = 1.0 / math.sqrt(n)
+        r = x[1:] + (a / (1.0 - a)) * (float(x[0]) - a * float(x.sum()))
+        if isinstance(evidence, StrictCertificate):
+            y = _certified_inverse(evidence, r)
+            if y is None:
+                return None
+        else:
+            vals, vecs = evidence.restricted_values, evidence.restricted_vectors
+            proj = vecs.T @ r
+            skip = _degenerate(evidence)
+            y = vecs @ np.divide(proj, vals, out=np.zeros_like(vals),
+                                 where=~skip)
+            dropped = proj[skip]
+            if dropped.size:
+                diagnostics["kernel_flat_values"] = dropped.tolist()
+        w = u + _from_mass_zero(y)
     pot = space.dist @ w
     c = float(pot.sum()) / n
     l1 = float(np.abs(w).sum())
@@ -137,12 +177,11 @@ def _invariant_solve(space: FiniteMetricSpace, evidence,
     diagnostics.update(flatness=float(np.abs(pot - c).max()),
                        mass_error=abs(float(w.sum()) - 1.0), measure_l1=l1,
                        residual_bound=diameter(space) * bound, mass_bound=bound)
-    if (diagnostics["flatness"] > diagnostics["residual_bound"]
-            or diagnostics["mass_error"] > bound):
+    if not (diagnostics["flatness"] <= diagnostics["residual_bound"]
+            and diagnostics["mass_error"] <= bound):
         return None
-    unique = diagnostics["unique"] = len(dropped) == 0
-    return InvariantSolve(measure=measure(space, w), value=c,
-                          residual=diagnostics["flatness"], unique=unique)
+    diagnostics["unique"] = len(dropped) == 0
+    return w, c
 
 
 def _certified_solve(space: FiniteMetricSpace, tol: float,
@@ -167,10 +206,15 @@ def invariant_measure(space: FiniteMetricSpace,
     Strict path when it succeeds and from the eigenpairs of the
     classification otherwise; None when no such measure exists or the
     solve misses its check."""
-    b, solve = _certified_solve(space, tol, {})
-    if solve is not None:
-        return solve
-    return _invariant_solve(space, _classify_form(space, b, tol), {})
+    diagnostics = {}
+    b, solve = _certified_solve(space, tol, diagnostics)
+    if solve is None:
+        solve = _invariant_solve(space, _classify_form(space, b, tol),
+                                 diagnostics)
+    if solve is None:
+        return None
+    return InvariantSolve(_trusted_measure(space, solve[0]), solve[1],
+                          diagnostics["flatness"], diagnostics["unique"])
 
 
 def m_constant(space: FiniteMetricSpace,
@@ -187,6 +231,8 @@ def m_constant(space: FiniteMetricSpace,
     direction of largest |value| is the witness. Any other rejection
     raises InconsistencyError, whose diagnostics carry the check's numbers.
     The tolerance decides the verdict only, never finite versus infinite.
+    The decision holds the weights of its measure; the SignedMeasure is
+    built when it is read (see MDecision).
 
     diagnostics: "certificate" ("cholesky" or "eigh"), "verdict", "margin"
     (the certified lower bound tau_hi on the eigenvalues of B, or the
@@ -198,18 +244,18 @@ def m_constant(space: FiniteMetricSpace,
     """
     diagnostics = {}
     b, solve = _certified_solve(space, tol, diagnostics)
-    if solve is not None:
-        return MDecision(status="finite", value=solve.value,
-                         maximal_measure=solve.measure, diagnostics=diagnostics)
+    if solve is not None:  # (w, c): the evidence and the value
+        return MDecision("finite", space, *solve, diagnostics=diagnostics)
 
     cls = _classify_form(space, b, tol)
     diagnostics = {"certificate": "eigh", "margin": cls.margin,
                    "classify_tol": cls.tol_used, "verdict": cls.verdict.value}
 
     if cls.verdict is Verdict.NOT_QUASIHYPERMETRIC:
-        diagnostics["witness_energy"] = energy(space, cls.witness)
-        return MDecision(status="infinite", reason="NotQuasihypermetric",
-                         witness=cls.witness, diagnostics=diagnostics)
+        f = _from_mass_zero(cls.restricted_vectors[:, 0])
+        diagnostics["witness_energy"] = float(f @ (space.dist @ f))
+        return MDecision("infinite", space, f, reason="NotQuasihypermetric",
+                         diagnostics=diagnostics)
 
     solve = _invariant_solve(space, cls, diagnostics)
     if solve is None:
@@ -217,16 +263,16 @@ def m_constant(space: FiniteMetricSpace,
         if math.hypot(*flats) > diagnostics["residual_bound"]:
             i = max(range(len(flats)), key=lambda k: abs(flats[k]))
             diagnostics["flat_value"] = flats[i]
-            return MDecision(status="infinite", reason="NonzeroFlatKernel",
-                             witness=cls.kernel_basis[i],
+            f = _from_mass_zero(
+                cls.restricted_vectors[:, np.flatnonzero(_degenerate(cls))[i]])
+            return MDecision("infinite", space, f, reason="NonzeroFlatKernel",
                              diagnostics=diagnostics)
         raise InconsistencyError(
             "the invariant solve on a space classified finite misses its "
             "check: flatness {flatness:.3e} against {residual_bound:.3e}, mass "
             "error {mass_error:.3e} against {mass_bound:.3e}".format_map(
                 diagnostics), diagnostics=diagnostics)
-    return MDecision(status="finite", value=solve.value,
-                     maximal_measure=solve.measure, diagnostics=diagnostics)
+    return MDecision("finite", space, *solve, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -475,7 +521,9 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
     monotonicity or boundedness; no rates are claimed. `run_converge`
     reports these columns on its rows.
     """
-    chains = [list(ix) for ix in index_chain]
+    chains = [_items(ix, "index lists must be sequences", ChainMismatchError)
+              for ix in _items(index_chain, "need a chain", ChainMismatchError)]
+    measures = _items(measures, "need a measure sequence", ChainMismatchError)
     if len(chains) != len(measures):
         raise ChainMismatchError(
             f"{len(chains)} index lists but {len(measures)} measures")

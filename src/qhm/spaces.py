@@ -21,8 +21,10 @@ construction, and wraps it through `_trusted`, which runs no check. Every
 count and seed of the package goes through `_count`: a Python or numpy
 integer in [least, 2^63), and a typed error for anything else. Every real
 scalar goes through `_real`: a Python or numpy real number, not a boolean,
-that converts to a finite float. Every file goes through `_open`, which
-takes a str or os.PathLike path and nothing else.
+that converts to a finite float. Every sequence (labels, indices, sizes,
+chains) goes through `_items`, so that a scalar in its place raises a typed
+error too. Every file goes through `_open`, which takes a str or
+os.PathLike path and nothing else.
 
 - `interval_grid` and `regular_polygon_arc` take |i - j| (or the shorter
   way round the circle) times a step h, finite and positive, whose low
@@ -149,10 +151,6 @@ class GlueSpec:
                 f"{bound}; the glued matrix would not be a metric")
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"p{i}" for i in range(n))
-
-
 def _checked_matrix(d):
     """The O(n^2) checks of an untrusted matrix, shared by `validate_metric`
     and the JSON readers: a finite square matrix with zero diagonal,
@@ -262,12 +260,23 @@ def _real(value, what, error) -> float:
     raise error(f"{what}, got {value!r}")
 
 
+def _items(value, what, error) -> list:
+    """`value` as a list when it can be iterated; a scalar (a number, None)
+    raises `error` with the message `what`."""
+    try:
+        return list(value)
+    except TypeError:
+        raise error(f"{what}, got {value!r}") from None
+
+
 def _open(path, mode, newline=None):
     """The UTF-8 text file at `path`, a str or os.PathLike. Anything else
     raises InvalidInputError: an integer would be taken as a file
-    descriptor, and closing it would close, say, the caller's stdout."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise InvalidInputError(f"path must be a str or os.PathLike, got {path!r}")
+    descriptor, and closing it would close, say, the caller's stdout. So
+    does a path that no file can have, one with a NUL byte."""
+    if not isinstance(path, (str, os.PathLike)) or "\0" in os.fsdecode(path):
+        raise InvalidInputError(
+            f"path must be a str or os.PathLike with no NUL byte, got {path!r}")
     return open(path, mode, encoding="utf-8", newline=newline)
 
 
@@ -341,9 +350,10 @@ def _trusted(labels, d, name) -> FiniteMetricSpace:
 def _space(d, labels, name) -> FiniteMetricSpace:
     n = d.shape[0]
     if labels is None:
-        labels = _default_labels(n)
+        labels = tuple(f"p{i}" for i in range(n))
     else:
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(map(str, _items(labels, "labels must be a sequence",
+                                       ValidationError)))
         if len(labels) != n:
             raise ValidationError(f"got {len(labels)} labels for {n} points")
     return _trusted(labels, np.ascontiguousarray(d), name)
@@ -387,7 +397,7 @@ def subspace(space: FiniteMetricSpace, indices) -> FiniteMetricSpace:
     every point in order shares the parent's read-only matrix; any other
     selection copies. An index that is not an integer (a float or a
     boolean) raises IndexOutOfRangeError, as one outside the space does."""
-    idx = list(indices)
+    idx = _items(indices, "indices must be a sequence", IndexOutOfRangeError)
     if not idx:
         raise EmptySelectionError("no indices selected")
     if not _all_indices(idx):
@@ -607,10 +617,11 @@ def random_metric(n: int, seed: int) -> FiniteMetricSpace:
     rng = np.random.default_rng(
         _count(seed, 0, "for the seed", InvalidInputError))
     d = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    vals = rng.uniform(1.0, 2.0, size=len(iu[0]))
-    d[iu] = vals
-    d.T[iu] = vals
+    k = np.arange(n)
+    upper = k[:, None] < k  # filled row by row, as np.triu_indices orders it
+    vals = rng.uniform(1.0, 2.0, size=n * (n - 1) // 2)
+    d[upper] = vals
+    d.T[upper] = vals
     return _space(d, None, f"random({n},{seed})")
 
 

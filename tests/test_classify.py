@@ -20,13 +20,9 @@ from qhm import (
     regular_polygon_arc,
     validate_metric,
 )
-from qhm.classify import (
-    _from_mass_zero,
-    _pinv_mass_zero,
-    _restricted_form,
-    _to_mass_zero,
-)
+from qhm.classify import _from_mass_zero, _restricted_form
 from qhm.errors import NotApplicableError
+from qhm.msolver import _invariant_solve
 
 from conftest import random_cloud
 from oracles import brute_max_mass_zero_energy, householder_basis
@@ -38,21 +34,19 @@ class TestRestrictedForm:
         assert np.allclose(_restricted_form(x.dist), [[1.0]], atol=1e-15)
 
     def test_basis_annihilates_ones(self):
-        rng = np.random.default_rng(2)
-        for seed in range(10):
-            x = random_metric(int(rng.integers(2, 9)), seed)
-            assert np.abs(_to_mass_zero(np.ones(x.n))).max() < 1e-12
+        # every column Q e_i of the mass-zero basis sums to zero: Q'1 = 0
+        for n in range(2, 9):
+            q = np.stack([_from_mass_zero(e) for e in np.eye(n - 1)], axis=1)
+            assert np.abs(np.ones(n) @ q).max() < 1e-12
 
     def test_quadratic_form_is_negative_energy(self):
-        # for mass-zero alpha, (Q' alpha)' B (Q' alpha) = -energy(alpha)
+        # for y in the mass-zero basis, y' B y = -energy(Q y)
         rng = np.random.default_rng(7)
         for _ in range(100):
             x = random_cloud(rng)
-            a = rng.standard_normal(x.n)
-            a -= a.mean()
-            y = _to_mass_zero(a)
+            y = rng.standard_normal(x.n - 1)
             lhs = float(y @ _restricted_form(x.dist) @ y)
-            rhs = -energy(x, measure(x, a))
+            rhs = -energy(x, measure(x, _from_mass_zero(y)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -79,8 +73,7 @@ class TestMassZeroBasis:
     def test_vector_maps_match_explicit_basis(self, n):
         rng = np.random.default_rng(n)
         q = householder_basis(n)
-        x, y = rng.standard_normal(n), rng.standard_normal(n - 1)
-        assert np.allclose(_to_mass_zero(x), q.T @ x, atol=1e-14)
+        y = rng.standard_normal(n - 1)
         assert np.allclose(_from_mass_zero(y), q @ y, atol=1e-14)
         assert abs(_from_mass_zero(y).sum()) <= 1e-13
 
@@ -212,9 +205,10 @@ class TestKernelFlatValues:
         flats = kernel_flat_values(space, cls)
         vals = cls.restricted_values
         lams = vals[np.abs(vals) <= cls.tol_used]
-        _, dropped = _pinv_mass_zero(cls, space.dist @ np.full(space.n,
-                                                              1.0 / space.n))
-        assert len(flats) == lams.size == dropped.size
+        diagnostics = {}
+        _invariant_solve(space, cls, diagnostics)
+        dropped = diagnostics["kernel_flat_values"]
+        assert len(flats) == lams.size == len(dropped)
         bound = 64.0 * np.finfo(np.float64).eps * diameter(space) * np.sqrt(
             space.n)
         for kf, lam, coef in zip(flats, lams, dropped):

@@ -1,16 +1,19 @@
-"""The contract of the public API on its scalar and path arguments.
+"""The contract of the public API on its scalar, sequence and path
+arguments.
 
 Every callable in `qhm.__all__` has one valid base call in TABLE. One
-numeric scalar or path argument at a time is replaced by each value of
-SWEEP, and by values that hypothesis draws: the call must return or raise
-a ValidationError subclass, never anything else. A path that is not a str
-or os.PathLike must not be taken as a file descriptor, so stdout is still
-open after the path cases.
+numeric scalar, sequence or path argument at a time is replaced by each
+value of SWEEP, and by values that hypothesis draws: the call must return
+or raise a ValidationError subclass, never anything else. A path that is
+not a str or os.PathLike must not be taken as a file descriptor, so stdout
+is still open after the path cases.
 
 Counts, seeds and indices meet only invalid integers from hypothesis: a
-valid count is a size, and a huge one would build a huge space. Paths meet
-no text from hypothesis: a str is a valid path, and what the file system
-says of it is not a property of the API."""
+valid count is a size, and a huge one would build a huge space. Sequences
+(and the fixture key, a str) meet scalars and text. Paths meet no text from
+hypothesis: a str is a valid path, and what the file system says of it is
+not a property of the API; SWEEP holds the one str no file can have, with
+a NUL byte."""
 
 import dataclasses
 import math
@@ -73,7 +76,7 @@ from qhm import (
 
 # The adversarial values every swept argument meets.
 SWEEP = [1.5, True, -1, 2 ** 63, 10 ** 400, "x", None, math.nan,
-         np.float64(2), np.array(3.0)]
+         np.float64(2), np.array(3.0), "a\0b"]
 
 BIG = 2 ** 1100
 REALS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
@@ -98,12 +101,14 @@ TOL = 1e-9
 @dataclasses.dataclass(frozen=True)
 class Row:
     """A valid base call `call(**kwargs)` and the names of its arguments
-    that are real numbers, counts (seeds and indices too) and paths."""
+    that are real numbers, counts (seeds and indices too), sequences and
+    paths."""
 
     call: object
     kwargs: dict
     reals: tuple = ()
     counts: tuple = ()
+    sequences: tuple = ()
     paths: tuple = ()
 
 
@@ -124,7 +129,8 @@ TABLE = {
     "ExperimentResult": Row(_write_csv, {"path": "result.csv"},
                             paths=("path",)),
     "FiniteMetricSpace": Row(FiniteMetricSpace,
-                             {"labels": ("a", "b"), "dist": PAIR.dist}),
+                             {"labels": ("a", "b"), "dist": PAIR.dist},
+                             sequences=("labels",)),
     "Fixture": _record(lambda: fixture("interval-5")),
     "GluePrediction": _record(lambda: glued_m_predict(0.5, 0.5, 1.0)),
     "GlueSpec": Row(GlueSpec, {"x": PAIR, "y": PAIR, "c": 1.0},
@@ -148,7 +154,7 @@ TABLE = {
                           "blowup": 10.0},
                          reals=("blowup",), counts=("iterations", "seed")),
     "atomic": Row(atomic, {"space": X, "i": 1}, counts=("i",)),
-    "ball_chain": Row(ball_chain, {"sizes": [6, 11]}),
+    "ball_chain": Row(ball_chain, {"sizes": [6, 11]}, sequences=("sizes",)),
     "ball_discretization": Row(ball_discretization,
                                {"shells": 1, "points_per_shell": 4},
                                counts=("shells", "points_per_shell")),
@@ -156,8 +162,10 @@ TABLE = {
     "diameter": Row(diameter, {"space": X}),
     "energy": Row(energy, {"space": X, "mu": MU}),
     "energy_bilinear": Row(energy_bilinear, {"space": X, "mu": MU, "nu": NU}),
-    "euclidean_cloud": Row(euclidean_cloud, {"coords": [[0, 0], [1, 0]]}),
-    "fixture": Row(fixture, {"key": "interval-5"}),
+    "euclidean_cloud": Row(euclidean_cloud,
+                           {"coords": [[0, 0], [1, 0]], "labels": ["a", "b"]},
+                           sequences=("labels",)),
+    "fixture": Row(fixture, {"key": "interval-5"}, sequences=("key",)),
     "fixture_keys": Row(fixture_keys, {}),
     "glue": Row(glue, {"spec": GlueSpec(PAIR, PAIR, 1.0)}),
     "glued_invariant": Row(glued_invariant,
@@ -188,13 +196,15 @@ TABLE = {
     "run_converge": Row(run_converge,
                         {"family": "interval", "sizes": [3, 5], "seed": 0,
                          "tol": TOL},
-                        reals=("tol",), counts=("seed",)),
+                        reals=("tol",), counts=("seed",),
+                        sequences=("sizes",)),
     "run_equal_glue_demo": Row(run_equal_glue_demo,
                                {"n_polygon": 3, "tol": TOL},
                                reals=("tol",), counts=("n_polygon",)),
     "run_glue_diverge": Row(run_glue_diverge,
                             {"sizes": [6, 11], "seed": 0, "tol": TOL},
-                            reals=("tol",), counts=("seed",)),
+                            reals=("tol",), counts=("seed",),
+                            sequences=("sizes",)),
     "save_measure": Row(save_measure, {"mu": MU, "path": "measure.json"},
                         paths=("path",)),
     "save_space": Row(save_space, {"space": X, "path": "space.json"},
@@ -202,10 +212,14 @@ TABLE = {
     "seminorm_zero": Row(seminorm_zero, {"space": X, "mu": NU}),
     "sequence_diagnostics": Row(sequence_diagnostics,
                                 {"full_space": X, "index_chain": [[0, 1, 2]],
-                                 "measures": [MU]}),
-    "subspace": Row(subspace, {"space": X, "indices": [0, 1]}),
+                                 "measures": [MU]},
+                                sequences=("index_chain", "measures")),
+    "subspace": Row(subspace, {"space": X, "indices": [0, 1]},
+                    sequences=("indices",)),
     "uniform": Row(uniform, {"space": X}),
-    "validate_metric": Row(validate_metric, {"matrix": PAIR.dist}),
+    "validate_metric": Row(validate_metric,
+                           {"matrix": PAIR.dist, "labels": ["a", "b"]},
+                           sequences=("labels",)),
     "verify_maximal": Row(verify_maximal,
                           {"space": PAIR, "mu": W, "m_value": 0.5,
                            "trials": 5, "seed": 0, "tol": TOL},
@@ -214,9 +228,10 @@ TABLE = {
 }
 
 CASES = [(name, arg, kind) for name, row in sorted(TABLE.items())
-         for kind in ("reals", "counts", "paths")
+         for kind in ("reals", "counts", "sequences", "paths")
          for arg in getattr(row, kind)]
-STRATEGIES = {"reals": REALS, "counts": COUNTS, "paths": PATHS}
+STRATEGIES = {"reals": REALS, "counts": COUNTS, "sequences": REALS,
+              "paths": PATHS}
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -277,10 +292,14 @@ def test_drawn(name, arg, kind):
     ("inner_extended", "m_value", True), ("verify_maximal", "m_value", math.nan),
     ("save_space", "path", 1), ("save_measure", "path", True),
     ("load_space", "path", True), ("load_measure", "path", 1),
-    ("ExperimentResult", "path", 1)])
+    ("ExperimentResult", "path", 1),
+    ("run_converge", "tol", "x"), ("run_converge", "seed", "x"),
+    ("run_glue_diverge", "tol", -1.0), ("run_glue_diverge", "seed", "x"),
+    ("run_equal_glue_demo", "tol", math.nan)])
 def test_silent_passes_now_raise(name, arg, value):
     # each of these used to build a space, return a number, pass a report
-    # with no violations, or take the integer as a file descriptor and
-    # close it
+    # with no violations, take the integer as a file descriptor and close
+    # it, or return rows that failed on a bad tolerance or recorded a bad
+    # seed
     assert isinstance(_call(name, arg, value), ValidationError)
     os.fstat(1)

@@ -14,7 +14,9 @@ from qhm import (
     m_constant,
     measure,
     potential,
+    validate_metric,
 )
+from qhm._kernels import triangle_scan
 from qhm.errors import UnknownFixtureError
 
 CHECKED_KEYS = ["nw-thm2.9", "nw-thm2.9a", "fourpoint-antipodal",
@@ -73,3 +75,30 @@ def test_bad_parameters_rejected(key):
 def test_keys_unique_and_sorted():
     keys = fixture_keys()
     assert len(keys) == len(set(keys))
+
+
+STATIC_KEYS = [key for key in fixture_keys() if "<" not in key]
+
+
+@pytest.mark.parametrize("key", STATIC_KEYS)
+def test_static_fixture_is_a_metric_by_construction(monkeypatch, key):
+    # built with no check of its own matrix, yet the same matrix that the
+    # checks make of its rows, bit for bit, with no triangle deficit
+    import qhm._kernels
+    import qhm.fixtures
+    import qhm.spaces
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fixture checked its own matrix")
+
+    for module, name in ((qhm.spaces, "validate_metric"),
+                         (qhm.spaces, "triangle_scan"),
+                         (qhm._kernels, "triangle_scan")):
+        monkeypatch.setattr(module, name, refuse)
+    assert not hasattr(qhm.fixtures, "validate_metric")
+    space = fixture(key).space
+    monkeypatch.undo()
+    checked = validate_metric(space.dist.tolist(), space.labels, space.name)
+    assert checked.dist.tobytes() == space.dist.tobytes()
+    assert checked.labels == space.labels
+    assert triangle_scan(space.dist)[0] == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -34,7 +35,7 @@ from qhm import (
 )
 from qhm._kernels import CHOLESKY_BLOCK
 from qhm.classify import (
-    _certified_mass_zero,
+    _certified_inverse,
     _from_mass_zero,
     _restricted_form,
     certify_strict,
@@ -135,7 +136,7 @@ class TestEigenpairSolve:
         _assert_same_solve(validate_metric(matrix))
 
     def test_pseudo_inverse_drops_exactly_the_degenerate_eigenvalues(self):
-        from qhm.classify import _pinv_mass_zero
+        from qhm.msolver import _invariant_solve
 
         x = random_cloud(np.random.default_rng(8), n_min=8, n_max=8)
         vals = classify(x).restricted_values
@@ -149,16 +150,33 @@ class TestEigenpairSolve:
         lam, vec = np.linalg.eigh(-(q.T @ x.dist @ q))
         keep = np.abs(lam) > cls.tol_used
         assert keep.sum() == x.n - 2
-        rhs = np.random.default_rng(9).standard_normal(x.n)
-        vec = q @ vec[:, keep]
-        expected = vec @ ((vec.T @ rhs) / lam[keep])
-        got, dropped = _pinv_mass_zero(cls, rhs)
-        assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
-        # it drops the one coefficient <rhs, f> along the degenerate
+        u = np.full(x.n, 1.0 / x.n)
+        rhs = x.dist @ u
+        diagnostics = {}
+        assert _invariant_solve(x, cls, diagnostics) is None
+        # it drops the one coefficient <Du, f> along the degenerate
         # direction f, the eigenvector of the smallest eigenvalue
-        f = q @ np.linalg.eigh(-(q.T @ x.dist @ q))[1][:, 0]
-        assert dropped.shape == (1,)
-        assert abs(abs(dropped[0]) - abs(f @ rhs)) <= 1e-9 * np.abs(rhs).max()
+        f = q @ vec[:, 0]
+        (dropped,) = diagnostics["kernel_flat_values"]
+        assert abs(abs(dropped) - abs(f @ rhs)) <= 1e-9 * np.abs(rhs).max()
+        # and inverts every other one: D w - c = f <Du, f> exactly, so the
+        # potential of w = u + Q B+ Q' D u deviates by |<Du, f>| max|f|
+        assert diagnostics["flatness"] == pytest.approx(
+            abs(dropped) * np.abs(f).max(), rel=1e-6)
+        # on a NonStrict space with zero flat values the solve is accepted,
+        # and its measure is the explicit pseudo-inverse's
+        space = fixture("circle-8").space
+        cls = classify(space)
+        q = householder_basis(space.n)
+        lam, vec = np.linalg.eigh(-(q.T @ space.dist @ q))
+        keep = np.abs(lam) > cls.tol_used
+        u = np.full(space.n, 1.0 / space.n)
+        vec = q @ vec[:, keep]
+        expected = u + vec @ ((vec.T @ (space.dist @ u)) / lam[keep])
+        diagnostics = {}
+        w, _ = _invariant_solve(space, cls, diagnostics)
+        assert len(diagnostics["kernel_flat_values"]) == space.n - 1 - keep.sum()
+        assert np.abs(w - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
 class _Counter:
@@ -247,6 +265,124 @@ class TestOneFactorization:
             "cholesky": (4, 0), "blocked": (0, 0), "eigh": (0, 0),
             "lstsq": (0, 0), "svd": (0, 0)}
 
+    def test_small_strict_decisions_take_no_eigh(self, linalg_calls):
+        # every Strict space with B of at most CHOLESKY_BLOCK rows among the
+        # kinds a batch of small decisions draws is decided by one Cholesky
+        rng = np.random.default_rng(23)
+        spaces = [random_cloud(rng, 3, 16) for _ in range(60)]
+        spaces += [random_metric(4, seed) for seed in range(30)]
+        spaces += [interval_grid(0, 1, n) for n in (2, 3, 9, 33)]
+        spaces += [interval_grid(0, 1, CHOLESKY_BLOCK + 1),
+                   glue(GlueSpec(spaces[0], spaces[1], 2.0))]
+        strict = [x for x in spaces if classify(x).verdict is Verdict.STRICT]
+        assert len(strict) >= 80
+        linalg_calls["eigh"].calls = 0
+        for x in strict:
+            dec = m_constant(x)
+            assert dec.diagnostics["certificate"] == "cholesky"
+            assert dec.finite
+        assert linalg_calls["eigh"].calls == 0
+        assert linalg_calls["blocked"].calls == 0
+
+
+class TestEvidenceOnFirstRead:
+    """A decision holds eigenpairs and weights; its measures are built when
+    read, bit for bit those of the mass-zero basis map of the eigenvector."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # the modules, not the functions qhm.classify and qhm.energy
+        classify_module = importlib.import_module("qhm.classify")
+        energy_module = importlib.import_module("qhm.energy")
+        msolver_module = importlib.import_module("qhm.msolver")
+        built = []
+        trusted = energy_module._trusted_measure
+        checked = energy_module.SignedMeasure.__post_init__
+
+        def count_trusted(space, w):
+            built.append("trusted")
+            return trusted(space, w)
+
+        def count_checked(mu):
+            built.append("checked")
+            checked(mu)
+
+        for module in (classify_module, msolver_module):
+            monkeypatch.setattr(module, "_trusted_measure", count_trusted)
+        monkeypatch.setattr(energy_module.SignedMeasure, "__post_init__",
+                            count_checked)
+        return built
+
+    @pytest.mark.parametrize("key", ["nw-thm2.9", "nw-thm2.9a", "circle-8",
+                                     "fourpoint-antipodal"])
+    def test_classification(self, built, key):
+        space = fixture(key).space
+        cls = classify(space)
+        assert built == []
+        vals, vecs = cls.restricted_values, cls.restricted_vectors
+        if cls.verdict is Verdict.NOT_QUASIHYPERMETRIC:
+            expected = [vecs[:, 0]]
+            got = [cls.witness]
+            assert cls.kernel_basis == ()
+        else:
+            expected = [vecs[:, i]
+                        for i in np.flatnonzero(np.abs(vals) <= cls.tol_used)]
+            got = list(cls.kernel_basis)
+            assert cls.witness is None
+        assert len(built) == len(got) >= 1
+        for mu, y in zip(got, expected):
+            assert mu.weights.tobytes() == _from_mass_zero(y).tobytes()
+            assert mu.space is space and not mu.weights.flags.writeable
+        cls.witness, cls.kernel_basis  # read again: kept, not rebuilt
+        assert len(built) == len(got)
+        assert np.array_equal(cls.eigenvalues, np.sort(np.append(vals, 0.0)))
+
+    @pytest.mark.parametrize("key", ["nw-thm2.9", "nw-thm2.9a"])
+    def test_infinite_decision(self, built, key):
+        space = fixture(key).space
+        dec = m_constant(space)
+        assert built == []
+        assert dec.maximal_measure is None
+        cls = classify(space)
+        vals, vecs = cls.restricted_values, cls.restricted_vectors
+        if dec.reason == "NotQuasihypermetric":
+            y = vecs[:, 0]
+        else:
+            flats = dec.diagnostics["kernel_flat_values"]
+            kernel = np.flatnonzero(np.abs(vals) <= cls.tol_used)
+            y = vecs[:, kernel[int(np.argmax(np.abs(flats)))]]
+        witness = dec.witness
+        assert built == ["trusted"]
+        assert witness.weights.tobytes() == _from_mass_zero(y).tobytes()
+        assert dec.witness is witness
+
+    def test_finite_decision(self, built):
+        space = fixture("circle-8").space
+        dec = m_constant(space)
+        assert built == []
+        assert dec.witness is None
+        mu = dec.maximal_measure
+        assert built == ["trusted"]
+        assert mu.weights is dec.evidence and not mu.weights.flags.writeable
+        assert dec.maximal_measure is mu
+
+
+class TestNonFiniteSolve:
+    # entries near the top of float64 overflow the restricted form and the
+    # solve; a solve that is not finite is never accepted, so no measure is
+    # made of it and the failure is numerical, not a rejected input
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("key, scale", [("circle-8", 1e307),
+                                            ("fourpoint-antipodal", 4.77e307)])
+    def test_is_a_solver_error(self, key, scale):
+        from qhm.errors import SolverError, ValidationError
+
+        space = validate_metric(fixture(key).space.dist * scale)
+        for decide in (m_constant, invariant_measure):
+            with pytest.raises(SolverError) as exc:
+                decide(space)
+            assert not isinstance(exc.value, ValidationError)
+
 
 def _decide_both(space, tol=DEFAULT_TOL):
     """m_constant on the certified path and with the certificate disabled."""
@@ -306,10 +442,11 @@ class TestCertifiedPath:
 
         space = fixture(key).space
         got = invariant_measure(space)
-        ref = _invariant_solve(space, classify(space), {})
-        assert got.unique == ref.unique
-        assert got.value == pytest.approx(ref.value, rel=1e-12)
-        assert np.abs(got.measure.weights - ref.measure.weights).max() <= 1e-10
+        diagnostics = {}
+        w, c = _invariant_solve(space, classify(space), diagnostics)
+        assert got.unique == diagnostics["unique"]
+        assert got.value == pytest.approx(c, rel=1e-12)
+        assert np.abs(got.measure.weights - w).max() <= 1e-10
 
     def test_diagnostics(self):
         x = fixture("ball3-1").space
@@ -334,7 +471,8 @@ class TestCertifiedPath:
         tol = lam_min / 1.5 / float(np.linalg.norm(b))
         cert = certify_strict(b, tol)
         assert cert is not None
-        assert _certified_mass_zero(cert, x.dist @ np.full(x.n, 1.0 / x.n)) is None
+        rhs = householder_basis(x.n).T @ (x.dist @ np.full(x.n, 1.0 / x.n))
+        assert _certified_inverse(cert, rhs) is None
         dec = m_constant(x, tol)
         assert dec.diagnostics["certificate"] == "eigh"
         assert dec.diagnostics["verdict"] == "Strict"
@@ -925,13 +1063,14 @@ class TestInconsistencyGuard:
             space, tol = fixture("interval-5").space, 0.0
         dec = m_constant(space, tol)
         assert dec.finite and dec.diagnostics["certificate"] == "eigh"
-        real = msolver._pinv_mass_zero
+        real = msolver._classify_form
 
-        def scaled(cls, x):
-            y, dropped = real(cls, x)
-            return (1.0 + 1e-6) * y, dropped
+        def scaled(space, b, tol):
+            cls = real(space, b, tol)
+            return dataclasses.replace(
+                cls, restricted_values=cls.restricted_values / (1.0 + 1e-6))
 
-        monkeypatch.setattr(msolver, "_pinv_mass_zero", scaled)
+        monkeypatch.setattr(msolver, "_classify_form", scaled)
         with pytest.raises(InconsistencyError) as exc:
             m_constant(space, tol)
         diag = exc.value.diagnostics

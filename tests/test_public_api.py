@@ -18,8 +18,8 @@ SURFACE = {
         "iterations", "best_values", "best_value", "best_measure", "status",
         "iterations_run"),
     "Classification": (
-        "verdict", "eigenvalues", "margin", "tol_used", "restricted_values",
-        "restricted_vectors", "witness", "kernel_basis"),
+        "space", "verdict", "margin", "tol_used", "restricted_values",
+        "restricted_vectors"),
     "Expected": (
         "verdict", "m_status", "m_value", "reason", "measure", "measure_value",
         "note"),
@@ -32,8 +32,7 @@ SURFACE = {
     "InvariantSolve": ("measure", "value", "residual", "unique"),
     "KernelFlatValue": ("vector", "value", "deviation"),
     "MDecision": (
-        "status", "value", "maximal_measure", "reason", "witness",
-        "diagnostics"),
+        "status", "space", "evidence", "value", "reason", "diagnostics"),
     "MaximalityReport": (
         "flatness", "dominance_violations", "worst_excess", "norm_squared",
         "identity_gap", "trials"),
