@@ -52,7 +52,7 @@ from .errors import (
     InvalidInputError,
     NotApplicableError,
 )
-from .spaces import FiniteMetricSpace, _real
+from .spaces import FiniteMetricSpace, _instance, _real
 from .tolerances import DEFAULT_TOL
 
 
@@ -272,7 +272,8 @@ def classify(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Classificati
     """Decide NotQuasihypermetric / Strict / NonStrict for a space from the
     full spectrum of its restricted form."""
     check_tol(tol)
-    return _classify_form(space, _restricted_form(space.dist), tol)
+    dist = _instance(space, FiniteMetricSpace, "space").dist
+    return _classify_form(space, _restricted_form(dist), tol)
 
 
 def _classify_form(space: FiniteMetricSpace, b: np.ndarray,
@@ -321,7 +322,7 @@ def kernel_flat_values(space: FiniteMetricSpace,
     max|f|, within the verdict's band. The value is the coefficient that
     the invariant solve drops along f (`qhm.msolver._invariant_solve`).
     """
-    if cls.verdict is not Verdict.NON_STRICT:
+    if _instance(cls, Classification, "cls").verdict is not Verdict.NON_STRICT:
         raise NotApplicableError(
             f"kernel flat values require a NonStrict verdict, got {cls.verdict.value}")
     out = []

@@ -7,11 +7,17 @@ converge, glue-diverge, equal-glue-demo. Global flags --tol / --seed / --out /
     qhm --tol 1e-9 classify --fixture nw-thm2.9
     qhm --out rows.csv converge --family interval --sizes 2,3,5,9
 
-Spaces are read from the JSON space format (keys name/labels/matrix) or taken
-from the fixture catalogue. Exit codes: 0 success, 1 usage error, 2 validation
-error, 3 solver inconsistency.
+The decision verbs (classify, mconstant, invariant) take their space from one
+source, `_space_source`: a SPACE_FILE in the JSON space format (keys
+name/labels/matrix) or a --fixture KEY from the catalogue, exactly one. The
+experiment verbs list their CSV columns below the options in --help. Exit
+codes: 0 success, 1 usage error or a file that cannot be read or written
+(such as an --out in a missing directory, reported in one "error:" line), 2
+validation error, 3 solver inconsistency.
 """
 
+import dataclasses
+import functools
 import json
 import sys
 
@@ -24,16 +30,11 @@ from .energy import energy, measure, parse_weights, potential
 from .errors import QhmError, SolverError, ValidationError
 from .fixtures import fixture, fixture_keys
 from .msolver import ascent_oracle, invariant_measure, m_constant
-from .spaces import GlueSpec, glue as glue_spaces, load_space, save_space, space_to_json
+from .spaces import (GlueSpec, _open, glue as glue_spaces, load_space,
+                     save_space, space_to_json)
 
 # a space file argument: it must exist, and a directory is a usage error
 SPACE_PATH = click.Path(exists=True, dir_okay=False)
-
-CSV_HELP = {
-    "converge": "columns: " + ",".join(experiments.CONVERGE_COLUMNS),
-    "glue-diverge": "columns: " + ",".join(experiments.GLUE_DIVERGE_COLUMNS),
-    "equal-glue-demo": "columns: " + ",".join(experiments.EQUAL_GLUE_COLUMNS),
-}
 
 
 @click.group()
@@ -51,12 +52,26 @@ def cli(ctx, tol, seed, out, fmt):
     ctx.obj = {"tol": tol, "seed": seed, "out": out, "fmt": fmt}
 
 
-def _load(space_path, fixture_key):
-    if (space_path is None) == (fixture_key is None):
-        raise click.UsageError("give exactly one of SPACE_FILE or --fixture KEY")
-    if fixture_key is not None:
-        return fixture(fixture_key).space
-    return load_space(space_path)
+def _space_source(verb):
+    """Give a decision verb its `space`, read from a SPACE_FILE argument or
+    taken from the catalogue by --fixture KEY, exactly one of the two."""
+    @click.argument("space_file", required=False, type=SPACE_PATH)
+    @click.option("--fixture", "fixture_key", default=None,
+                  help="Catalogue key instead of a file.")
+    @functools.wraps(verb)
+    def run(space_file, fixture_key, **kwargs):
+        if (space_file is None) == (fixture_key is None):
+            raise click.UsageError(
+                "give exactly one of SPACE_FILE or --fixture KEY")
+        space = (load_space(space_file) if fixture_key is None
+                 else fixture(fixture_key).space)
+        return verb(space=space, **kwargs)
+    return run
+
+
+def _columns(columns) -> str:
+    """An experiment verb's help epilog: its CSV columns on one line."""
+    return "\b\ncolumns: " + ",".join(columns)
 
 
 def _emit_text(ctx, text: str) -> None:
@@ -64,7 +79,7 @@ def _emit_text(ctx, text: str) -> None:
     if out is None:
         click.echo(text, nl=not text.endswith("\n"))
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -77,13 +92,10 @@ def _measure_dict(mu) -> dict:
 
 
 @cli.command("classify")
-@click.argument("space_file", required=False, type=SPACE_PATH)
-@click.option("--fixture", "fixture_key", default=None,
-              help="Catalogue key instead of a file.")
+@_space_source
 @click.pass_context
-def classify_cmd(ctx, space_file, fixture_key):
+def classify_cmd(ctx, space):
     """Three-way negative-type verdict with spectral evidence."""
-    space = _load(space_file, fixture_key)
     cls = classify_space(space, ctx.obj["tol"])
     payload = {
         "verdict": cls.verdict.value,
@@ -102,9 +114,7 @@ def classify_cmd(ctx, space_file, fixture_key):
 
 
 @cli.command("mconstant")
-@click.argument("space_file", required=False, type=SPACE_PATH)
-@click.option("--fixture", "fixture_key", default=None,
-              help="Catalogue key instead of a file.")
+@_space_source
 @click.option("--check-measure", "check", default=None, metavar="W1,W2,...",
               help="Inline weights: also report that measure's energy and "
                    "potential spread.")
@@ -112,9 +122,8 @@ def classify_cmd(ctx, space_file, fixture_key):
               help="Cross-check with the projected-ascent oracle for N "
                    "iterations.")
 @click.pass_context
-def mconstant_cmd(ctx, space_file, fixture_key, check, oracle_iters):
+def mconstant_cmd(ctx, space, check, oracle_iters):
     """Decide finiteness of the energy supremum constant and solve it."""
-    space = _load(space_file, fixture_key)
     dec = m_constant(space, ctx.obj["tol"])
     payload = {"status": dec.status, "diagnostics": dec.diagnostics}
     if dec.finite:
@@ -146,13 +155,10 @@ def mconstant_cmd(ctx, space_file, fixture_key, check, oracle_iters):
 
 
 @cli.command("invariant")
-@click.argument("space_file", required=False, type=SPACE_PATH)
-@click.option("--fixture", "fixture_key", default=None,
-              help="Catalogue key instead of a file.")
+@_space_source
 @click.pass_context
-def invariant_cmd(ctx, space_file, fixture_key):
+def invariant_cmd(ctx, space):
     """Solve for a constant-potential mass-1 measure."""
-    space = _load(space_file, fixture_key)
     solve = invariant_measure(space, ctx.obj["tol"])
     if solve is None:
         _emit_json(ctx, {"found": False})
@@ -194,16 +200,7 @@ def fixtures_cmd(ctx, key):
     fx = fixture(key)
     payload = {"key": fx.key, "n": fx.space.n, "name": fx.space.name}
     if fx.expected is not None:
-        exp = fx.expected
-        payload["expected"] = {
-            "verdict": exp.verdict.value,
-            "m_status": exp.m_status,
-            "m_value": exp.m_value,
-            "reason": exp.reason,
-            "measure": list(exp.measure) if exp.measure else None,
-            "measure_value": exp.measure_value,
-            "note": exp.note,
-        }
+        payload["expected"] = dataclasses.asdict(fx.expected)
     out = ctx.obj["out"]
     if out is not None:
         save_space(fx.space, out)
@@ -234,7 +231,7 @@ def _emit_experiment(ctx, result) -> None:
         click.echo(result.to_csv_text(), nl=False)
 
 
-@cli.command("converge")
+@cli.command("converge", epilog=_columns(experiments.CONVERGE_COLUMNS))
 @click.option("--family", required=True,
               type=click.Choice(["interval", "circle", "ball3"]))
 @click.option("--sizes", required=True, metavar="N1,N2,...",
@@ -247,7 +244,8 @@ def converge_cmd(ctx, family, sizes):
     _emit_experiment(ctx, result)
 
 
-@cli.command("glue-diverge")
+@cli.command("glue-diverge",
+             epilog=_columns(experiments.GLUE_DIVERGE_COLUMNS))
 @click.option("--sizes", required=True, metavar="N1,N2,...",
               help="Strictly ascending ball-chain sizes.")
 @click.pass_context
@@ -259,7 +257,8 @@ def glue_diverge_cmd(ctx, sizes):
     _emit_experiment(ctx, result)
 
 
-@cli.command("equal-glue-demo")
+@cli.command("equal-glue-demo",
+             epilog=_columns(experiments.EQUAL_GLUE_COLUMNS))
 @click.option("--n", "n_polygon", required=True, type=int,
               help="Polygon vertex count (>= 3).")
 @click.pass_context
@@ -267,12 +266,6 @@ def equal_glue_demo_cmd(ctx, n_polygon):
     """Equal-constant boundary gluing of two polygon copies; CSV rows."""
     result = experiments.run_equal_glue_demo(n_polygon, tol=ctx.obj["tol"])
     _emit_experiment(ctx, result)
-
-
-# document each experiment's CSV schema in --help
-converge_cmd.help += "\n\n\b\n" + CSV_HELP["converge"]
-glue_diverge_cmd.help += "\n\n\b\n" + CSV_HELP["glue-diverge"]
-equal_glue_demo_cmd.help += "\n\n\b\n" + CSV_HELP["equal-glue-demo"]
 
 
 def main(argv=None) -> int:
@@ -296,6 +289,9 @@ def main(argv=None) -> int:
     except QhmError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    except OSError as exc:  # an --out file that cannot be written
+        click.echo(f"error: {exc}", err=True)
+        return 1
 
 
 def entry() -> None:

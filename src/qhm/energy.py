@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (IndexOutOfRangeError, InvalidInputError,
-                     MalformedMatrixError, NonzeroMassError,
-                     NotApplicableError, ParseError, SpaceMismatchError)
-from .spaces import (FiniteMetricSpace, _all_indices, _float_array, _open,
-                     _real, diameter)
+                     NonzeroMassError, NotApplicableError, ParseError,
+                     SpaceMismatchError)
+from .spaces import (FiniteMetricSpace, _all_indices, _float_array, _instance,
+                     _open, _read_json, _real, diameter)
 from .tolerances import SOLVE_REL
 
 
@@ -43,12 +43,14 @@ class SignedMeasure:
     """Weight vector over the points of a specific space (mass is derived).
 
     The weights are kept as a read-only float64 copy; weights that are not
-    real numbers raise MalformedMatrixError."""
+    real numbers raise MalformedMatrixError, and a `space` that is not a
+    FiniteMetricSpace InvalidInputError."""
 
     space: FiniteMetricSpace
     weights: np.ndarray
 
     def __post_init__(self):
+        _instance(self.space, FiniteMetricSpace, "space")
         w = _float_array(self.weights, "weight")
         if w.ndim != 1 or w.shape[0] != self.space.n:
             raise SpaceMismatchError(
@@ -81,22 +83,28 @@ def measure(space: FiniteMetricSpace, weights) -> SignedMeasure:
 def atomic(space: FiniteMetricSpace, i: int) -> SignedMeasure:
     """Unit point mass at point i, an integer with 0 <= i < n; any other
     index raises IndexOutOfRangeError."""
-    if not (_all_indices([i]) and 0 <= i < space.n):
-        raise IndexOutOfRangeError(f"index {i!r} out of range for n={space.n}")
-    w = np.zeros(space.n)
+    n = _instance(space, FiniteMetricSpace, "space").n
+    if not (_all_indices([i]) and 0 <= i < n):
+        raise IndexOutOfRangeError(f"index {i!r} out of range for n={n}")
+    w = np.zeros(n)
     w[i] = 1.0
-    return SignedMeasure(space, w)
+    return _trusted_measure(space, w)
 
 
 def uniform(space: FiniteMetricSpace) -> SignedMeasure:
     """Probability measure with equal weight on every point."""
-    return SignedMeasure(space, np.full(space.n, 1.0 / space.n))
+    n = _instance(space, FiniteMetricSpace, "space").n
+    return _trusted_measure(space, np.full(n, 1.0 / n))
 
 
 def _check_on(space: FiniteMetricSpace, mu: SignedMeasure) -> None:
-    if mu.space is space:
+    """Raise unless `mu` is a measure on `space` or on a space with the
+    same matrix: InvalidInputError when either is not a package object,
+    SpaceMismatchError when they do not match."""
+    if _instance(mu, SignedMeasure, "measure").space is space:
         return
-    if mu.space.n == space.n and np.array_equal(mu.space.dist, space.dist):
+    if (_instance(space, FiniteMetricSpace, "space").n == mu.space.n
+            and np.array_equal(mu.space.dist, space.dist)):
         return
     raise SpaceMismatchError("measure does not live on the given space")
 
@@ -152,8 +160,8 @@ def seminorm_zero(space: FiniteMetricSpace, mu: SignedMeasure) -> float:
     NotApplicableError. Both bounds scale with the weights, so
     seminorm_zero(t mu) = t seminorm_zero(mu) at every t > 0.
     """
-    _check_mass(mu.weights, 0.0, "seminorm argument", NonzeroMassError)
     radicand = -energy(space, mu)
+    _check_mass(mu.weights, 0.0, "seminorm argument", NonzeroMassError)
     l1 = float(np.abs(mu.weights).sum())
     if radicand < -SOLVE_REL * diameter(space) * l1 * l1:
         raise NotApplicableError(
@@ -167,9 +175,10 @@ def inner_zero(space: FiniteMetricSpace, mu: SignedMeasure,
     """Semi-inner product -I(mu, nu) on measures of mass 0, each within
     SOLVE_REL times its own total variation; any other mass raises
     NonzeroMassError."""
+    value = -energy_bilinear(space, mu, nu)
     _check_mass(mu.weights, 0.0, "first argument", NonzeroMassError)
     _check_mass(nu.weights, 0.0, "second argument", NonzeroMassError)
-    return -energy_bilinear(space, mu, nu)
+    return value
 
 
 def inner_extended(space: FiniteMetricSpace, m_value: float, mu: SignedMeasure,
@@ -184,10 +193,8 @@ def inner_extended(space: FiniteMetricSpace, m_value: float, mu: SignedMeasure,
     """
     m_value = _real(m_value, "m_value must be a finite real number",
                     InvalidInputError)
-    _check_on(space, mu)
-    _check_on(space, nu)
-    return ((m_value + 1.0) * mu.mass * nu.mass
-            - energy_bilinear(space, mu, nu))
+    value = energy_bilinear(space, mu, nu)
+    return (m_value + 1.0) * mu.mass * nu.mass - value
 
 
 # -- measure JSON format ------------------------------------------------------
@@ -197,14 +204,16 @@ def inner_extended(space: FiniteMetricSpace, m_value: float, mu: SignedMeasure,
 
 
 def measure_to_json(mu: SignedMeasure) -> str:
-    ws = ", ".join(format(w, ".17g") for w in mu.weights)
+    ws = ", ".join(format(w, ".17g")
+                   for w in _instance(mu, SignedMeasure, "measure").weights)
     return ('{\n  "space": %s,\n  "weights": [%s]\n}\n'
             % (json.dumps(mu.space.name), ws))
 
 
 def save_measure(mu: SignedMeasure, path) -> None:
+    text = measure_to_json(mu)
     with _open(path, "w") as fh:
-        fh.write(measure_to_json(mu))
+        fh.write(text)
 
 
 def load_measure(path, space: FiniteMetricSpace) -> SignedMeasure:
@@ -212,26 +221,13 @@ def load_measure(path, space: FiniteMetricSpace) -> SignedMeasure:
     A file that is not UTF-8 text, or weights that are not real numbers
     within float64 range (booleans and nulls are not), raise ParseError; a
     path that is not a str or os.PathLike raises InvalidInputError."""
-    with _open(path, "r") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc}") from exc
-    if not isinstance(obj, dict) or "weights" not in obj:
-        raise ParseError("expected a JSON object with a 'weights' key")
-    if not isinstance(obj["weights"], list):
-        raise ParseError("'weights' must be an array of numbers")
+    obj, weights = _read_json(path, "weights", "weight")
+    mu = measure(space, weights)
     declared = obj.get("space", "")
     if declared and space.name and declared != space.name:
         raise SpaceMismatchError(
             f"measure file is for space {declared!r}, not {space.name!r}")
-    try:
-        weights = _float_array(obj["weights"], "weight")
-    except MalformedMatrixError as exc:  # a non-numeric or huge entry
-        raise ParseError(str(exc)) from exc
-    return measure(space, weights)
+    return mu
 
 
 def parse_weights(text: str) -> np.ndarray:

@@ -3,8 +3,13 @@
 Each experiment returns an ExperimentResult whose rows serialize to a fixed
 CSV schema (header row, UTF-8, '.' decimal); the caller writes them with
 `write_csv`. Runs are deterministic given (sizes, seed): repeated runs
-produce identical CSV bytes apart from the elapsed-time column. Failed rows
-are recorded with an error message and the run continues.
+produce identical CSV bytes apart from the elapsed-time column.
+
+Every runner makes its rows with one loop, `_experiment`: each row is a
+(head fields, fill) case, timed on its own, and a QhmError in a fill is
+recorded as that row's error while the run goes on. The fills call
+`m_constant` through this module's global name at run time, so replacing
+`qhm.experiments.m_constant` sees every decision of a run.
 """
 
 import csv
@@ -12,6 +17,7 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -74,6 +80,27 @@ def _csv_cell(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
+
+
+def _experiment(name, columns, metadata, cases, **failed) -> ExperimentResult:
+    """The result `name` with metadata {"experiment": name, **metadata} and
+    one row per (head, fill) case, in order.
+
+    A row starts as {"k": its index, **head, "error": None}; `fill(row)`
+    adds the case's fields. A QhmError from it is recorded as the row's
+    error, with the `failed` fields, and the run goes on. Each row ends
+    with its "elapsed_s", the time the case took."""
+    result = ExperimentResult(name, {"experiment": name, **metadata}, columns)
+    for head, fill in cases:
+        t0 = time.perf_counter()
+        row = {"k": len(result.rows), **head, "error": None}
+        try:
+            fill(row)
+        except QhmError as exc:
+            row.update(error=str(exc), **failed)
+        row["elapsed_s"] = time.perf_counter() - t0
+        result.rows.append(row)
+    return result
 
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -181,12 +208,6 @@ def run_converge(family: str, sizes, seed: int = 0,
     sizes = _check_sizes(sizes)
     _count(seed, 0, "for the seed", InvalidInputError)
     check_tol(tol)
-    result = ExperimentResult(
-        name=f"converge-{family}",
-        metadata={"experiment": f"converge-{family}", "sizes": sizes,
-                  "seed": seed, "tol": tol},
-        columns=CONVERGE_COLUMNS)
-
     if family == "interval":
         spaces = [interval_grid(0.0, 1.0, n) for n in sizes]
         chains = _grid_chain(sizes, 1)
@@ -201,24 +222,20 @@ def run_converge(family: str, sizes, seed: int = 0,
         raise InvalidInputError(
             f"unknown family {family!r}; use interval|circle|ball3")
 
-    decisions = []
-    for k, space in enumerate(spaces):
-        t0 = time.perf_counter()
-        row = {"k": k, "n": space.n, "error": None}
-        try:
-            dec = m_constant(space, tol)
-            row["status"] = dec.status
-            row["m_value"] = dec.value
-            row["resid_flatness"] = dec.diagnostics.get("flatness")
-            row["i_uniform"] = energy(space, uniform(space))
-            decisions.append(dec)
-        except QhmError as exc:
-            row["status"] = "failed"
-            row["error"] = str(exc)
-            decisions.append(None)
-        row["elapsed_s"] = time.perf_counter() - t0
-        result.rows.append(row)
+    decisions = [None] * len(spaces)
 
+    def solve(k, space, row):
+        dec = m_constant(space, tol)
+        row.update(status=dec.status, m_value=dec.value,
+                   resid_flatness=dec.diagnostics.get("flatness"),
+                   i_uniform=energy(space, uniform(space)))
+        decisions[k] = dec
+
+    result = _experiment(
+        f"converge-{family}", CONVERGE_COLUMNS,
+        {"sizes": sizes, "seed": seed, "tol": tol},
+        [({"n": x.n}, partial(solve, k, x)) for k, x in enumerate(spaces)],
+        status="failed")
     if chains is not None and all(d is not None and d.finite for d in decisions):
         diag = sequence_diagnostics(full, chains,
                                     [d.maximal_measure.weights for d in decisions])
@@ -252,39 +269,28 @@ def run_glue_diverge(sizes, seed: int = 0,
     sizes = _check_sizes(sizes)
     _count(seed, 0, "for the seed", InvalidInputError)
     check_tol(tol)
-    result = ExperimentResult(
-        name="glue-diverge",
-        metadata={"experiment": "glue-diverge", "sizes": sizes,
-                  "seed": seed, "tol": tol, "c": GLUE_DIVERGE_C,
-                  "rtol": GLUE_DIVERGE_PREDICTION_RTOL},
-        columns=GLUE_DIVERGE_COLUMNS)
     _, _, spaces = ball_chain(sizes)
     block = validate_metric([[0.0, 2.0], [2.0, 0.0]], name="pair(d=2)")
-    mismatch = None
-    for k, x in enumerate(spaces):
-        t0 = time.perf_counter()
-        row = {"k": k, "n": x.n, "error": None}
-        try:
-            m_x = m_constant(x, tol).value
-            z = glue(GlueSpec(x, block, GLUE_DIVERGE_C))
-            dec = m_constant(z, tol)
-            row["verdict"] = dec.diagnostics["verdict"]
-            pred = glued_m_predict(m_x, 1.0, GLUE_DIVERGE_C)
-            row["m_component"] = m_x
-            row["m_glued"] = dec.value
-            row["predicted"] = pred.value
-            rel = abs(dec.value - pred.value) / abs(pred.value)
-            row["rel_err"] = rel
-            if rel > GLUE_DIVERGE_PREDICTION_RTOL and mismatch is None:
-                mismatch = (k, rel)
-        except QhmError as exc:
-            row["error"] = str(exc)
-        row["elapsed_s"] = time.perf_counter() - t0
-        result.rows.append(row)
-    if mismatch is not None:
-        raise PredictionMismatchError(
-            f"row {mismatch[0]}: solved constant misses the closed form by "
-            f"{mismatch[1]:.3e} relative (> {GLUE_DIVERGE_PREDICTION_RTOL})")
+
+    def solve(x, row):
+        m_x = m_constant(x, tol).value
+        dec = m_constant(glue(GlueSpec(x, block, GLUE_DIVERGE_C)), tol)
+        row["verdict"] = dec.diagnostics["verdict"]
+        pred = glued_m_predict(m_x, 1.0, GLUE_DIVERGE_C).value
+        row.update(m_component=m_x, m_glued=dec.value, predicted=pred,
+                   rel_err=abs(dec.value - pred) / abs(pred))
+
+    result = _experiment(
+        "glue-diverge", GLUE_DIVERGE_COLUMNS,
+        {"sizes": sizes, "seed": seed, "tol": tol, "c": GLUE_DIVERGE_C,
+         "rtol": GLUE_DIVERGE_PREDICTION_RTOL},
+        [({"n": x.n}, partial(solve, x)) for x in spaces])
+    for row in result.rows:
+        if row.get("rel_err", 0.0) > GLUE_DIVERGE_PREDICTION_RTOL:
+            raise PredictionMismatchError(
+                f"row {row['k']}: solved constant misses the closed form by "
+                f"{row['rel_err']:.3e} relative (> "
+                f"{GLUE_DIVERGE_PREDICTION_RTOL})")
     return result
 
 
@@ -313,43 +319,21 @@ def run_equal_glue_demo(n_polygon: int,
     poly = _polygon_cloud(n)
     poly_dec = m_constant(poly, tol)
     m = poly_dec.value
-    result = ExperimentResult(
-        name="equal-glue-demo",
-        metadata={"experiment": "equal-glue-demo", "n_polygon": n, "tol": tol,
-                  "component_m": m, "c": m},
-        columns=EQUAL_GLUE_COLUMNS)
 
-    def add_row(kind, run):
-        t0 = time.perf_counter()
-        row = {"k": len(result.rows), "kind": kind, "error": None}
-        try:
-            run(row)
-        except QhmError as exc:
-            row["error"] = str(exc)
-            row["ok"] = False
-        row["elapsed_s"] = time.perf_counter() - t0
-        result.rows.append(row)
+    def without(i):
+        return subspace(poly, [j for j in range(n) if j != i])
 
-    def component_del(i):
-        def run(row):
-            sub = subspace(poly, [j for j in range(n) if j != i])
-            dec = m_constant(sub, tol)
-            row.update(n=sub.n, status=dec.status, m_value=dec.value,
-                       verdict=dec.diagnostics["verdict"],
-                       ok=dec.finite and dec.value < m)
-        return run
+    def component_del(i, row):
+        sub = without(i)
+        dec = m_constant(sub, tol)
+        row.update(n=sub.n, status=dec.status, m_value=dec.value,
+                   verdict=dec.diagnostics["verdict"],
+                   ok=dec.finite and dec.value < m)
 
-    def component(row):
-        row.update(n=n, status="finite", m_value=m,
-                   verdict=poly_dec.diagnostics["verdict"], ok=True)
-
-    def glued_del(i):
-        def run(row):
-            sub = subspace(poly, [j for j in range(n) if j != i])
-            z = glue(GlueSpec(sub, poly, m))
-            v = classify(z, tol).verdict
-            row.update(n=z.n, verdict=v.value, ok=v is Verdict.STRICT)
-        return run
+    def glued_del(i, row):
+        z = glue(GlueSpec(without(i), poly, m))
+        v = classify(z, tol).verdict
+        row.update(n=z.n, verdict=v.value, ok=v is Verdict.STRICT)
 
     def glued(row):
         z = glue(GlueSpec(poly, poly, m))
@@ -360,10 +344,17 @@ def run_equal_glue_demo(n_polygon: int,
                    ok=(v is Verdict.NON_STRICT and dec.finite
                        and abs(dec.value - m) <= EQUAL_GLUE_RTOL * m))
 
-    for i in range(n):
-        add_row(f"component-del{i}", component_del(i))
-    add_row("component", component)
-    for i in range(n):
-        add_row(f"glued-del{i}", glued_del(i))
-    add_row("glued", glued)
-    return result
+    def component(row):
+        row.update(n=n, status="finite", m_value=m,
+                   verdict=poly_dec.diagnostics["verdict"], ok=True)
+
+    cases = ([({"kind": f"component-del{i}"}, partial(component_del, i))
+              for i in range(n)]
+             + [({"kind": "component"}, component)]
+             + [({"kind": f"glued-del{i}"}, partial(glued_del, i))
+                for i in range(n)]
+             + [({"kind": "glued"}, glued)])
+    return _experiment(
+        "equal-glue-demo", EQUAL_GLUE_COLUMNS,
+        {"n_polygon": n, "tol": tol, "component_m": m, "c": m}, cases,
+        ok=False)

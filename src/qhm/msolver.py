@@ -77,9 +77,10 @@ from .errors import (
     InconsistencyError,
     InvalidInputError,
     NotInvariantInputError,
+    ValidationError,
 )
-from .spaces import (FiniteMetricSpace, GlueSpec, _all_indices, _count,
-                     _float_array, _items, _real, diameter, glue)
+from .spaces import (FiniteMetricSpace, GlueSpec, _count, _float_array,
+                     _instance, _items, _real, _selection, diameter, glue)
 from .tolerances import (
     BLOWUP_REL,
     DEFAULT_TOL,
@@ -191,7 +192,7 @@ def _certified_solve(space: FiniteMetricSpace, tol: float,
     misses its check. A certificate puts its verdict and margin, and then
     the solve's check, into `diagnostics`."""
     check_tol(tol)
-    b = _restricted_form(space.dist)
+    b = _restricted_form(_instance(space, FiniteMetricSpace, "space").dist)
     cert = certify_strict(b, tol)
     if cert is None:
         return b, None
@@ -330,8 +331,9 @@ def glued_invariant(mu1: SignedMeasure, mu2: SignedMeasure, m_x: float,
                       InvalidInputError)
                 for v, what in ((m_x, "m_x"), (m_y, "m_y")))
     for mu, m, what in ((mu1, m_x, "first"), (mu2, m_y, "second")):
-        ft = diameter(mu.space) * _mass_bound(mu.weights)
-        dev = float(np.abs(potential(mu.space, mu) - m).max())
+        space = _instance(mu, SignedMeasure, f"{what} measure").space
+        ft = diameter(space) * _mass_bound(mu.weights)
+        dev = float(np.abs(potential(space, mu) - m).max())
         if dev > ft:
             raise NotInvariantInputError(
                 f"{what} measure is not invariant with value {m} "
@@ -471,8 +473,8 @@ def verify_maximal(space: FiniteMetricSpace, mu: SignedMeasure, m_value: float,
     _count(trials, 1, "trial", InvalidInputError)
     rng = np.random.default_rng(
         _count(seed, 0, "for the seed", InvalidInputError))
-    _check_mass(mu.weights, 1.0, "candidate", InvalidInputError)
     flatness = float(np.abs(potential(space, mu) - m_value).max())
+    _check_mass(mu.weights, 1.0, "candidate", InvalidInputError)
     n = space.n
     base = np.full(n, 1.0 / n)
     violations = 0
@@ -515,34 +517,29 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
     its energy, the sup-inf spread of its potential over all full-space
     points, and the seminorm sqrt(max(0, -I)) of the step from the previous
     chain element, whose mass is 0 within the sum of the two ends' bounds.
-    A chain that breaks these rules, an index that is not an integer
+    Each index list is checked as `subspace` checks one (`_selection`). A
+    chain that breaks these rules, an index that is not an integer
     included, raises ChainMismatchError; raw weights that are not real
     numbers raise MalformedMatrixError. The caller asserts
     monotonicity or boundedness; no rates are claimed. `run_converge`
     reports these columns on its rows.
     """
-    chains = [_items(ix, "index lists must be sequences", ChainMismatchError)
-              for ix in _items(index_chain, "need a chain", ChainMismatchError)]
+    chains = _items(index_chain, "need a chain", ChainMismatchError)
     measures = _items(measures, "need a measure sequence", ChainMismatchError)
     if len(chains) != len(measures):
         raise ChainMismatchError(
             f"{len(chains)} index lists but {len(measures)} measures")
     if not chains:
         raise ChainMismatchError("empty chain")
-    n = full_space.n
+    n = _instance(full_space, FiniteMetricSpace, "full_space").n
     prev: set | None = None
     extended = []
     for k, (ix, mu) in enumerate(zip(chains, measures)):
-        if not ix:
-            raise ChainMismatchError(f"chain element {k} selects no points")
-        if not _all_indices(ix):
-            raise ChainMismatchError(
-                f"chain element {k} has an index that is not an integer")
+        try:
+            ix = chains[k] = _selection(ix, n)
+        except ValidationError as exc:
+            raise ChainMismatchError(f"chain element {k}: {exc}") from exc
         s = set(ix)
-        if len(s) != len(ix):
-            raise ChainMismatchError(f"chain element {k} repeats an index")
-        if not all(0 <= i < n for i in ix):
-            raise ChainMismatchError(f"chain element {k} has out-of-range indices")
         if prev is not None and not prev.issubset(s):
             raise ChainMismatchError(
                 f"chain element {k} does not contain element {k - 1}")

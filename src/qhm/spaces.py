@@ -23,8 +23,12 @@ integer in [least, 2^63), and a typed error for anything else. Every real
 scalar goes through `_real`: a Python or numpy real number, not a boolean,
 that converts to a finite float. Every sequence (labels, indices, sizes,
 chains) goes through `_items`, so that a scalar in its place raises a typed
-error too. Every file goes through `_open`, which takes a str or
-os.PathLike path and nothing else.
+error too, and every list of point indices through `_selection`. Every
+file goes through `_open`, which takes a str or os.PathLike path and
+nothing else, and every JSON file through `_read_json`. A space, measure,
+classification or GlueSpec argument is checked with one isinstance
+(`_instance`) where it is first read, so that a number or an array in its
+place raises InvalidInputError, not AttributeError.
 
 - `interval_grid` and `regular_polygon_arc` take |i - j| (or the shorter
   way round the circle) times a step h, finite and positive, whose low
@@ -269,6 +273,37 @@ def _items(value, what, error) -> list:
         raise error(f"{what}, got {value!r}") from None
 
 
+def _instance(value, cls, what):
+    """`value` when it is a `cls`; anything else, such as a number in place
+    of a space or a measure, raises InvalidInputError naming `what`."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(
+            f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _selection(indices, n) -> list:
+    """`indices` as a list of distinct integers in [0, n). Anything else
+    raises: EmptySelectionError when it is empty, DuplicateIndexError on a
+    repeated index, and IndexOutOfRangeError on an index that is not an
+    integer (a float or a boolean), one outside [0, n), or a scalar in
+    place of the list."""
+    idx = _items(indices, "indices must be a sequence", IndexOutOfRangeError)
+    if not idx:
+        raise EmptySelectionError("no indices selected")
+    if not _all_indices(idx):
+        raise IndexOutOfRangeError(
+            "selection holds an index that is not an integer")
+    seen = set()
+    for i in idx:
+        if not (0 <= i < n):
+            raise IndexOutOfRangeError(f"index {i} out of range for n={n}")
+        if i in seen:
+            raise DuplicateIndexError(f"index {i} selected twice")
+        seen.add(i)
+    return idx
+
+
 def _open(path, mode, newline=None):
     """The UTF-8 text file at `path`, a str or os.PathLike. Anything else
     raises InvalidInputError: an integer would be taken as a file
@@ -389,27 +424,16 @@ def _scanned(d, tol, labels, name) -> FiniteMetricSpace:
 
 def diameter(space: FiniteMetricSpace) -> float:
     """Largest pairwise distance (0 for a single point)."""
-    return float(space.dist.max())
+    return float(_instance(space, FiniteMetricSpace, "space").dist.max())
 
 
 def subspace(space: FiniteMetricSpace, indices) -> FiniteMetricSpace:
     """Restriction to the selected points; labels carried over. Selecting
     every point in order shares the parent's read-only matrix; any other
-    selection copies. An index that is not an integer (a float or a
-    boolean) raises IndexOutOfRangeError, as one outside the space does."""
-    idx = _items(indices, "indices must be a sequence", IndexOutOfRangeError)
-    if not idx:
-        raise EmptySelectionError("no indices selected")
-    if not _all_indices(idx):
-        raise IndexOutOfRangeError(
-            "selection holds an index that is not an integer")
-    seen = set()
-    for i in idx:
-        if not (0 <= i < space.n):
-            raise IndexOutOfRangeError(f"index {i} out of range for n={space.n}")
-        if i in seen:
-            raise DuplicateIndexError(f"index {i} selected twice")
-        seen.add(i)
+    selection copies. The indices are checked by `_selection`: an index
+    that is not an integer (a float or a boolean) raises
+    IndexOutOfRangeError, as one outside the space does."""
+    idx = _selection(indices, _instance(space, FiniteMetricSpace, "space").n)
     if idx == list(range(space.n)):  # the whole space: share its matrix
         return _trusted(space.labels, space.dist, space.name)
     ia = np.asarray(idx, dtype=np.intp)
@@ -424,6 +448,7 @@ def glue(spec: GlueSpec) -> FiniteMetricSpace:
     measure on the glued space identifies component membership. The result
     is a metric because GlueSpec enforces 2c >= both component diameters.
     """
+    _instance(spec, GlueSpec, "spec")
     nx, ny = spec.x.n, spec.y.n
     d = np.full((nx + ny, nx + ny), float(spec.c))
     d[:nx, :nx] = spec.x.dist
@@ -654,12 +679,13 @@ def space_to_json(space: FiniteMetricSpace) -> str:
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:
+    _instance(space, FiniteMetricSpace, "space")
     with _open(path, "w") as fh:
         fh.writelines(_json_chunks(space))
 
 
 def space_from_json(text: str) -> FiniteMetricSpace:
-    return _scanned(*_parsed_space(_json_object(text)))
+    return _scanned(*_parsed_space(*_json_object(text, "matrix", "matrix")))
 
 
 def load_space(path) -> FiniteMetricSpace:
@@ -667,33 +693,46 @@ def load_space(path) -> FiniteMetricSpace:
     a matrix (at the same tolerance); validation errors carry field context.
     A file that is not UTF-8 text raises ParseError, and a path that is not
     a str or os.PathLike InvalidInputError."""
-    with _open(path, "r") as fh:
-        try:
-            obj = _json_object(fh.read())  # the text is freed once parsed
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc}") from exc
-    return _scanned(*_parsed_space(obj))
+    return _scanned(*_parsed_space(*_read_json(path, "matrix", "matrix")))
 
 
-def _json_object(text):
+def _json_object(text, key, what):
+    """(object, entries) of the JSON `text`: an object that holds an array
+    under `key`, and that array, taken out of the object and converted by
+    `_float_array`, which names it `what`. Anything else, entries that are
+    not real numbers within float64 range included, raises ParseError. The
+    text is dropped once parsed, and the parsed array once converted."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("expected a JSON object with a 'matrix' key")
-    return obj
+    del text
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"expected a JSON object with a {key!r} key")
+    entries = obj.pop(key)
+    if not isinstance(entries, list):
+        raise ParseError(f"{key!r} must be an array of numbers")
+    try:
+        return obj, _float_array(entries, what)
+    except MalformedMatrixError as exc:  # a ragged, non-numeric or huge entry
+        raise ParseError(str(exc)) from exc
 
 
-def _parsed_space(obj):
-    """(matrix, absolute triangle tolerance, labels, name) of a parsed space
-    file, with the O(n^2) checks done. The rows are taken out of `obj` and
-    converted, so that they are freed before the caller's O(n^3) scan."""
-    if "matrix" not in obj:
-        raise ParseError("missing required key 'matrix'")
-    matrix = obj.pop("matrix")
-    if (not isinstance(matrix, list) or not matrix
-            or not all(isinstance(r, list) for r in matrix)):
+def _read_json(path, key, what):
+    """`_json_object` of the text of the file at `path`, read through
+    `_open`; a file that is not UTF-8 text raises ParseError."""
+    with _open(path, "r") as fh:
+        try:
+            return _json_object(fh.read(), key, what)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
+
+
+def _parsed_space(obj, d):
+    """(matrix, absolute triangle tolerance, labels, name) of a space file
+    parsed by `_json_object`, with the O(n^2) checks done on its matrix `d`,
+    before the caller's O(n^3) scan."""
+    if d.ndim != 2:
         raise ParseError("'matrix' must be a nonempty array of arrays of numbers")
     labels = obj.get("labels")
     if labels is not None and (not isinstance(labels, list)
@@ -702,10 +741,5 @@ def _parsed_space(obj):
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
-    try:
-        d = _float_array(matrix)
-    except MalformedMatrixError as exc:  # a ragged or non-numeric row
-        raise ParseError(str(exc)) from exc
-    del matrix  # the rows go before the checks
     d, tol = _checked_matrix(d)
     return d, tol, labels, name

@@ -323,6 +323,23 @@ class TestExitCodes:
         assert out == ""
         assert "is a directory" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["classify", "--fixture", "nw-thm2.9"],
+        ["converge", "--family", "interval", "--sizes", "2,3"],
+        ["glue", "{file}", "{file}", "2"],
+        ["fixtures", "interval-3"],
+    ], ids=["json-verb", "experiment-verb", "glue", "fixtures"])
+    def test_unwritable_out_is_one_line_error(self, capsys, tmp_path, args):
+        # each used to end in a FileNotFoundError traceback
+        path = tmp_path / "x.json"
+        save_space(interval_grid(0, 1, 4), path)
+        out = tmp_path / "no-such-dir" / "out.txt"
+        code, stdout, err = run_cli(capsys, "--out", str(out),
+                                    *[a.format(file=path) for a in args])
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err and not out.parent.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exit_2(self, capsys, tol):
         code, _, err = run_cli(capsys, "--tol", tol, "classify", "--fixture",

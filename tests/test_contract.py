@@ -1,12 +1,14 @@
-"""The contract of the public API on its scalar, sequence and path
-arguments.
+"""The contract of the public API on its scalar, sequence, path and
+package-object arguments.
 
 Every callable in `qhm.__all__` has one valid base call in TABLE. One
 numeric scalar, sequence or path argument at a time is replaced by each
 value of SWEEP, and by values that hypothesis draws: the call must return
 or raise a ValidationError subclass, never anything else. A path that is
 not a str or os.PathLike must not be taken as a file descriptor, so stdout
-is still open after the path cases.
+is still open after the path cases. A space, measure or classification
+argument meets SWEEP and OBJECTS, package objects of another kind and
+plain arrays, and the same draws as a real number.
 
 Counts, seeds and indices meet only invalid integers from hypothesis: a
 valid count is a size, and a huge one would build a huge space. Sequences
@@ -97,12 +99,18 @@ W = m_constant(PAIR).maximal_measure  # (1/2, 1/2), M = 1/2
 CIRCLE = fixture("circle-8").space  # NonStrict
 TOL = 1e-9
 
+# What stands in for a space, a measure or a classification besides SWEEP:
+# the weights or the matrix alone, and a package object of none of the
+# three kinds.
+OBJECTS = [[0.5, 0.0, 0.5], np.zeros((3, 3)), fixture("interval-5")]
+
 
 @dataclasses.dataclass(frozen=True)
 class Row:
     """A valid base call `call(**kwargs)` and the names of its arguments
-    that are real numbers, counts (seeds and indices too), sequences and
-    paths."""
+    that are real numbers, counts (seeds and indices too), sequences,
+    paths, spaces (and the GlueSpec that `glue` reads its spaces from),
+    measures and classifications."""
 
     call: object
     kwargs: dict
@@ -110,6 +118,9 @@ class Row:
     counts: tuple = ()
     sequences: tuple = ()
     paths: tuple = ()
+    spaces: tuple = ()
+    measures: tuple = ()
+    classifications: tuple = ()
 
 
 def _record(make):
@@ -134,7 +145,7 @@ TABLE = {
     "Fixture": _record(lambda: fixture("interval-5")),
     "GluePrediction": _record(lambda: glued_m_predict(0.5, 0.5, 1.0)),
     "GlueSpec": Row(GlueSpec, {"x": PAIR, "y": PAIR, "c": 1.0},
-                    reals=("c",)),
+                    reals=("c",), spaces=("x", "y")),
     "InconsistencyError": Row(InconsistencyError,
                               {"msg": "m", "diagnostics": {}}),
     "InvariantSolve": _record(lambda: invariant_measure(X)),
@@ -145,51 +156,64 @@ TABLE = {
     "QhmError": Row(QhmError, {}),
     "SequenceRow": _record(lambda: sequence_diagnostics(X, [[0, 1, 2]],
                                                         [MU])[0]),
-    "SignedMeasure": Row(SignedMeasure, {"space": X, "weights": [1, 0, 0]}),
+    "SignedMeasure": Row(SignedMeasure, {"space": X, "weights": [1, 0, 0]},
+                         spaces=("space",)),
     "SolverError": Row(SolverError, {}),
     "ValidationError": Row(ValidationError, {}),
     "Verdict": Row(Verdict, {"value": "Strict"}),
     "ascent_oracle": Row(ascent_oracle,
                          {"space": X, "iterations": 50, "seed": 0,
                           "blowup": 10.0},
-                         reals=("blowup",), counts=("iterations", "seed")),
-    "atomic": Row(atomic, {"space": X, "i": 1}, counts=("i",)),
+                         reals=("blowup",), counts=("iterations", "seed"),
+                         spaces=("space",)),
+    "atomic": Row(atomic, {"space": X, "i": 1}, counts=("i",),
+                  spaces=("space",)),
     "ball_chain": Row(ball_chain, {"sizes": [6, 11]}, sequences=("sizes",)),
     "ball_discretization": Row(ball_discretization,
                                {"shells": 1, "points_per_shell": 4},
                                counts=("shells", "points_per_shell")),
-    "classify": Row(classify, {"space": X, "tol": TOL}, reals=("tol",)),
-    "diameter": Row(diameter, {"space": X}),
-    "energy": Row(energy, {"space": X, "mu": MU}),
-    "energy_bilinear": Row(energy_bilinear, {"space": X, "mu": MU, "nu": NU}),
+    "classify": Row(classify, {"space": X, "tol": TOL}, reals=("tol",),
+                    spaces=("space",)),
+    "diameter": Row(diameter, {"space": X}, spaces=("space",)),
+    "energy": Row(energy, {"space": X, "mu": MU}, spaces=("space",),
+                  measures=("mu",)),
+    "energy_bilinear": Row(energy_bilinear, {"space": X, "mu": MU, "nu": NU},
+                           spaces=("space",), measures=("mu", "nu")),
     "euclidean_cloud": Row(euclidean_cloud,
                            {"coords": [[0, 0], [1, 0]], "labels": ["a", "b"]},
                            sequences=("labels",)),
     "fixture": Row(fixture, {"key": "interval-5"}, sequences=("key",)),
     "fixture_keys": Row(fixture_keys, {}),
-    "glue": Row(glue, {"spec": GlueSpec(PAIR, PAIR, 1.0)}),
+    "glue": Row(glue, {"spec": GlueSpec(PAIR, PAIR, 1.0)}, spaces=("spec",)),
     "glued_invariant": Row(glued_invariant,
                            {"mu1": W, "mu2": W, "m_x": 0.5, "m_y": 0.5,
                             "c": 1.0},
-                           reals=("m_x", "m_y", "c")),
+                           reals=("m_x", "m_y", "c"),
+                           measures=("mu1", "mu2")),
     "glued_m_predict": Row(glued_m_predict, {"m_x": 0.5, "m_y": 0.5, "c": 1.0},
                            reals=("m_x", "m_y", "c")),
     "inner_extended": Row(inner_extended,
                           {"space": X, "m_value": 0.5, "mu": MU, "nu": MU},
-                          reals=("m_value",)),
-    "inner_zero": Row(inner_zero, {"space": X, "mu": NU, "nu": NU}),
+                          reals=("m_value",), spaces=("space",),
+                          measures=("mu", "nu")),
+    "inner_zero": Row(inner_zero, {"space": X, "mu": NU, "nu": NU},
+                      spaces=("space",), measures=("mu", "nu")),
     "interval_grid": Row(interval_grid, {"a": 0, "b": 2, "n": 3},
                          reals=("a", "b"), counts=("n",)),
     "invariant_measure": Row(invariant_measure, {"space": X, "tol": TOL},
-                             reals=("tol",)),
+                             reals=("tol",), spaces=("space",)),
     "kernel_flat_values": Row(kernel_flat_values,
-                              {"space": CIRCLE, "cls": classify(CIRCLE)}),
+                              {"space": CIRCLE, "cls": classify(CIRCLE)},
+                              spaces=("space",), classifications=("cls",)),
     "load_measure": Row(load_measure, {"path": "measure.json", "space": X},
-                        paths=("path",)),
+                        paths=("path",), spaces=("space",)),
     "load_space": Row(load_space, {"path": "space.json"}, paths=("path",)),
-    "m_constant": Row(m_constant, {"space": X, "tol": TOL}, reals=("tol",)),
-    "measure": Row(measure, {"space": X, "weights": [1, 0, 0]}),
-    "potential": Row(potential, {"space": X, "mu": MU}),
+    "m_constant": Row(m_constant, {"space": X, "tol": TOL}, reals=("tol",),
+                      spaces=("space",)),
+    "measure": Row(measure, {"space": X, "weights": [1, 0, 0]},
+                   spaces=("space",)),
+    "potential": Row(potential, {"space": X, "mu": MU}, spaces=("space",),
+                     measures=("mu",)),
     "random_metric": Row(random_metric, {"n": 3, "seed": 0},
                          counts=("n", "seed")),
     "regular_polygon_arc": Row(regular_polygon_arc, {"n": 4}, counts=("n",)),
@@ -206,17 +230,19 @@ TABLE = {
                             reals=("tol",), counts=("seed",),
                             sequences=("sizes",)),
     "save_measure": Row(save_measure, {"mu": MU, "path": "measure.json"},
-                        paths=("path",)),
+                        paths=("path",), measures=("mu",)),
     "save_space": Row(save_space, {"space": X, "path": "space.json"},
-                      paths=("path",)),
-    "seminorm_zero": Row(seminorm_zero, {"space": X, "mu": NU}),
+                      paths=("path",), spaces=("space",)),
+    "seminorm_zero": Row(seminorm_zero, {"space": X, "mu": NU},
+                         spaces=("space",), measures=("mu",)),
     "sequence_diagnostics": Row(sequence_diagnostics,
                                 {"full_space": X, "index_chain": [[0, 1, 2]],
                                  "measures": [MU]},
-                                sequences=("index_chain", "measures")),
+                                sequences=("index_chain", "measures"),
+                                spaces=("full_space",)),
     "subspace": Row(subspace, {"space": X, "indices": [0, 1]},
-                    sequences=("indices",)),
-    "uniform": Row(uniform, {"space": X}),
+                    sequences=("indices",), spaces=("space",)),
+    "uniform": Row(uniform, {"space": X}, spaces=("space",)),
     "validate_metric": Row(validate_metric,
                            {"matrix": PAIR.dist, "labels": ["a", "b"]},
                            sequences=("labels",)),
@@ -224,14 +250,16 @@ TABLE = {
                           {"space": PAIR, "mu": W, "m_value": 0.5,
                            "trials": 5, "seed": 0, "tol": TOL},
                           reals=("m_value", "tol"),
-                          counts=("trials", "seed")),
+                          counts=("trials", "seed"), spaces=("space",),
+                          measures=("mu",)),
 }
 
+OBJECT_KINDS = ("spaces", "measures", "classifications")
 CASES = [(name, arg, kind) for name, row in sorted(TABLE.items())
-         for kind in ("reals", "counts", "sequences", "paths")
+         for kind in ("reals", "counts", "sequences", "paths", *OBJECT_KINDS)
          for arg in getattr(row, kind)]
 STRATEGIES = {"reals": REALS, "counts": COUNTS, "sequences": REALS,
-              "paths": PATHS}
+              "paths": PATHS, **dict.fromkeys(OBJECT_KINDS, REALS)}
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -271,7 +299,7 @@ def test_base_call_is_valid(name):
 
 @pytest.mark.parametrize("name, arg, kind", CASES)
 def test_sweep(name, arg, kind):
-    for value in SWEEP:
+    for value in SWEEP + (OBJECTS if kind in OBJECT_KINDS else []):
         _call(name, arg, value)
     os.fstat(1)
 

@@ -1,7 +1,9 @@
+import json
 import math
 
 import pytest
 
+import qhm.experiments
 from qhm import (
     ball_chain,
     m_constant,
@@ -10,6 +12,7 @@ from qhm import (
     run_glue_diverge,
     sequence_diagnostics,
 )
+from qhm.cli import main
 from qhm.errors import InvalidInputError, QhmError
 
 
@@ -86,11 +89,47 @@ class TestConverge:
         with pytest.raises(InvalidInputError):
             run_converge("torus", [3], seed=0)
 
-    def test_deterministic_bytes(self, tmp_path):
-        run_converge("circle", [4, 8], seed=1).write_csv(tmp_path / "a.csv")
-        run_converge("circle", [4, 8], seed=1).write_csv(tmp_path / "b.csv")
-        assert (_strip_elapsed((tmp_path / "a.csv").read_text())
-                == _strip_elapsed((tmp_path / "b.csv").read_text()))
+    @pytest.mark.parametrize("argv, first_keys", [
+        (["converge", "--family", "circle", "--sizes", "4,8"],
+         ["k", "n", "error", "status", "m_value", "resid_flatness",
+          "i_uniform", "elapsed_s", "chain_flatness", "chain_step"]),
+        (["glue-diverge", "--sizes", "11,21"],
+         ["k", "n", "error", "verdict", "m_component", "m_glued",
+          "predicted", "rel_err", "elapsed_s"]),
+        (["equal-glue-demo", "--n", "3"],
+         ["k", "kind", "error", "n", "status", "m_value", "verdict", "ok",
+          "elapsed_s"]),
+    ], ids=["converge", "glue-diverge", "equal-glue-demo"])
+    def test_deterministic_bytes(self, capsys, argv, first_keys):
+        # two runs give the same CSV bytes apart from elapsed_s, and
+        # `--format json` prints every row's keys in the same order
+        texts, keys = [], []
+        for _ in range(2):
+            assert main(["--seed", "1", *argv]) == 0
+            texts.append(_strip_elapsed(capsys.readouterr().out))
+            assert main(["--seed", "1", "--format", "json", *argv]) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            keys.append([list(row) for row in rows])
+        assert texts[0] == texts[1]
+        assert keys[0] == keys[1] and keys[0][0] == first_keys
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda: run_converge("ball3", [51, 101, 201]), 3),
+    (lambda: run_glue_diverge([51, 101]), 4),
+], ids=["converge", "glue-diverge"])
+def test_every_decision_reads_the_module_name(monkeypatch, run, calls):
+    # the ball-sweep benchmark times decisions by replacing
+    # qhm.experiments.m_constant; a reference bound earlier would hide them
+    seen = []
+
+    def counted(space, *args, **kwargs):
+        seen.append(space.n)
+        return m_constant(space, *args, **kwargs)
+
+    monkeypatch.setattr(qhm.experiments, "m_constant", counted)
+    run()
+    assert len(seen) == calls
 
 
 class TestBallChain:
