@@ -2,19 +2,21 @@
 blocked Cholesky factorization of a Strict certificate with its solves, and
 the Perron root bound.
 
-All are plain numpy. The triangle scan has one exact loop, `_exact_block`,
-which scans a block of rows in slabs of a fixed element budget, and one
-combiner of the blocks' answers, `_worst`. `worst_triangle_deficit` runs
-the loop on every block. From SCREEN_MIN points on, `triangle_scan` first
-screens the pairs in exact 16-bit integers on up to four threads,
-recomputes in float64 the pairs the screen cannot certify and runs the
-exact loop on the blocks it leaves mostly open, with the same result bit
-for bit. The ascent advances its linear recurrence a block of iterates at
-a time, each block a few matrix products with powers of its step matrix
-stored once per call, and keeps the best value at each record and the best
-measure only at its exit. The Cholesky factorization goes a block of rows
-at a time, inverting each diagonal block once, and its solves reuse those
-inverses.
+All are plain numpy, and each step is the numpy expression it stands for:
+no kernel takes a scratch buffer, and numpy allocates every temporary (the
+ascent alone keeps its block of iterates and their potentials from one
+block to the next). The triangle scan has one exact loop, `_exact_block`, which scans a block
+of rows in slabs of a fixed byte budget, and one combiner of the blocks'
+answers, `_worst`. `worst_triangle_deficit` runs the loop on every block.
+From SCREEN_MIN points on, `triangle_scan` first screens the pairs in
+exact 16-bit integers on up to four threads, recomputes in float64 the
+pairs the screen cannot certify and runs the exact loop on the blocks it
+leaves mostly open, with the same result bit for bit. The ascent advances
+its linear recurrence a block of iterates at a time, each block a few
+matrix products with powers of its step matrix stored once per call, and
+keeps the best value at each record and the best measure only at its exit.
+The Cholesky factorization goes a block of rows at a time, inverting each
+diagonal block once, and its solves reuse those inverses.
 """
 
 import math
@@ -26,15 +28,15 @@ import numpy as np
 
 from .tolerances import PERRON_RTOL
 
-# Element budget of one triangle-scan slab (rows x pivots x columns) of
-# float64, and rows per block. The screen reads the same 512 KB slab as
-# 4 TRIANGLE_TILE uint16. Apart from the slab the scan allocates only
-# row-block vectors of TRIANGLE_TILE_ROWS x n elements, never an n x n
-# temporary (the screen adds its uint16 copy). Measured on a 2-vCPU machine
-# (medians of 7 rounds, 3 at 1601 points), the screened scan of the
-# 802-point glued file took 0.14, 0.10 and 0.08 s with slabs of 2^16, 2^17
-# and 2^18 uint16 elements, a 1601-point ball 1.25, 0.81 and 0.69 s; 4, 8
-# and 16 rows per block were within noise of each other.
+# Budget of one triangle-scan slab (rows x pivots x columns), and rows per
+# block: a slab takes at most 8 TRIANGLE_TILE bytes (512 KB), TRIANGLE_TILE
+# float64 sums or, in the screen, 4 TRIANGLE_TILE uint16 sums. Apart from
+# the slab the scan allocates only row-block vectors of TRIANGLE_TILE_ROWS x
+# n elements, never an n x n temporary (the screen adds its uint16 copy).
+# Measured on a 2-vCPU machine (medians of 7 rounds, 3 at 1601 points), the
+# screened scan of the 802-point glued file took 0.14, 0.10 and 0.08 s with
+# slabs of 2^16, 2^17 and 2^18 uint16 elements, a 1601-point ball 1.25, 0.81
+# and 0.69 s; 4, 8 and 16 rows per block were within noise of each other.
 TRIANGLE_TILE = 1 << 16
 TRIANGLE_TILE_ROWS = 8
 
@@ -49,11 +51,8 @@ def worst_triangle_deficit(dist: np.ndarray):
     `_worst` combines the blocks' answers.
     """
     n = dist.shape[0]
-    rows = min(n, TRIANGLE_TILE_ROWS)
-    buf = np.empty(min(max(TRIANGLE_TILE, rows * n), rows * n * n))
-    least, tmp = np.empty(rows * n), np.empty(rows * n)
-    return _worst(dist, [_exact_block(dist, i0, min(n, i0 + rows), buf,
-                                      least, tmp)
+    rows = TRIANGLE_TILE_ROWS
+    return _worst(dist, [_exact_block(dist, i0, min(n, i0 + rows))
                          for i0 in range(0, n, rows)])
 
 
@@ -67,41 +66,30 @@ def _worst(dist, found):
         return worst, i, j, int(np.argmin(dist[i, :] + dist[:, j]))
 
 
-def _block_minima(x, i0, i1, buf, least, tmp):
+def _block_minima(x, i0, i1):
     """min over k of x[i, k] + x[k, j] for rows i0:i1 and columns j >= i0,
-    as a view of `least`, in slabs of at most buf.size sums (rows x pivots x
-    columns); `least` and `tmp` hold at least a block's elements. Apart
-    from the buffer that numpy's ufuncs allocate per call, it writes only
-    into what it is given, so that the screen's worker threads need no
-    memory of their own."""
+    in slabs (rows x pivots x columns) of at most 8 TRIANGLE_TILE bytes,
+    whatever the dtype of `x`."""
     n = x.shape[0]
     rows, width = i1 - i0, n - i0
-    least = least[:rows * width].reshape(rows, width)
-    tmp = tmp[:rows * width].reshape(rows, width)
-    pivots = max(1, buf.size // (rows * width))
+    pivots = max(1, 8 * TRIANGLE_TILE // (x.itemsize * rows * width))
     with np.errstate(over="ignore"):  # a sum past the float range is inf
         for k0 in range(0, n, pivots):
-            k1 = min(n, k0 + pivots)
-            slab = buf[:rows * (k1 - k0) * width].reshape(rows, k1 - k0, width)
-            np.add(x[i0:i1, k0:k1, None], x[None, k0:k1, i0:], out=slab)
-            if k0 == 0:
-                np.minimum.reduce(slab, axis=1, out=least)
-            else:
-                np.minimum.reduce(slab, axis=1, out=tmp)
-                np.minimum(least, tmp, out=least)
+            k1 = k0 + pivots
+            part = (x[i0:i1, k0:k1, None] + x[None, k0:k1, i0:]).min(axis=1)
+            least = part if k0 == 0 else np.minimum(least, part, out=least)
     return least
 
 
-def _exact_block(dist, i0, i1, buf, least, tmp):
+def _exact_block(dist, i0, i1):
     """(deficit, i, j) for rows i0:i1 in float64: the largest
     d(i,j) - (d(i,k) + d(k,j)) over k and the columns j >= i0, and the first
-    (i, j) in row order that attains it; `buf`, `least` and `tmp` are as for
-    `_block_minima`. Rounded subtraction is monotone, so d(i,j) minus the
-    least sum is exactly the largest deficit over k. A pair j < i repeats
-    the deficit of (j, i) in an earlier row, and k = i gives every diagonal
-    entry 0, so the first pair has i <= j and is (i0, i0) when no deficit
-    is positive."""
-    deficit = _block_minima(dist, i0, i1, buf, least, tmp)
+    (i, j) in row order that attains it. Rounded subtraction is monotone,
+    so d(i,j) minus the least sum is exactly the largest deficit over k. A
+    pair j < i repeats the deficit of (j, i) in an earlier row, and k = i
+    gives every diagonal entry 0, so the first pair has i <= j and is
+    (i0, i0) when no deficit is positive."""
+    deficit = _block_minima(dist, i0, i1)
     np.subtract(dist[i0:i1, i0:], deficit, out=deficit)
     r, c = divmod(int(np.argmax(deficit)), deficit.shape[1])
     return float(deficit[r, c]), i0 + r, i0 + c
@@ -132,8 +120,8 @@ SCREEN_OPEN_MAX = 0.25
 # 1.3-2.0x as long at 128 points, 1.2-1.7x at 144, 1.0-1.1x at 176 and
 # 0.7-1.4x from 192 to 320. The crossover is set by the clouds, the common
 # untrusted input (balls and their glue): 144 is the first size they won in
-# every run. From 64 to 104 points the screen's fixed cost (threads,
-# scratch) made clouds 1.0-1.45x and grids 1.9-2.8x slower.
+# every run. From 64 to 104 points the screen's fixed cost (threads, their
+# working memory) made clouds 1.0-1.45x and grids 1.9-2.8x slower.
 SCREEN_MIN = 144
 # At most this many workers screen at once. The CPU affinity overstates the
 # CPUs a process gets under a cgroup quota, and surplus threads cost time:
@@ -141,8 +129,8 @@ SCREEN_MIN = 144
 # of a euclidean cloud took 0.14/1.04 s on 1 worker, 0.09/0.61 on 2,
 # 0.09/0.65 on 3, 0.10/0.68 on 4, 0.11/0.89 on 6 and 0.14/1.06 on 12;
 # pinned to one CPU, 0.16 s on 1 worker and 0.17 on 4 or 8. Four keeps that
-# loss near 10% and the scratch of all workers under 3.2 MB up to 1601
-# points.
+# loss near 10% and the working memory of all workers under 3.2 MB up to
+# 1601 points.
 SCREEN_WORKERS = 4
 
 
@@ -178,10 +166,9 @@ def triangle_scan(dist: np.ndarray):
     `_workers` says how many. Each block's answer depends on the block
     alone and the answers are combined in block order, so the result does
     not depend on the number of workers, nor on how many of their threads
-    could be started. Every buffer is allocated here, on the calling
-    thread, before the workers start: the uint16 copy (2 n^2 bytes, filled
-    through numpy's cast buffer, with no float64 temporary) and about
-    0.5 MB + 21 TRIANGLE_TILE_ROWS n bytes per worker.
+    could be started. The uint16 copy (2 n^2 bytes, filled through numpy's
+    cast buffer, with no float64 temporary) is shared; each worker's
+    temporaries are the slab of the block it scans and row-block vectors.
     """
     n = dist.shape[0]
     if n < SCREEN_MIN:
@@ -197,7 +184,7 @@ def triangle_scan(dist: np.ndarray):
     lock = threading.Lock()
     errors = []
 
-    def work(scratch):
+    def work():
         try:
             while True:
                 with lock:
@@ -205,23 +192,21 @@ def triangle_scan(dist: np.ndarray):
                 if b is None:
                     return
                 i0 = starts[b]
-                found[b] = _scan_block(dist, screen, i0, min(n, i0 + rows),
-                                       *scratch)
+                found[b] = _scan_block(dist, screen, i0, min(n, i0 + rows))
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 
-    scratch = [_screen_scratch(n) for _ in range(_workers(n, len(starts)))]
     started = []
     try:
-        for s in scratch[1:]:
-            t = threading.Thread(target=work, args=(s,))
+        for _ in range(_workers(n, len(starts)) - 1):
+            t = threading.Thread(target=work)
             t.start()
             started.append(t)
     except RuntimeError:  # no thread to spare: those started share the blocks
         pass
     except BaseException as exc:  # stop the started workers, then re-raise
         errors.append(exc)
-    work(scratch[0])
+    work()
     for t in started:
         t.join()
     if errors:
@@ -240,55 +225,42 @@ def _cpus() -> int:
 def _workers(n, blocks):
     """Workers for the screen of n points in `blocks` row blocks: one per
     CPU, at most one per block and SCREEN_WORKERS in all, and no more than
-    keep their scratch within the uint16 copy, though always two (the
-    measured SCREEN_MIN assumes two)."""
+    keep their working memory within the uint16 copy, though always two
+    (the measured SCREEN_MIN assumes two). Each worker's working memory is
+    taken as one slab of 8 TRIANGLE_TILE bytes, or a float64 row block if
+    that is larger, and 21 bytes per cell of a row block: the screen's two
+    uint16 minima, its bool mask and the exact loop's two float64 minima."""
     copy = 2 * n * n
     m = TRIANGLE_TILE_ROWS * n
     per = 8 * max(TRIANGLE_TILE, m) + 21 * m
     return min(_cpus(), blocks, SCREEN_WORKERS, max(2, copy // per))
 
 
-def _screen_scratch(n):
-    """One worker's buffers for `_scan_block` on n points: one slab, read as
-    uint16 by the screen and as float64 by the exact passes after it, and
-    row-block vectors."""
-    m = TRIANGLE_TILE_ROWS * n
-    return (np.empty(max(TRIANGLE_TILE, m, 2 * n)),
-            np.empty(m, dtype=np.uint16), np.empty(m, dtype=np.uint16),
-            np.empty(m, dtype=bool), np.empty(m), np.empty(m))
-
-
-def _scan_block(dist, screen, i0, i1, slab64, least16, tmp16, is_open,
-                least64, tmp64):
+def _scan_block(dist, screen, i0, i1):
     """(deficit, i, j) for rows i0:i1 against the columns j > i: the
     largest deficit of the block's pairs and the first pair that attains
-    it, or (0.0, i0, i0) when none is positive."""
+    it, or (0.0, i0, i0) when none is positive. The open pairs are
+    rechecked in chunks whose two gathered rows hold TRIANGLE_TILE
+    elements."""
     n = dist.shape[0]
-    sums = _block_minima(screen, i0, i1, slab64.view(np.uint16), least16,
-                         tmp16)
-    opened = np.less_equal(sums, screen[i0:i1, i0:],
-                           out=is_open[:sums.size].reshape(sums.shape))
+    opened = _block_minima(screen, i0, i1) <= screen[i0:i1, i0:]
     for r in range(opened.shape[0]):
         opened[r, :r + 1] = False  # only pairs i < j
     count = np.count_nonzero(opened)
     if count == 0:
         return 0.0, i0, i0
     if count > SCREEN_OPEN_MAX * opened.size:
-        return _exact_block(dist, i0, i1, slab64, least64, tmp64)
+        return _exact_block(dist, i0, i1)
     i, j = np.nonzero(opened)
     i += i0
     j += i0
-    deficit = tmp64[:count]
-    per = slab64.size // (2 * n)
+    deficit = np.empty(count)
+    per = max(1, TRIANGLE_TILE // (2 * n))
     with np.errstate(over="ignore"):  # a sum past the float range is inf
         for a in range(0, count, per):
-            m = min(per, count - a)
-            left = slab64[:m * n].reshape(m, n)
-            right = slab64[m * n:2 * m * n].reshape(m, n)
-            np.take(dist, i[a:a + m], axis=0, out=left, mode="clip")
-            np.take(dist, j[a:a + m], axis=0, out=right, mode="clip")
-            np.minimum.reduce(np.add(left, right, out=left), axis=1,
-                              out=deficit[a:a + m])
+            sums = dist[i[a:a + per]]
+            sums += dist[j[a:a + per]]
+            sums.min(axis=1, out=deficit[a:a + per])
     np.subtract(dist[i, j], deficit, out=deficit)
     best = int(np.argmax(deficit))
     if deficit[best] <= 0.0:
@@ -511,8 +483,6 @@ def blocked_cholesky(a: np.ndarray, shift: float) -> BlockedCholesky:
     m = a.shape[0]
     nb = CHOLESKY_BLOCK
     r = np.zeros((m, m))
-    updated = np.empty((min(m, nb), m))
-    residual = np.empty((min(m, nb), m))
     inverses = []
     g_squares = 0.0
     products = 0.0
@@ -520,9 +490,7 @@ def blocked_cholesky(a: np.ndarray, shift: float) -> BlockedCholesky:
         k1 = min(m, k0 + nb)
         w = k1 - k0
         if k0:
-            hat = np.matmul(r[:k0, k0:k1].T, r[:k0, k0:],
-                            out=updated[:w, :m - k0])
-            np.subtract(a[k0:k1, k0:], hat, out=hat)
+            hat = a[k0:k1, k0:] - r[:k0, k0:k1].T @ r[:k0, k0:]
         else:
             hat = a[:k1]
         lower = np.linalg.cholesky(hat[:, :w] - shift * np.eye(w))
@@ -532,7 +500,7 @@ def blocked_cholesky(a: np.ndarray, shift: float) -> BlockedCholesky:
         if k1 == m:
             break
         panel = np.matmul(inv, hat[:, w:], out=r[k0:k1, k1:])
-        g = np.matmul(lower, panel, out=residual[:w, :m - k1])
+        g = lower @ panel
         g -= hat[:, w:]
         g_squares += _squares(g)
         products += math.sqrt(_squares(lower) * _squares(panel))

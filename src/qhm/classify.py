@@ -180,7 +180,9 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
     ||b||_F >= spectral radius, so tau_hi >= classify's tau. The
     certificate factors C = b - (tau_hi + 2 r) I with r = (m + 1) eps
     trace(b); when tau_hi <= r (tol = 0 among them) it cannot resolve the
-    margin and is not tried. The computed upper factor R satisfies
+    margin, and when ||b||_F overflows (entries past about 2^511) it has no
+    finite margin: either way it is not tried. The computed upper factor R
+    satisfies
 
         R'R = C + E_std + E_panel.
 
@@ -208,9 +210,10 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
     m = b.shape[0]
     if m == 0:
         return None
-    margin = tol * float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):  # past about 2^511 the norm is inf
+        margin = tol * float(np.linalg.norm(b))
     rounding = (m + 1) * EPS * float(b.trace())
-    if not margin > rounding:
+    if not rounding < margin < math.inf:
         return None
     shift = margin + 2.0 * rounding
     if m <= CHOLESKY_BLOCK:

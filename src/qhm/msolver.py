@@ -45,6 +45,7 @@ are the steps of a linear recurrence, advanced a block at a time by
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -402,9 +403,10 @@ def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
     concave) and the run stops once the projected gradient is below
     GRAD_TOL_REL (1e-10) times the diameter. When the constant is infinite
     the best value grows without bound, and the run stops once it passes
-    `blowup`, by default BLOWUP_REL (1e6) times the diameter; a one-point
-    space has no scale and takes 1 and 1e-10. The trace records the best
-    value every max(1, iterations // 256) iterations and at the exit.
+    `blowup`, by default BLOWUP_REL (1e6) times the diameter or the largest
+    finite float, whichever is smaller; a one-point space has no scale and
+    takes 1 and 1e-10. The trace records the best value every
+    max(1, iterations // 256) iterations and at the exit.
     `iterations` must be an integer of at least 1 and `seed` one of at
     least 0 (both below 2^63); anything else raises InvalidInputError.
 
@@ -419,8 +421,9 @@ def ascent_oracle(space: FiniteMetricSpace, iterations: int = 100_000,
     """
     _count(iterations, 1, "iteration", InvalidInputError)
     diam = diameter(space)
-    if blowup is None:
-        blowup = BLOWUP_REL * diam if diam > 0.0 else 1.0
+    if blowup is None:  # capped: past a diameter of 1.8e302 it overflows
+        blowup = (min(BLOWUP_REL * diam, sys.float_info.max) if diam > 0.0
+                  else 1.0)
     if _real(blowup, "blowup must be finite and > 0", InvalidInputError) <= 0.0:
         raise InvalidInputError(f"blowup must be finite and > 0, got {blowup!r}")
     n = space.n

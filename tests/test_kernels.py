@@ -912,6 +912,25 @@ def test_blocked_cholesky_solve_matches_dense_solve(m):
     assert len(factor.inverses) == -(-m // CHOLESKY_BLOCK)
 
 
+def test_blocked_cholesky_memory_is_the_factor_and_a_few_row_blocks():
+    import tracemalloc
+
+    m = 800
+    a = np.random.default_rng(m).standard_normal((m, m))
+    spd = a @ a.T + m * np.eye(m)
+    tracemalloc.start()
+    try:
+        blocked_cholesky(spd, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the m x m factor, the diagonal blocks' inverses and a few temporaries
+    # of CHOLESKY_BLOCK x m (the updated rows, the panel residual); one
+    # stray m x m temporary would add 5.1 MB
+    nb = CHOLESKY_BLOCK
+    assert peak < 8 * (m * m + -(-m // nb) * nb * nb + 4 * nb * m)
+
+
 def test_blocked_cholesky_raises_when_not_positive_definite():
     m = 2 * CHOLESKY_BLOCK + 3
     rng = np.random.default_rng(5)

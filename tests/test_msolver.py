@@ -14,6 +14,7 @@ from qhm import (
     classify,
     diameter,
     energy,
+    euclidean_cloud,
     fixture,
     fixture_keys,
     glue,
@@ -674,6 +675,30 @@ class TestMConstant:
     def test_single_point(self):
         dec = m_constant(validate_metric([[0.0]]))
         assert dec.finite and dec.value == 0.0
+
+    # one-array and per-coordinate clouds; the one-block LU solve up to 65
+    # points, certificates of 2 and 8 blocks at 129 and 501
+    @pytest.mark.parametrize("n", [3, 4, 7, 64, 65, 129, 501])
+    def test_regular_polygon_chord_metric(self, n):
+        # M = (2/n) cot(pi/2n) (Bjorck, Ark. Mat. 3, 1956)
+        from qhm.experiments import _polygon_cloud
+
+        dec = m_constant(_polygon_cloud(n))
+        assert dec.finite and dec.diagnostics["certificate"] == "cholesky"
+        assert dec.value == pytest.approx(
+            2.0 / n / math.tan(math.pi / (2 * n)), rel=1e-14)
+
+    def test_golden_angle_sphere_stays_below_four_thirds(self):
+        # points on the unit sphere have M_N < 4/3 (Alexander-Stolarsky,
+        # Trans. AMS 193, 1974); the golden-angle sets approach it
+        from qhm.spaces import _sphere_lattice
+
+        values = [m_constant(euclidean_cloud(_sphere_lattice(n, 1.0))).value
+                  for n in (16, 64, 256, 1024)]
+        assert values == pytest.approx([1.32008, 1.33172, 1.33313, 1.333309],
+                                       abs=1e-5)
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert values[-1] < 4.0 / 3.0
 
     def test_diagnostics_present(self):
         # on the cholesky path (the grid) and on the eigh path (circle-8),

@@ -23,6 +23,7 @@ from qhm import (
     glue,
     glued_m_predict,
     inner_zero,
+    invariant_measure,
     m_constant,
     measure,
     seminorm_zero,
@@ -367,3 +368,47 @@ class TestScaleFreeDefaults:
         space = _scaled(fixture("nw-thm2.9a").space, lam)
         with pytest.raises(NotApplicableError):
             seminorm_zero(space, classify(space).witness)
+
+
+class TestExtremeScales:
+    """Scales whose restricted form has no finite Frobenius norm (past about
+    2^511) or whose default divergence threshold would overflow."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [520, -520, 1000, -1000])
+    @pytest.mark.parametrize("key", ["circle-8", "nw-thm2.9a", "interval-5",
+                                     "200-gon"])
+    def test_decisions_past_the_norm(self, key, k):
+        # the certificate used to run with an infinite shift, warning
+        # "overflow encountered in dot", before `eigh` answered
+        from qhm.experiments import _polygon_cloud
+
+        space = (_polygon_cloud(200) if key == "200-gon"
+                 else fixture(key).space)
+        scaled = validate_metric(np.ldexp(space.dist, k))
+        ref, dec = m_constant(space), m_constant(scaled)
+        assert (dec.status, dec.reason) == (ref.status, ref.reason)
+        assert dec.diagnostics["verdict"] == ref.diagnostics["verdict"]
+        if ref.finite:
+            assert dec.value == np.ldexp(ref.value, k)
+        assert classify(scaled).verdict == classify(space).verdict
+        ref, got = invariant_measure(space), invariant_measure(scaled)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert got.value == pytest.approx(np.ldexp(ref.value, k),
+                                              rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key, expected", [("interval-5", 0.5),
+                                               ("circle-8", math.pi / 2),
+                                               ("nw-thm2.9a", None)])
+    def test_ascent_oracle_near_the_top_of_float64(self, key, expected):
+        # the default threshold, 1e6 times a diameter of 3.1e305, used to
+        # overflow and fail the check meant for a caller's value
+        trace = ascent_oracle(_scaled(fixture(key).space, 1e305))
+        if expected is None:
+            assert trace.status == "blowup"
+        else:
+            assert trace.status == "converged"
+            assert trace.best_value == pytest.approx(expected * 1e305,
+                                                     rel=1e-6)
