@@ -15,8 +15,9 @@ leaves mostly open, with the same result bit for bit. The ascent advances
 its linear recurrence a block of iterates at a time, each block a few
 matrix products with powers of its step matrix stored once per call, and
 keeps the best value at each record and the best measure only at its exit.
-The Cholesky factorization goes a block of rows at a time, inverting each
-diagonal block once, and its solves reuse those inverses.
+The Cholesky factorization goes a block of rows at a time, in place over
+the matrix it factors, inverting each diagonal block once, and its solves
+reuse those inverses.
 """
 
 import math
@@ -425,10 +426,11 @@ EPS = float(np.finfo(np.float64).eps)
 class BlockedCholesky:
     """R'R = C + E for the matrix C that `blocked_cholesky` factored.
 
-    upper: R, upper triangular. inverses: W_K, the computed inverse of each
-    diagonal block L_KK = R_KK', in block order. panel_error: a bound on the
-    2-norm of the part of E that the explicit inverses add (see
-    `blocked_cholesky`).
+    upper: the array `blocked_cholesky` factored, with R in its upper
+    triangle and the input still in its strict lower triangle. inverses:
+    W_K, the computed inverse of each diagonal block L_KK = R_KK', in block
+    order. panel_error: a bound on the 2-norm of the part of E that the
+    explicit inverses add (see `blocked_cholesky`).
     """
 
     upper: np.ndarray
@@ -438,7 +440,8 @@ class BlockedCholesky:
     def solve(self, x: np.ndarray) -> np.ndarray:
         """(R'R)^-1 x with each diagonal block inverted by its W_K, O(m^2):
         forward and back substitution a block of rows at a time, each block
-        step two matrix-vector products."""
+        step two matrix-vector products. Only the blocks of `upper` right
+        of the diagonal are read."""
         r = self.upper
         starts = range(0, x.shape[0], CHOLESKY_BLOCK)
         z = np.empty_like(x)
@@ -455,16 +458,19 @@ class BlockedCholesky:
 def blocked_cholesky(a: np.ndarray, shift: float) -> BlockedCholesky:
     """Factor C = a - shift I, for a symmetric `a`, into R'R with R upper
     triangular, or raise `np.linalg.LinAlgError` when a diagonal block is
-    not positive definite. `a` is left as it is.
+    not positive definite. R overwrites the upper triangle of `a`, whose
+    strict lower triangle is left as it is; after a LinAlgError the rows of
+    the blocks above the failing one hold R.
 
     Left-looking, over blocks K of CHOLESKY_BLOCK rows: the block's rows are
     updated from the rows of R above, C^_K = C_K - R_aK' R_a (one matmul);
     the diagonal block is factored, C^_KK = L_KK L_KK' (`np.linalg.cholesky`),
     and inverted, W_K = L_KK^-1 (`np.linalg.inv`); the panel right of it is
-    R_K = W_K C^_K (one matmul), and R_KK = L_KK'. R is written a block of
-    rows at a time into zeros, whose pages below the diagonal are never
-    touched; C is never formed, since the shift only enters the diagonal
-    blocks.
+    R_K = W_K C^_K (one matmul), and R_KK = L_KK'. Both are written over
+    the block's rows of `a`, which the update has already read (the first
+    block, which has no update, is copied first), so the factorization
+    holds no m x m array besides `a`; C is never formed, since the shift
+    only enters the diagonal blocks.
 
     An explicit inverse has no componentwise backward error bound, so the
     residual it leaves is measured: G_K = L_KK R_K - C^_K, one more matmul.
@@ -482,7 +488,7 @@ def blocked_cholesky(a: np.ndarray, shift: float) -> BlockedCholesky:
     """
     m = a.shape[0]
     nb = CHOLESKY_BLOCK
-    r = np.zeros((m, m))
+    on_or_above = ~np.tri(nb, k=-1, dtype=bool)  # where R_KK is written
     inverses = []
     g_squares = 0.0
     products = 0.0
@@ -490,16 +496,16 @@ def blocked_cholesky(a: np.ndarray, shift: float) -> BlockedCholesky:
         k1 = min(m, k0 + nb)
         w = k1 - k0
         if k0:
-            hat = a[k0:k1, k0:] - r[:k0, k0:k1].T @ r[:k0, k0:]
+            hat = a[k0:k1, k0:] - a[:k0, k0:k1].T @ a[:k0, k0:]
         else:
-            hat = a[:k1]
+            hat = a[:k1].copy()
         lower = np.linalg.cholesky(hat[:, :w] - shift * np.eye(w))
         inv = np.linalg.inv(lower)
         inverses.append(inv)
-        r[k0:k1, k0:k1] = lower.T
+        np.copyto(a[k0:k1, k0:k1], lower.T, where=on_or_above[:w, :w])
         if k1 == m:
             break
-        panel = np.matmul(inv, hat[:, w:], out=r[k0:k1, k1:])
+        panel = np.matmul(inv, hat[:, w:], out=a[k0:k1, k1:])
         g = lower @ panel
         g -= hat[:, w:]
         g_squares += _squares(g)
@@ -508,7 +514,7 @@ def blocked_cholesky(a: np.ndarray, shift: float) -> BlockedCholesky:
     gamma = nb * u / (1.0 - nb * u)
     panel_error = (math.sqrt(2.0) * (1.0 + m * m * EPS)
                    * (math.sqrt(g_squares) / (1.0 - u) + gamma * products))
-    return BlockedCholesky(upper=r, inverses=inverses, panel_error=panel_error)
+    return BlockedCholesky(upper=a, inverses=inverses, panel_error=panel_error)
 
 
 def _squares(a: np.ndarray) -> float:

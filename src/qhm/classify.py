@@ -23,12 +23,14 @@ spectrum. A Strict verdict alone needs less: `certify_strict` factors
 C = B - (tau_hi + 2 r) I, with tau_hi = tol * ||B||_F >= tau and r a bound
 on the factorization's rounding. Success proves every eigenvalue of B
 exceeds tau_hi, so `eigh` would also answer Strict. Up to CHOLESKY_BLOCK
-rows the factorization is one `np.linalg.cholesky` and the solve with B one
-LU solve. Above, it is `qhm._kernels.blocked_cholesky`, whose explicit
-diagonal-block inverses form its panels, are checked by a measured
-residual, and then drive the triangular solves of an iterative refinement
-with B. `m_constant` and `invariant_measure` try that certificate first and
-fall back to `eigh`, on the same B, when it fails.
+rows the factorization is one `np.linalg.cholesky` of a shifted copy and
+the solve with B one LU solve. Above, it is `qhm._kernels.blocked_cholesky`,
+which writes its factor over B, so that a decision holds one n x n array
+besides D. Its explicit diagonal-block inverses form its panels, are
+checked by a measured residual, and then drive the triangular solves of an
+iterative refinement, which applies B through D, -Q'(D(Qy)), in O(n^2).
+`m_constant` and `invariant_measure` try that certificate first and fall
+back to `eigh` when it fails, on B rebuilt from D in the same array.
 
 A Classification holds what `eigh` returned and the verdict read from it.
 What a caller may not read is built on first read from those eigenpairs:
@@ -120,8 +122,14 @@ class Classification:
 # reflection H = I - beta v v' with v = e1 - ones/sqrt(n), which maps e1 to
 # ones/sqrt(n). With a = 1/sqrt(n), v is 1 - a then -a repeated, and
 # beta = 2 / v'v = 1 / (1 - a), so Q'x = (Hx)[1:] and Qy = H (0, y) are:
-# Q'x = x[1:] + beta a v'x, with v'x = x_0 - a sum(x), which the invariant
-# solve in `qhm.msolver` applies inline, and
+# Q'x = x[1:] + beta a v'x, with v'x = x_0 - a sum(x), and
+# Qy = (a s, y - beta a^2 s) with s = sum(y).
+
+def _to_mass_zero(x: np.ndarray) -> np.ndarray:
+    """Q'x for n >= 2 entries, with Python floats for the scalars."""
+    a = 1.0 / math.sqrt(x.shape[0])
+    return x[1:] + (a / (1.0 - a)) * (float(x[0]) - a * float(x.sum()))
+
 
 def _from_mass_zero(y: np.ndarray) -> np.ndarray:
     """Qy = (a s, y - beta a^2 s) with s = sum(y), for n - 1 >= 1 entries.
@@ -132,8 +140,10 @@ def _from_mass_zero(y: np.ndarray) -> np.ndarray:
     return np.concatenate(([a * s], y - (a * a / (1.0 - a)) * s))
 
 
-def _restricted_form(dist: np.ndarray) -> np.ndarray:
-    """B = -Q'DQ, exactly symmetric, in O(n^2) from D.
+def _restricted_form(dist: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """B = -Q'DQ, exactly symmetric, in O(n^2) from D; written into `out`
+    when it is given, the same bits either way.
 
     With p = Dv and beta = 2 / v'v = 1 / (1 - a), a = 1/sqrt(n),
     HDH = D - v q' - q v' for q = beta p - (beta^2 v'p / 2) v. Every entry of
@@ -148,7 +158,7 @@ def _restricted_form(dist: np.ndarray) -> np.ndarray:
     p = dist[:, 0] - a * dist.sum(axis=1)
     vp = p[0] - a * p.sum()
     t = a * (beta * p[1:] + (0.5 * beta * beta * a) * vp)
-    b = np.subtract.outer(-t, t)
+    b = np.subtract.outer(-t, t, out=out)
     b -= dist[1:, 1:]
     return b
 
@@ -158,18 +168,20 @@ class StrictCertificate:
     """Proof of a Strict verdict without the spectrum.
 
     margin: tau_hi, a certified lower bound on every eigenvalue of B, at
-    least classify's tau. form: B. rounding: r = (m + 1) eps trace(B), a
-    bound on the 2-norm of the rounding error of the factorization and the
-    budget of its panel residual; per unit of ||y||, also the residual a
-    converged refinement leaves. It does not judge the measure the solve
-    gives, which `qhm.msolver` checks on its own scale. factor: the blocked
-    factorization of B - (tau_hi + 2 r) I that proved it, or None up to
-    CHOLESKY_BLOCK rows, where the solve is one LU solve with B.
+    least classify's tau. rounding: r = (m + 1) eps trace(B), a bound on
+    the 2-norm of the rounding error of the factorization and the budget of
+    its panel residual; per unit of ||y||, also the residual a converged
+    refinement leaves. It does not judge the measure the solve gives, which
+    `qhm.msolver` checks on its own scale. Up to CHOLESKY_BLOCK rows,
+    lu_form is B, which the solve is one LU solve with, and factor is None.
+    Above, factor is the blocked factorization of B - (tau_hi + 2 r) I that
+    proved it, written over B's array, and lu_form is None: the refinement
+    applies B through D instead.
     """
 
     margin: float
-    form: np.ndarray
     rounding: float
+    lu_form: np.ndarray | None
     factor: BlockedCholesky | None
 
 
@@ -204,8 +216,9 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
     lambda_min(b) > tau_hi + 2 r - 2 r = tau_hi.
 
     Up to CHOLESKY_BLOCK rows one `np.linalg.cholesky` factors a shifted
-    copy of `b`; above, the blocked factorization reads `b` and writes its
-    factor to a new array.
+    copy of `b`, and `b` is left as it is. Above, the blocked factorization
+    writes its factor over `b` whenever it is tried, so that, certificate
+    or not, `b` no longer holds B (`qhm.msolver` rebuilds it for `eigh`).
     """
     m = b.shape[0]
     if m == 0:
@@ -223,27 +236,30 @@ def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             return None
-        factor = None
-    else:
-        try:
-            factor = blocked_cholesky(b, shift)
-        except np.linalg.LinAlgError:
-            return None
-        if not factor.panel_error <= rounding:
-            return None
-    return StrictCertificate(margin=margin, form=b, rounding=rounding,
+        return StrictCertificate(margin=margin, rounding=rounding, lu_form=b,
+                                 factor=None)
+    try:
+        factor = blocked_cholesky(b, shift)
+    except np.linalg.LinAlgError:
+        return None
+    if not factor.panel_error <= rounding:
+        return None
+    return StrictCertificate(margin=margin, rounding=rounding, lu_form=None,
                              factor=factor)
 
 
-def _certified_inverse(cert: StrictCertificate, r: np.ndarray) -> np.ndarray | None:
-    """B^-1 r for a certified B, or None when the refinement does not
-    converge.
+def _certified_inverse(cert: StrictCertificate, dist: np.ndarray,
+                       r: np.ndarray) -> np.ndarray | None:
+    """B^-1 r for a certified B = -Q'DQ of the distance matrix `dist`, or
+    None when the refinement does not converge.
 
     Up to CHOLESKY_BLOCK rows this is one LU solve with B. Above, it is
     iterative refinement on the certificate's factor: y <- y + C^-1 (r - B y)
-    with C = B - shift I multiplies the error by f = shift / (lambda -
-    shift) along an eigenvector of eigenvalue lambda, so it contracts when
-    lambda_min > 2 shift, and it stops when a correction no longer halves.
+    with C = B - shift I, where B y = -Q'(D(Qy)) is one product with D and
+    the closed forms of Q and Q', since the factor has overwritten B. Each
+    step multiplies the error by f = shift / (lambda - shift) along an
+    eigenvector of eigenvalue lambda, so it contracts when lambda_min > 2
+    shift, and it stops when a correction no longer halves.
     It has converged only if its residual is within `rounding` times ||y||,
     where a backward-stable solve leaves it. One that stops with f >= 1/2
     along the smallest eigenvector has a residual of at least shift ||y|| >
@@ -252,14 +268,13 @@ def _certified_inverse(cert: StrictCertificate, r: np.ndarray) -> np.ndarray | N
     lambda_min is a few shifts, so the same residual is within SOLVE_REL
     times ||B|| ||y||, while y is wrong by f^2 along that eigenvector.
     """
-    b = cert.form
     if cert.factor is None:
-        return np.linalg.solve(b, r)
+        return np.linalg.solve(cert.lu_form, r)
     solve = cert.factor.solve
     y = solve(r)
     last = math.inf
     while True:
-        res = r - b @ y
+        res = r + _to_mass_zero(dist @ _from_mass_zero(y))
         dy = solve(res)
         size = float(np.abs(dy).max())
         if not size < 0.5 * last:

@@ -14,21 +14,23 @@ B is positive definite beyond the tolerance and B^-1 applied to one vector.
 So `m_constant` and `invariant_measure` first try the Cholesky certificate
 of `qhm.classify.certify_strict` and solve with its factor by iterative
 refinement, or with a plain LU solve when B is small (diagnostics
-"certificate": "cholesky", "margin": the certified lower bound tau_hi on
-the eigenvalues of B). When the factorization fails, the refinement does
-not converge (`_certified_inverse`) or its solve misses the check below,
-they fall back to the full `eigh` classification of the same B
-("certificate": "eigh", "margin": the smallest |eigenvalue|), which serves
-the NonStrict and NotQuasihypermetric verdicts and their witnesses. One
-check judges the measure w of either path: max|D w - c| within SOLVE_REL *
-diameter * ||w||_1 and |sum(w) - 1| within SOLVE_REL * ||w||_1, a
-backward error of SOLVE_REL on the scale of w itself, which grows like
-1/gap near the Strict/NonStrict boundary. A certified solve that misses it
-falls back to `eigh`; an `eigh` solve that misses it leaves no measure.
-The same check decides NonStrict: M is finite when the solve passes, and
-infinite (NonzeroFlatKernel) when it misses and the skipped values exceed
-its residual bound in 2-norm. A w that is not finite passes neither
-bound. Measures given to `glued_invariant`, `verify_maximal` and
+"certificate": "cholesky", "margin": the certified lower bound tau_hi on the
+eigenvalues of B). Above CHOLESKY_BLOCK rows the factor overwrites B, and
+the refinement applies B through D. When the factorization fails or is
+refused, the refinement does not converge (`_certified_inverse`) or its
+solve misses the check below, they fall back to the full `eigh`
+classification of B, rebuilt from D in the same array above CHOLESKY_BLOCK
+rows ("certificate": "eigh", "margin": the smallest |eigenvalue|), which
+serves the NonStrict and NotQuasihypermetric verdicts and their witnesses.
+One check judges the measure w of either path: max|D w - c| within SOLVE_REL
+* diameter * ||w||_1 and |sum(w) - 1| within SOLVE_REL * ||w||_1, a backward
+error of SOLVE_REL on the scale of w itself, which grows like 1/gap near the
+Strict/NonStrict boundary. A certified solve that misses it falls back to
+`eigh`; an `eigh` solve that misses it leaves no measure. The same check
+decides NonStrict: M is finite when the solve passes, and infinite
+(NonzeroFlatKernel) when it misses and the skipped values exceed its
+residual bound in 2-norm. A w that is not finite passes neither bound.
+Measures given to `glued_invariant`, `verify_maximal` and
 `sequence_diagnostics` are held to the same bounds.
 
 Below CHOLESKY_BLOCK rows the solve is one pass of a few small numpy calls:
@@ -51,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import ascent, perron_upper_bound
+from ._kernels import CHOLESKY_BLOCK, ascent, perron_upper_bound
 from .classify import (
     StrictCertificate,
     Verdict,
@@ -60,6 +62,7 @@ from .classify import (
     _degenerate,
     _from_mass_zero,
     _restricted_form,
+    _to_mass_zero,
     certify_strict,
     check_tol,
 )
@@ -156,10 +159,9 @@ def _invariant_solve(space: FiniteMetricSpace, evidence,
     x = space.dist @ u
     w, dropped = u, ()  # one point: the mass-zero subspace is {0}
     if n > 1:
-        a = 1.0 / math.sqrt(n)
-        r = x[1:] + (a / (1.0 - a)) * (float(x[0]) - a * float(x.sum()))
+        r = _to_mass_zero(x)
         if isinstance(evidence, StrictCertificate):
-            y = _certified_inverse(evidence, r)
+            y = _certified_inverse(evidence, space.dist, r)
             if y is None:
                 return None
         else:
@@ -188,18 +190,27 @@ def _invariant_solve(space: FiniteMetricSpace, evidence,
 
 def _certified_solve(space: FiniteMetricSpace, tol: float,
                      diagnostics: dict):
-    """(B, solve): the restricted form and the invariant solve from its
-    Strict certificate, None when Cholesky cannot give one or the solve
-    misses its check. A certificate puts its verdict and margin, and then
-    the solve's check, into `diagnostics`."""
+    """(b, solve): the invariant solve from a Strict certificate of the
+    restricted form B, or None as solve when Cholesky cannot give one or the
+    solve misses its check; b is then B, for `eigh`. A certificate puts its
+    verdict and margin, and then the solve's check, into `diagnostics`.
+
+    Above CHOLESKY_BLOCK rows the factorization writes over B's array
+    whenever it is tried, so a fallback rebuilds B in that array from D:
+    the decision holds one n x n array besides D on either path."""
     check_tol(tol)
-    b = _restricted_form(_instance(space, FiniteMetricSpace, "space").dist)
+    dist = _instance(space, FiniteMetricSpace, "space").dist
+    b = _restricted_form(dist)
     cert = certify_strict(b, tol)
-    if cert is None:
-        return b, None
-    diagnostics.update(certificate="cholesky", margin=cert.margin,
-                       classify_tol=cert.margin, verdict=Verdict.STRICT.value)
-    return b, _invariant_solve(space, cert, diagnostics)
+    solve = None
+    if cert is not None:
+        diagnostics.update(certificate="cholesky", margin=cert.margin,
+                           classify_tol=cert.margin,
+                           verdict=Verdict.STRICT.value)
+        solve = _invariant_solve(space, cert, diagnostics)
+    if solve is None and b.shape[0] > CHOLESKY_BLOCK:
+        _restricted_form(dist, out=b)
+    return b, solve
 
 
 def invariant_measure(space: FiniteMetricSpace,

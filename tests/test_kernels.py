@@ -903,16 +903,21 @@ def test_blocked_cholesky_solve_matches_dense_solve(m):
     spd = a @ a.T + m * np.eye(m)
     x = rng.standard_normal(m)
     expected = np.linalg.solve(spd, x)
-    factor = blocked_cholesky(spd + np.eye(m), 1.0)
+    given = spd + np.eye(m)
+    factor = blocked_cholesky(given, 1.0)
     got = factor.solve(x)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-    r = factor.upper
-    assert np.array_equal(r, np.triu(r))
+    # R is written over the upper triangle of the input, in place; its
+    # strict lower triangle still holds the input
+    assert factor.upper is given
+    r = np.triu(given)
     assert np.abs(r.T @ r - spd).max() <= 1e-12 * np.abs(spd).max()
+    below = np.tri(m, k=-1, dtype=bool)
+    assert np.array_equal(given[below], (spd + np.eye(m))[below])
     assert len(factor.inverses) == -(-m // CHOLESKY_BLOCK)
 
 
-def test_blocked_cholesky_memory_is_the_factor_and_a_few_row_blocks():
+def test_blocked_cholesky_memory_is_a_few_row_blocks():
     import tracemalloc
 
     m = 800
@@ -924,11 +929,11 @@ def test_blocked_cholesky_memory_is_the_factor_and_a_few_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the m x m factor, the diagonal blocks' inverses and a few temporaries
-    # of CHOLESKY_BLOCK x m (the updated rows, the panel residual); one
-    # stray m x m temporary would add 5.1 MB
+    # the factor is written over its input: only the diagonal blocks'
+    # inverses and a few temporaries of CHOLESKY_BLOCK x m (the updated
+    # rows, the panel residual); one m x m array would add 5.1 MB
     nb = CHOLESKY_BLOCK
-    assert peak < 8 * (m * m + -(-m // nb) * nb * nb + 4 * nb * m)
+    assert peak < 8 * (-(-m // nb) * nb * nb + 4 * nb * m)
 
 
 def test_blocked_cholesky_raises_when_not_positive_definite():

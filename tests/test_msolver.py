@@ -473,7 +473,7 @@ class TestCertifiedPath:
         cert = certify_strict(b, tol)
         assert cert is not None
         rhs = householder_basis(x.n).T @ (x.dist @ np.full(x.n, 1.0 / x.n))
-        assert _certified_inverse(cert, rhs) is None
+        assert _certified_inverse(cert, x.dist, rhs) is None
         dec = m_constant(x, tol)
         assert dec.diagnostics["certificate"] == "eigh"
         assert dec.diagnostics["verdict"] == "Strict"
@@ -591,9 +591,9 @@ class TestBlockedCertificate:
 
     def test_perturbed_block_inverse_is_refused(self, monkeypatch):
         # one inverse 1e-6 off leaves a panel residual far above r: the
-        # residual check is what refuses it (the last block has no panel)
-        b = _planted_form(200, 0.5, 3)
-        assert certify_strict(b, DEFAULT_TOL) is not None
+        # residual check is what refuses it (the last block has no panel).
+        # The factor is written over its form, so each call gets a fresh one
+        assert certify_strict(_planted_form(200, 0.5, 3), DEFAULT_TOL) is not None
         inverses = []
         inv = np.linalg.inv
 
@@ -603,8 +603,92 @@ class TestBlockedCertificate:
             return w * (1.0 + 1e-6) if len(inverses) == 2 else w
 
         monkeypatch.setattr(np.linalg, "inv", perturbed)
-        assert certify_strict(b, DEFAULT_TOL) is None
+        assert certify_strict(_planted_form(200, 0.5, 3), DEFAULT_TOL) is None
         assert len(inverses) == 4
+
+
+class TestOneFormArray:
+    """Above CHOLESKY_BLOCK rows the blocked factorization is written over
+    B: a Strict decision holds one n x n array besides D, and a decision
+    that falls back gives `eigh` B rebuilt from D, never a partly
+    overwritten one."""
+
+    def test_strict_decision_holds_one_form_array(self):
+        import tracemalloc
+
+        _, _, (x,) = ball_chain([801])
+        m_constant(x)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            dec = m_constant(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dec.diagnostics["certificate"] == "cholesky"
+        # B with the factor written over it, the block inverses and a few
+        # row blocks of CHOLESKY_BLOCK x n: about 1.32 n^2 floats. A second
+        # n x n array, such as a factor of its own, reads about 2.3
+        assert peak <= 1.5 * 8 * x.n * x.n
+
+    # overwritten: whether the failed certificate has written over B,
+    # so that `eigh` sees B only because the fallback rebuilt it. The
+    # NotQuasihypermetric metric fails in its first diagonal block, before
+    # anything is written; tol = 0 is never tried
+    @pytest.mark.parametrize("case,verdict,overwritten", [
+        ("polygon-arc-130", "NonStrict", True),
+        ("random-metric-101", "NotQuasihypermetric", False),
+        ("ball-101-no-contraction", "Strict", True),
+        ("ball-101-zero-tol", "Strict", False)])
+    def test_fallback_gets_the_rebuilt_form(self, monkeypatch, case, verdict,
+                                            overwritten):
+        import qhm.msolver as msolver
+
+        if case == "polygon-arc-130":
+            space, tol = regular_polygon_arc(130), DEFAULT_TOL
+        elif case == "random-metric-101":
+            space, tol = random_metric(101, 0), DEFAULT_TOL
+        else:
+            _, _, (space,) = ball_chain([101])
+            b = _restricted_form(space.dist)
+            # shift = lambda_min / 1.5, as in the non-contracting test above
+            tol = (0.0 if case.endswith("zero-tol") else
+                   float(np.linalg.eigvalsh(b)[0]) / 1.5 / float(np.linalg.norm(b)))
+        form = _restricted_form(space.dist)
+        assert form.shape[0] > CHOLESKY_BLOCK
+        b = form.copy()
+        certify_strict(b, tol)
+        assert (b.tobytes() != form.tobytes()) == overwritten
+
+        forms = []
+        classify_form = msolver._classify_form
+
+        def spy(space, b, tol):
+            forms.append(b.tobytes())
+            return classify_form(space, b, tol)
+
+        monkeypatch.setattr(msolver, "_classify_form", spy)
+        # each decision against the one `eigh` takes on a B the certificate
+        # never touched
+        certified, reference = _decide_both(space, tol)
+        solved = invariant_measure(space, tol)
+        with monkeypatch.context() as mp:
+            mp.setattr(msolver, "certify_strict", lambda b, tol: None)
+            solved_reference = invariant_measure(space, tol)
+        assert forms == [form.tobytes()] * 4
+        assert certified.diagnostics["certificate"] == "eigh"
+        assert certified.diagnostics["verdict"] == verdict
+        assert certified.diagnostics == reference.diagnostics
+        assert (certified.status, certified.reason, certified.value) == (
+            reference.status, reference.reason, reference.value)
+        assert np.array_equal(certified.evidence, reference.evidence)
+        if solved_reference is None:
+            assert solved is None
+        else:
+            assert (solved.value, solved.residual, solved.unique) == (
+                solved_reference.value, solved_reference.residual,
+                solved_reference.unique)
+            assert np.array_equal(solved.measure.weights,
+                                  solved_reference.measure.weights)
 
 
 BAD_TOLS = [math.nan, math.inf, -math.inf, -1.0, -1e-12, "x", None]
