@@ -290,7 +290,7 @@ def _ascent_plan(n, iterations):
     short for their fixed cost; and (1, 67) at 601 points, 3000 iterations,
     in 423-475 ms against 540-618 ms for (0, 1)."""
     b = min(1024, iterations + 1)
-    if b == 1 or n * n + 8 * n > ASCENT_TILE:
+    if n * n + 8 * n > ASCENT_TILE:
         return 0, 1
     p = (b - 1).bit_length()
     while p > 1 and p * n * n + 4 * max(64, 1 << p) * n > ASCENT_TILE:
@@ -409,7 +409,7 @@ def ascent(dist, w0, iterations, step, blowup, grad_tol, stride):
 
 # Rows per block of `blocked_cholesky`, and the largest order of a Strict
 # certificate that is one `np.linalg.cholesky` and is solved by one LU solve
-# (`qhm.classify`). Measured on a 2-vCPU machine (OpenBLAS, `m_constant` on
+# (`qhm.msolver`). Measured on a 2-vCPU machine (OpenBLAS, `m_constant` on
 # balls, medians of 31 interleaved rounds): blocks of 32, 48, 64, 96 and 128
 # rows took 1.65, 1.68, 1.64, 2.00 and 2.39 ms at 201 points, 4.43, 4.63,
 # 4.84, 5.00 and 6.40 ms at 401, 14.6, 14.9, 15.2, 16.3 and 19.0 ms at 801,

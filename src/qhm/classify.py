@@ -16,21 +16,9 @@ with tau = tol * spectral radius of B, so the verdict does not depend on the
 unit of length (see `qhm.tolerances`). Single-point spaces are Strict by
 convention. Q is the last n - 1 columns of one Householder reflection H,
 never formed: B comes from D by a rank-two update in O(n^2), and Q and Q'
-are applied to vectors in closed form, O(n) each.
-
-`classify` always takes the full `eigh` of B, since its verdict carries the
-spectrum. A Strict verdict alone needs less: `certify_strict` factors
-C = B - (tau_hi + 2 r) I, with tau_hi = tol * ||B||_F >= tau and r a bound
-on the factorization's rounding. Success proves every eigenvalue of B
-exceeds tau_hi, so `eigh` would also answer Strict. Up to CHOLESKY_BLOCK
-rows the factorization is one `np.linalg.cholesky` of a shifted copy and
-the solve with B one LU solve. Above, it is `qhm._kernels.blocked_cholesky`,
-which writes its factor over B, so that a decision holds one n x n array
-besides D. Its explicit diagonal-block inverses form its panels, are
-checked by a measured residual, and then drive the triangular solves of an
-iterative refinement, which applies B through D, -Q'(D(Qy)), in O(n^2).
-`m_constant` and `invariant_measure` try that certificate first and fall
-back to `eigh` when it fails, on B rebuilt from D in the same array.
+are applied to vectors in closed form, O(n) each. `classify` always takes
+the full `eigh` of B, since its verdict carries the spectrum; the
+decisions of `qhm.msolver` first try to prove Strict without it.
 
 A Classification holds what `eigh` returned and the verdict read from it.
 What a caller may not read is built on first read from those eigenpairs:
@@ -47,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import CHOLESKY_BLOCK, EPS, BlockedCholesky, blocked_cholesky
 from .energy import SignedMeasure, _trusted_measure, potential
 from .errors import (
     EigendecompositionFailure,
@@ -163,135 +150,17 @@ def _restricted_form(dist: np.ndarray,
     return b
 
 
-@dataclass(frozen=True, eq=False)
-class StrictCertificate:
-    """Proof of a Strict verdict without the spectrum.
-
-    margin: tau_hi, a certified lower bound on every eigenvalue of B, at
-    least classify's tau. rounding: r = (m + 1) eps trace(B), a bound on
-    the 2-norm of the rounding error of the factorization and the budget of
-    its panel residual; per unit of ||y||, also the residual a converged
-    refinement leaves. It does not judge the measure the solve gives, which
-    `qhm.msolver` checks on its own scale. Up to CHOLESKY_BLOCK rows,
-    lu_form is B, which the solve is one LU solve with, and factor is None.
-    Above, factor is the blocked factorization of B - (tau_hi + 2 r) I that
-    proved it, written over B's array, and lu_form is None: the refinement
-    applies B through D instead.
-    """
-
-    margin: float
-    rounding: float
-    lu_form: np.ndarray | None
-    factor: BlockedCholesky | None
-
-
-def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
-    """Certify that every eigenvalue of the restricted form `b` exceeds
-    tau_hi = tol * ||b||_F, or return None.
-
-    ||b||_F >= spectral radius, so tau_hi >= classify's tau. The
-    certificate factors C = b - (tau_hi + 2 r) I with r = (m + 1) eps
-    trace(b); when tau_hi <= r (tol = 0 among them) it cannot resolve the
-    margin, and when ||b||_F overflows (entries past about 2^511) it has no
-    finite margin: either way it is not tried. The computed upper factor R
-    satisfies
-
-        R'R = C + E_std + E_panel.
-
-    E_std is the rounding of a Cholesky factorization: of the matmul
-    updates C^_K = C_K - R_aK' R_a (inner dimension below m, then one
-    subtraction), of the shift on the diagonal and of each diagonal block's
-    `np.linalg.cholesky`. Taken against the results, |E_std| <=
-    gamma_{m+3} |R|'|R| entrywise to first order (gamma_{m+2} with one
-    block, which has no update). || |R|'|R| ||_2 <= ||R||_F^2 = trace(R'R)
-    = trace(C + E_std) (E_panel has a zero diagonal) < trace(b) +
-    m ||E_std||_2, so ||E_std||_2 <= (m + 3) u trace(b) / (1 - (m + 3) m u)
-    <= r, u = eps / 2, for every m below 10^7.
-    E_panel is what the explicit inverses of the diagonal blocks add to the
-    panels of R, and `blocked_cholesky` bounds ||E_panel||_2 by its measured
-    residual, `panel_error`; the certificate is refused unless that bound
-    is at most r (with one block there are no panels and E_panel = 0). Then
-    ||E_std + E_panel||_2 <= 2 r, and R is triangular with a positive
-    diagonal, so C + E_std + E_panel is positive definite and
-    lambda_min(b) > tau_hi + 2 r - 2 r = tau_hi.
-
-    Up to CHOLESKY_BLOCK rows one `np.linalg.cholesky` factors a shifted
-    copy of `b`, and `b` is left as it is. Above, the blocked factorization
-    writes its factor over `b` whenever it is tried, so that, certificate
-    or not, `b` no longer holds B (`qhm.msolver` rebuilds it for `eigh`).
-    """
-    m = b.shape[0]
-    if m == 0:
-        return None
-    with np.errstate(over="ignore"):  # past about 2^511 the norm is inf
-        margin = tol * float(np.linalg.norm(b))
-    rounding = (m + 1) * EPS * float(b.trace())
-    if not rounding < margin < math.inf:
-        return None
-    shift = margin + 2.0 * rounding
-    if m <= CHOLESKY_BLOCK:
-        shifted = b.copy()
-        shifted.reshape(-1)[::m + 1] -= shift
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            return None
-        return StrictCertificate(margin=margin, rounding=rounding, lu_form=b,
-                                 factor=None)
-    try:
-        factor = blocked_cholesky(b, shift)
-    except np.linalg.LinAlgError:
-        return None
-    if not factor.panel_error <= rounding:
-        return None
-    return StrictCertificate(margin=margin, rounding=rounding, lu_form=None,
-                             factor=factor)
-
-
-def _certified_inverse(cert: StrictCertificate, dist: np.ndarray,
-                       r: np.ndarray) -> np.ndarray | None:
-    """B^-1 r for a certified B = -Q'DQ of the distance matrix `dist`, or
-    None when the refinement does not converge.
-
-    Up to CHOLESKY_BLOCK rows this is one LU solve with B. Above, it is
-    iterative refinement on the certificate's factor: y <- y + C^-1 (r - B y)
-    with C = B - shift I, where B y = -Q'(D(Qy)) is one product with D and
-    the closed forms of Q and Q', since the factor has overwritten B. Each
-    step multiplies the error by f = shift / (lambda - shift) along an
-    eigenvector of eigenvalue lambda, so it contracts when lambda_min > 2
-    shift, and it stops when a correction no longer halves.
-    It has converged only if its residual is within `rounding` times ||y||,
-    where a backward-stable solve leaves it. One that stops with f >= 1/2
-    along the smallest eigenvector has a residual of at least shift ||y|| >
-    2 rounding ||y|| and is refused. That is a test of convergence the
-    invariant solve's check in `qhm.msolver` cannot make: near the boundary
-    lambda_min is a few shifts, so the same residual is within SOLVE_REL
-    times ||B|| ||y||, while y is wrong by f^2 along that eigenvector.
-    """
-    if cert.factor is None:
-        return np.linalg.solve(cert.lu_form, r)
-    solve = cert.factor.solve
-    y = solve(r)
-    last = math.inf
-    while True:
-        res = r + _to_mass_zero(dist @ _from_mass_zero(y))
-        dy = solve(res)
-        size = float(np.abs(dy).max())
-        if not size < 0.5 * last:
-            break
-        y += dy
-        last = size
-    if not np.linalg.norm(res) <= cert.rounding * np.linalg.norm(y):
-        return None
-    return y
-
-
 def classify(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Classification:
     """Decide NotQuasihypermetric / Strict / NonStrict for a space from the
     full spectrum of its restricted form."""
+    return _classify_form(space, _checked_form(space, tol), tol)
+
+
+def _checked_form(space: FiniteMetricSpace, tol: float) -> np.ndarray:
+    """The restricted form B of `space`, once `tol` and `space` are checked:
+    the entry of `classify` and of the decisions of `qhm.msolver`."""
     check_tol(tol)
-    dist = _instance(space, FiniteMetricSpace, "space").dist
-    return _classify_form(space, _restricted_form(dist), tol)
+    return _restricted_form(_instance(space, FiniteMetricSpace, "space").dist)
 
 
 def _classify_form(space: FiniteMetricSpace, b: np.ndarray,

@@ -26,7 +26,7 @@ import click
 from . import experiments
 from .classify import DEFAULT_TOL, classify as classify_space
 from .classify import kernel_flat_values
-from .energy import energy, measure, parse_weights, potential
+from .energy import measure, parse_weights, potential
 from .errors import QhmError, SolverError, ValidationError
 from .fixtures import fixture, fixture_keys
 from .msolver import ascent_oracle, invariant_measure, m_constant
@@ -138,7 +138,7 @@ def mconstant_cmd(ctx, space, check, oracle_iters):
         mean = float(pot.mean())
         payload["check_measure"] = {
             "mass": mu.mass,
-            "energy": energy(space, mu),
+            "energy": float(mu.weights @ pot),
             "potential_mean": mean,
             "potential_spread": float(pot.max() - pot.min()),
             "flatness_about_mean": float(abs(pot - mean).max()),

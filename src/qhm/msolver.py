@@ -11,17 +11,25 @@ constant potential value of f.
 
 Most finite spaces are Strict, and a Strict decision needs only a proof that
 B is positive definite beyond the tolerance and B^-1 applied to one vector.
-So `m_constant` and `invariant_measure` first try the Cholesky certificate
-of `qhm.classify.certify_strict` and solve with its factor by iterative
-refinement, or with a plain LU solve when B is small (diagnostics
-"certificate": "cholesky", "margin": the certified lower bound tau_hi on the
-eigenvalues of B). Above CHOLESKY_BLOCK rows the factor overwrites B, and
-the refinement applies B through D. When the factorization fails or is
-refused, the refinement does not converge (`_certified_inverse`) or its
-solve misses the check below, they fall back to the full `eigh`
-classification of B, rebuilt from D in the same array above CHOLESKY_BLOCK
-rows ("certificate": "eigh", "margin": the smallest |eigenvalue|), which
-serves the NonStrict and NotQuasihypermetric verdicts and their witnesses.
+So `m_constant` and `invariant_measure` share one route, `_decide`. It
+builds B as `classify` does (`qhm.classify._checked_form`) and first tries
+the Cholesky certificate `certify_strict`: a factorization of
+C = B - (tau_hi + 2 r) I, with tau_hi = tol * ||B||_F, at least classify's
+tau, and r a bound on the factorization's rounding, proves every
+eigenvalue of B exceeds tau_hi, so `eigh` would also answer Strict
+(diagnostics "certificate": "cholesky", "margin": tau_hi). Up to
+CHOLESKY_BLOCK rows that is one `np.linalg.cholesky` of a shifted copy and
+the solve one LU solve with B. Above, `qhm._kernels.blocked_cholesky`
+writes its factor over B, so that a decision holds one n x n array besides
+D; its explicit diagonal-block inverses form its panels, are checked by a
+measured residual, and drive the triangular solves of an iterative
+refinement that applies B through D, -Q'(D(Qy)), in O(n^2). When the
+factorization fails or is refused, the refinement does not converge
+(`_certified_inverse`) or its solve misses the check below, the route
+returns the full `eigh` classification of B instead, rebuilt from D in the
+same array above CHOLESKY_BLOCK rows ("certificate": "eigh", "margin": the
+smallest |eigenvalue|), which serves the NonStrict and NotQuasihypermetric
+verdicts and their witnesses.
 One check judges the measure w of either path: max|D w - c| within SOLVE_REL
 * diameter * ||w||_1 and |sum(w) - 1| within SOLVE_REL * ||w||_1, a backward
 error of SOLVE_REL on the scale of w itself, which grows like 1/gap near the
@@ -53,17 +61,17 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import CHOLESKY_BLOCK, ascent, perron_upper_bound
+from ._kernels import (CHOLESKY_BLOCK, EPS, BlockedCholesky, ascent,
+                       blocked_cholesky, perron_upper_bound)
 from .classify import (
-    StrictCertificate,
+    Classification,
     Verdict,
-    _certified_inverse,
+    _checked_form,
     _classify_form,
     _degenerate,
     _from_mass_zero,
     _restricted_form,
     _to_mass_zero,
-    certify_strict,
     check_tol,
 )
 from .energy import (
@@ -139,6 +147,127 @@ class MDecision:
         return None if self.finite else _trusted_measure(self.space, self.evidence)
 
 
+@dataclass(frozen=True, eq=False)
+class StrictCertificate:
+    """Proof of a Strict verdict without the spectrum.
+
+    margin: tau_hi, a certified lower bound on every eigenvalue of B, at
+    least classify's tau. rounding: r = (m + 1) eps trace(B), a bound on
+    the 2-norm of the rounding error of the factorization and the budget of
+    its panel residual; per unit of ||y||, also the residual a converged
+    refinement leaves. It does not judge the measure the solve gives, which
+    `_invariant_solve` checks on its own scale. Up to CHOLESKY_BLOCK rows,
+    lu_form is B, which the solve is one LU solve with, and factor is None.
+    Above, factor is the blocked factorization of B - (tau_hi + 2 r) I that
+    proved it, written over B's array, and lu_form is None: the refinement
+    applies B through D instead.
+    """
+
+    margin: float
+    rounding: float
+    lu_form: np.ndarray | None
+    factor: BlockedCholesky | None
+
+
+def certify_strict(b: np.ndarray, tol: float) -> StrictCertificate | None:
+    """Certify that every eigenvalue of the restricted form `b` exceeds
+    tau_hi = tol * ||b||_F, or return None.
+
+    ||b||_F >= spectral radius, so tau_hi >= classify's tau. The
+    certificate factors C = b - (tau_hi + 2 r) I with r = (m + 1) eps
+    trace(b); when tau_hi <= r (tol = 0 or an empty b) it cannot resolve the
+    margin, and when ||b||_F overflows (entries past about 2^511) it has no
+    finite margin: either way it is not tried. The computed upper factor R
+    satisfies
+
+        R'R = C + E_std + E_panel.
+
+    E_std is the rounding of a Cholesky factorization: of the matmul
+    updates C^_K = C_K - R_aK' R_a (inner dimension below m, then one
+    subtraction), of the shift on the diagonal and of each diagonal block's
+    `np.linalg.cholesky`. Taken against the results, |E_std| <=
+    gamma_{m+3} |R|'|R| entrywise to first order (gamma_{m+2} with one
+    block, which has no update). || |R|'|R| ||_2 <= ||R||_F^2 = trace(R'R)
+    = trace(C + E_std) (E_panel has a zero diagonal) < trace(b) +
+    m ||E_std||_2, so ||E_std||_2 <= (m + 3) u trace(b) / (1 - (m + 3) m u)
+    <= r, u = eps / 2, for every m below 10^7.
+    E_panel is what the explicit inverses of the diagonal blocks add to the
+    panels of R, and `blocked_cholesky` bounds ||E_panel||_2 by its measured
+    residual, `panel_error`; the certificate is refused unless that bound
+    is at most r (with one block there are no panels and E_panel = 0). Then
+    ||E_std + E_panel||_2 <= 2 r, and R is triangular with a positive
+    diagonal, so C + E_std + E_panel is positive definite and
+    lambda_min(b) > tau_hi + 2 r - 2 r = tau_hi.
+
+    Up to CHOLESKY_BLOCK rows one `np.linalg.cholesky` factors a shifted
+    copy of `b`, and `b` is left as it is. Above, the blocked factorization
+    writes its factor over `b` whenever it is tried, so that, certificate
+    or not, `b` no longer holds B (`_decide` rebuilds it for `eigh`).
+    """
+    m = b.shape[0]
+    with np.errstate(over="ignore"):  # past about 2^511 the norm is inf
+        margin = tol * float(np.linalg.norm(b))
+    rounding = (m + 1) * EPS * float(b.trace())
+    if not rounding < margin < math.inf:
+        return None
+    shift = margin + 2.0 * rounding
+    if m <= CHOLESKY_BLOCK:
+        shifted = b.copy()
+        shifted.reshape(-1)[::m + 1] -= shift
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return None
+        return StrictCertificate(margin=margin, rounding=rounding, lu_form=b,
+                                 factor=None)
+    try:
+        factor = blocked_cholesky(b, shift)
+    except np.linalg.LinAlgError:
+        return None
+    if not factor.panel_error <= rounding:
+        return None
+    return StrictCertificate(margin=margin, rounding=rounding, lu_form=None,
+                             factor=factor)
+
+
+def _certified_inverse(cert: StrictCertificate, dist: np.ndarray,
+                       r: np.ndarray) -> np.ndarray | None:
+    """B^-1 r for a certified B = -Q'DQ of the distance matrix `dist`, or
+    None when the refinement does not converge.
+
+    Up to CHOLESKY_BLOCK rows this is one LU solve with B. Above, it is
+    iterative refinement on the certificate's factor: y <- y + C^-1 (r - B y)
+    with C = B - shift I, where B y = -Q'(D(Qy)) is one product with D and
+    the closed forms of Q and Q', since the factor has overwritten B. Each
+    step multiplies the error by f = shift / (lambda - shift) along an
+    eigenvector of eigenvalue lambda, so it contracts when lambda_min > 2
+    shift, and it stops when a correction no longer halves.
+    It has converged only if its residual is within `rounding` times ||y||,
+    where a backward-stable solve leaves it. One that stops with f >= 1/2
+    along the smallest eigenvector has a residual of at least shift ||y|| >
+    2 rounding ||y|| and is refused. That is a test of convergence the
+    check of `_invariant_solve` cannot make: near the boundary
+    lambda_min is a few shifts, so the same residual is within SOLVE_REL
+    times ||B|| ||y||, while y is wrong by f^2 along that eigenvector.
+    """
+    if cert.factor is None:
+        return np.linalg.solve(cert.lu_form, r)
+    solve = cert.factor.solve
+    y = solve(r)
+    last = math.inf
+    while True:
+        res = r + _to_mass_zero(dist @ _from_mass_zero(y))
+        dy = solve(res)
+        size = float(np.abs(dy).max())
+        if not size < 0.5 * last:
+            break
+        y += dy
+        last = size
+    if not np.linalg.norm(res) <= cert.rounding * np.linalg.norm(y):
+        return None
+    return y
+
+
 def _invariant_solve(space: FiniteMetricSpace, evidence,
                      diagnostics: dict) -> tuple[np.ndarray, float] | None:
     """(w, c) with w = u + Q B+ Q' D u, u = ones/n, and c = mean(D w), with
@@ -188,29 +317,27 @@ def _invariant_solve(space: FiniteMetricSpace, evidence,
     return w, c
 
 
-def _certified_solve(space: FiniteMetricSpace, tol: float,
-                     diagnostics: dict):
-    """(b, solve): the invariant solve from a Strict certificate of the
-    restricted form B, or None as solve when Cholesky cannot give one or the
-    solve misses its check; b is then B, for `eigh`. A certificate puts its
+def _decide(space: FiniteMetricSpace, tol: float, diagnostics: dict):
+    """The one route of a decision: the certified invariant solve (w, c)
+    when `certify_strict` proves Strict and the solve passes its check, and
+    otherwise the `eigh` Classification of B. A certificate puts its
     verdict and margin, and then the solve's check, into `diagnostics`.
 
     Above CHOLESKY_BLOCK rows the factorization writes over B's array
-    whenever it is tried, so a fallback rebuilds B in that array from D:
+    whenever it is tried, so the fallback rebuilds B in that array from D:
     the decision holds one n x n array besides D on either path."""
-    check_tol(tol)
-    dist = _instance(space, FiniteMetricSpace, "space").dist
-    b = _restricted_form(dist)
+    b = _checked_form(space, tol)
     cert = certify_strict(b, tol)
-    solve = None
     if cert is not None:
         diagnostics.update(certificate="cholesky", margin=cert.margin,
                            classify_tol=cert.margin,
                            verdict=Verdict.STRICT.value)
         solve = _invariant_solve(space, cert, diagnostics)
-    if solve is None and b.shape[0] > CHOLESKY_BLOCK:
-        _restricted_form(dist, out=b)
-    return b, solve
+        if solve is not None:
+            return solve
+    if b.shape[0] > CHOLESKY_BLOCK:
+        _restricted_form(space.dist, out=b)
+    return _classify_form(space, b, tol)
 
 
 def invariant_measure(space: FiniteMetricSpace,
@@ -220,10 +347,9 @@ def invariant_measure(space: FiniteMetricSpace,
     classification otherwise; None when no such measure exists or the
     solve misses its check."""
     diagnostics = {}
-    b, solve = _certified_solve(space, tol, diagnostics)
-    if solve is None:
-        solve = _invariant_solve(space, _classify_form(space, b, tol),
-                                 diagnostics)
+    solve = _decide(space, tol, diagnostics)
+    if isinstance(solve, Classification):
+        solve = _invariant_solve(space, solve, diagnostics)
     if solve is None:
         return None
     return InvariantSolve(_trusted_measure(space, solve[0]), solve[1],
@@ -256,11 +382,10 @@ def m_constant(space: FiniteMetricSpace,
     with "flat_value" the witness's when Infinite.
     """
     diagnostics = {}
-    b, solve = _certified_solve(space, tol, diagnostics)
-    if solve is not None:  # (w, c): the evidence and the value
-        return MDecision("finite", space, *solve, diagnostics=diagnostics)
+    cls = _decide(space, tol, diagnostics)
+    if not isinstance(cls, Classification):  # (w, c): evidence and value
+        return MDecision("finite", space, *cls, diagnostics=diagnostics)
 
-    cls = _classify_form(space, b, tol)
     diagnostics = {"certificate": "eigh", "margin": cls.margin,
                    "classify_tol": cls.tol_used, "verdict": cls.verdict.value}
 
@@ -391,8 +516,6 @@ def ascent_step_default(space: FiniteMetricSpace) -> float:
     PERRON_MIN_POINTS points on, r is its Collatz-Wielandt upper bound
     from `perron_upper_bound`, within about 1e-13 of rho; below, the full
     spectrum is cheaper."""
-    if space.n == 1:
-        return 1.0
     if space.n < PERRON_MIN_POINTS:
         rho = float(np.abs(np.linalg.eigvalsh(space.dist)).max())
     else:
@@ -570,13 +693,13 @@ def sequence_diagnostics(full_space: FiniteMetricSpace, index_chain,
 
     rows = []
     for k, mu in enumerate(extended):
-        pot = potential(full_space, mu)
+        pot = potential(full_space, mu)  # I(mu) = pot @ mu
         step = None
         if k > 0:
             dmu = measure(full_space, mu.weights - extended[k - 1].weights)
             step = float(np.sqrt(max(0.0, -energy(full_space, dmu))))
         rows.append(SequenceRow(k=k, n_k=len(chains[k]),
-                                i_mu=energy(full_space, mu),
+                                i_mu=float(mu.weights @ pot),
                                 flatness=float(pot.max() - pot.min()),
                                 seminorm_step=step))
     return rows

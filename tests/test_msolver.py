@@ -35,12 +35,7 @@ from qhm import (
     verify_maximal,
 )
 from qhm._kernels import CHOLESKY_BLOCK
-from qhm.classify import (
-    _certified_inverse,
-    _from_mass_zero,
-    _restricted_form,
-    certify_strict,
-)
+from qhm.classify import _from_mass_zero, _restricted_form
 from qhm.errors import (
     ChainMismatchError,
     InconsistencyError,
@@ -48,6 +43,7 @@ from qhm.errors import (
     MalformedMatrixError,
     NotInvariantInputError,
 )
+from qhm.msolver import _certified_inverse, certify_strict
 from qhm.tolerances import SOLVE_REL
 
 from conftest import random_cloud
@@ -194,39 +190,42 @@ class _Counter:
 
 
 class TestOneFactorization:
-    """One factorization per decision: a Strict decision takes one Cholesky
+    """One factorization per decision, counting every LAPACK call that
+    factors B: a Strict decision takes one Cholesky and one LU solve with B
     (above CHOLESKY_BLOCK rows, one blocked factorization, which calls
-    np.linalg.cholesky once per diagonal block) and no eigh; any other
-    verdict takes one failed Cholesky and one eigh."""
+    np.linalg.cholesky and np.linalg.inv once per diagonal block, and no
+    LU solve) and no eigh; any other verdict takes one failed Cholesky and
+    one eigh."""
 
     @pytest.fixture
     def linalg_calls(self, monkeypatch):
-        # the module, not the function qhm.classify
-        classify_module = importlib.import_module("qhm.classify")
+        import qhm.msolver as msolver
+
         counters = {}
-        for name in ("cholesky", "eigh", "lstsq", "svd"):
+        for name in ("cholesky", "solve", "inv", "eigh", "lstsq", "svd"):
             counters[name] = _Counter(getattr(np.linalg, name))
             monkeypatch.setattr(np.linalg, name, counters[name])
-        counters["blocked"] = _Counter(classify_module.blocked_cholesky)
-        monkeypatch.setattr(classify_module, "blocked_cholesky",
-                            counters["blocked"])
+        counters["blocked"] = _Counter(msolver.blocked_cholesky)
+        monkeypatch.setattr(msolver, "blocked_cholesky", counters["blocked"])
         return counters
 
     @staticmethod
     def _counts(linalg_calls):
-        return {k: (c.calls, c.failures) for k, c in linalg_calls.items()}
+        """(calls, failures) of every counted function that was called."""
+        return {k: (c.calls, c.failures) for k, c in linalg_calls.items()
+                if c.calls}
 
     # ball3-2 has 129 points: one blocked factorization of its two blocks,
-    # each factored by np.linalg.cholesky, and the refinement on the factor
-    @pytest.mark.parametrize("key,choleskys,blocked", [
-        ("interval-5", 1, 0), ("circle-2", 1, 0), ("ball3-2", 2, 1)])
-    def test_m_constant_one_cholesky(self, linalg_calls, key, choleskys,
-                                     blocked):
+    # each factored by np.linalg.cholesky and inverted by np.linalg.inv,
+    # and the refinement on the factor
+    @pytest.mark.parametrize("key,expected", [
+        ("interval-5", {"cholesky": (1, 0), "solve": (1, 0)}),
+        ("circle-2", {"cholesky": (1, 0), "solve": (1, 0)}),
+        ("ball3-2", {"cholesky": (2, 0), "inv": (2, 0), "blocked": (1, 0)})])
+    def test_m_constant_one_cholesky(self, linalg_calls, key, expected):
         dec = m_constant(fixture(key).space)
         assert dec.diagnostics["certificate"] == "cholesky"
-        assert self._counts(linalg_calls) == {
-            "cholesky": (choleskys, 0), "blocked": (blocked, 0),
-            "eigh": (0, 0), "lstsq": (0, 0), "svd": (0, 0)}
+        assert self._counts(linalg_calls) == expected
 
     @pytest.mark.parametrize("key", ["circle-8", "nw-thm2.9", "nw-thm2.9a",
                                      "fourpoint-antipodal"])
@@ -234,25 +233,22 @@ class TestOneFactorization:
         dec = m_constant(fixture(key).space)
         assert dec.diagnostics["certificate"] == "eigh"
         assert dec.diagnostics["verdict"] != "Strict"
-        assert self._counts(linalg_calls) == {
-            "cholesky": (1, 1), "blocked": (0, 0), "eigh": (1, 0),
-            "lstsq": (0, 0), "svd": (0, 0)}
+        assert self._counts(linalg_calls) == {"cholesky": (1, 1),
+                                              "eigh": (1, 0)}
 
     @pytest.mark.parametrize("key,expected", [
-        ("interval-5", {"cholesky": (1, 0), "eigh": (0, 0)}),
+        ("interval-5", {"cholesky": (1, 0), "solve": (1, 0)}),
         ("circle-8", {"cholesky": (1, 1), "eigh": (1, 0)}),
     ])
     def test_invariant_measure(self, linalg_calls, key, expected):
         invariant_measure(fixture(key).space)
-        counts = self._counts(linalg_calls)
-        assert {k: counts[k] for k in expected} == expected
+        assert self._counts(linalg_calls) == expected
 
     def test_zero_tol_skips_the_certificate(self, linalg_calls):
         # tau_hi = 0 is inside Cholesky's backward error: nothing to certify
         dec = m_constant(interval_grid(0, 1, 5), tol=0.0)
         assert dec.diagnostics["certificate"] == "eigh"
-        assert self._counts(linalg_calls)["cholesky"] == (0, 0)
-        assert self._counts(linalg_calls)["eigh"] == (1, 0)
+        assert self._counts(linalg_calls) == {"eigh": (1, 0)}
 
     def test_glue_diverge_one_cholesky_per_decision(self, linalg_calls,
                                                     monkeypatch):
@@ -262,9 +258,8 @@ class TestOneFactorization:
         monkeypatch.setattr(experiments, "m_constant", decisions)
         run_glue_diverge([11, 21])
         assert decisions.calls == 4
-        assert self._counts(linalg_calls) == {
-            "cholesky": (4, 0), "blocked": (0, 0), "eigh": (0, 0),
-            "lstsq": (0, 0), "svd": (0, 0)}
+        assert self._counts(linalg_calls) == {"cholesky": (4, 0),
+                                              "solve": (4, 0)}
 
     def test_small_strict_decisions_take_no_eigh(self, linalg_calls):
         # every Strict space with B of at most CHOLESKY_BLOCK rows among the
@@ -611,7 +606,8 @@ class TestOneFormArray:
     """Above CHOLESKY_BLOCK rows the blocked factorization is written over
     B: a Strict decision holds one n x n array besides D, and a decision
     that falls back gives `eigh` B rebuilt from D, never a partly
-    overwritten one."""
+    overwritten one. Up to CHOLESKY_BLOCK rows the certificate leaves B as
+    it is, and a fallback gives `eigh` that B without a rebuild."""
 
     def test_strict_decision_holds_one_form_array(self):
         import tracemalloc
@@ -633,20 +629,31 @@ class TestOneFormArray:
     # overwritten: whether the failed certificate has written over B,
     # so that `eigh` sees B only because the fallback rebuilt it. The
     # NotQuasihypermetric metric fails in its first diagonal block, before
-    # anything is written; tol = 0 is never tried
+    # anything is written; tol = 0 is never tried. The "rejected" cases
+    # have at most CHOLESKY_BLOCK rows and a certificate whose solve is
+    # refused: B was never written over and is not rebuilt
     @pytest.mark.parametrize("case,verdict,overwritten", [
         ("polygon-arc-130", "NonStrict", True),
         ("random-metric-101", "NotQuasihypermetric", False),
         ("ball-101-no-contraction", "Strict", True),
-        ("ball-101-zero-tol", "Strict", False)])
+        ("ball-101-zero-tol", "Strict", False),
+        ("interval-5-rejected", "Strict", False),
+        ("cloud-40-rejected", "Strict", False)])
     def test_fallback_gets_the_rebuilt_form(self, monkeypatch, case, verdict,
                                             overwritten):
         import qhm.msolver as msolver
 
+        rejected = case.endswith("rejected")
+        tol = DEFAULT_TOL
         if case == "polygon-arc-130":
-            space, tol = regular_polygon_arc(130), DEFAULT_TOL
+            space = regular_polygon_arc(130)
         elif case == "random-metric-101":
-            space, tol = random_metric(101, 0), DEFAULT_TOL
+            space = random_metric(101, 0)
+        elif case == "interval-5-rejected":
+            space = fixture("interval-5").space
+        elif case == "cloud-40-rejected":
+            space = euclidean_cloud(
+                np.random.default_rng(40).uniform(0.0, 1.0, (40, 3)))
         else:
             _, _, (space,) = ball_chain([101])
             b = _restricted_form(space.dist)
@@ -654,19 +661,34 @@ class TestOneFormArray:
             tol = (0.0 if case.endswith("zero-tol") else
                    float(np.linalg.eigvalsh(b)[0]) / 1.5 / float(np.linalg.norm(b)))
         form = _restricted_form(space.dist)
-        assert form.shape[0] > CHOLESKY_BLOCK
+        assert (form.shape[0] > CHOLESKY_BLOCK) != rejected
         b = form.copy()
         certify_strict(b, tol)
         assert (b.tobytes() != form.tobytes()) == overwritten
 
-        forms = []
+        forms, rebuilds, refused = [], [], []
         classify_form = msolver._classify_form
+        restricted_form = msolver._restricted_form
+        invariant_solve = msolver._invariant_solve
 
         def spy(space, b, tol):
             forms.append(b.tobytes())
             return classify_form(space, b, tol)
 
+        def rebuild(dist, out=None):
+            rebuilds.append(out is not None)
+            return restricted_form(dist, out=out)
+
+        def refuse_certified(space, evidence, diagnostics):
+            if isinstance(evidence, msolver.StrictCertificate):
+                refused.append(space.n)
+                return None
+            return invariant_solve(space, evidence, diagnostics)
+
         monkeypatch.setattr(msolver, "_classify_form", spy)
+        monkeypatch.setattr(msolver, "_restricted_form", rebuild)
+        if rejected:
+            monkeypatch.setattr(msolver, "_invariant_solve", refuse_certified)
         # each decision against the one `eigh` takes on a B the certificate
         # never touched
         certified, reference = _decide_both(space, tol)
@@ -675,6 +697,8 @@ class TestOneFormArray:
             mp.setattr(msolver, "certify_strict", lambda b, tol: None)
             solved_reference = invariant_measure(space, tol)
         assert forms == [form.tobytes()] * 4
+        assert rebuilds == ([] if rejected else [True] * 4)
+        assert refused == ([space.n] * 2 if rejected else [])
         assert certified.diagnostics["certificate"] == "eigh"
         assert certified.diagnostics["verdict"] == verdict
         assert certified.diagnostics == reference.diagnostics
